@@ -12,7 +12,7 @@ from .dde import (ConstantHistory, DenseOutput, FunctionHistory,
 from .fhn import (FhnSteadyState, fhn_char_roots, fhn_hopf_points,
                   fhn_hybrid_dispersion, fhn_linearization,
                   fhn_saddle_node_C, fhn_steady_states, fhn_strong_spectrum)
-from .lambertw import lambert_w, lambert_w_log
+from .lambertw import lambert_w_log
 from .pattern import (FidelityReport, ShiftField, delays_from_timeshifts,
                       eta_from_image, read_pgm, verify_pattern, write_pgm)
 from .roots import RootSet, find_roots_quasipoly, solve_cubic_real, solve_kepler

@@ -26,7 +26,6 @@ import numpy as np
 from . import core, dde, fhn, pattern, sl
 from .core import ConfigError, Model
 from .dde import SimulationError
-from .lambertw import LambertWError
 
 
 def _fmt(x) -> str:
@@ -422,8 +421,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ArithmeticError, SimulationError, LambertWError,
-            np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, SimulationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

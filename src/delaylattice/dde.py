@@ -99,6 +99,19 @@ def plane_wave_history(wave, spec: LatticeSpec) -> FunctionHistory:
 # ---------------------------------------------------------------------------
 # dense output and trajectories
 
+def _hermite(th, y0, f0, y1, f1, dt: float, deriv: bool = False):
+    """Cubic Hermite interpolant through (y0, f0) and (y1, f1) one step dt
+    apart, at fraction th of the step; with ``deriv`` its time derivative."""
+    t2 = th * th
+    if deriv:
+        d00 = (6 * t2 - 6 * th) / dt
+        return (d00 * y0 + (3 * t2 - 4 * th + 1) * f0 - d00 * y1
+                + (3 * t2 - 2 * th) * f1)
+    t3 = t2 * th
+    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + th) * dt * f0
+            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * dt * f1)
+
+
 class DenseOutput:
     """Cubic Hermite interpolant over uniformly stepped (state, deriv)
     samples. Evaluations outside the stored range raise."""
@@ -123,20 +136,8 @@ class DenseOutput:
             raise SimulationError(
                 f"dense output lookup at t={t} outside "
                 f"[{self.t0}, {self.t_end}]")
-        th = p - k
-        y0, y1 = self.states[k], self.states[k + 1]
-        f0, f1 = self.derivs[k], self.derivs[k + 1]
-        if deriv:
-            d00 = (6 * th * th - 6 * th) / self.dt
-            d10 = 3 * th * th - 4 * th + 1
-            d01 = -d00
-            d11 = 3 * th * th - 2 * th
-            return d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
-        h00 = 2 * th ** 3 - 3 * th ** 2 + 1
-        h10 = th ** 3 - 2 * th ** 2 + th
-        h01 = -2 * th ** 3 + 3 * th ** 2
-        h11 = th ** 3 - th ** 2
-        return h00 * y0 + h10 * self.dt * f0 + h01 * y1 + h11 * self.dt * f1
+        return _hermite(p - k, self.states[k], self.derivs[k],
+                        self.states[k + 1], self.derivs[k + 1], self.dt, deriv)
 
     def eval_shifted(self, times: np.ndarray, deriv: bool = False):
         """Vectorized per-node lookup: times is an (M, N) array and node
@@ -167,17 +168,7 @@ class DenseOutput:
         f0, f1 = self.derivs[sel], self.derivs[sel1]
         if y0.ndim == times.ndim + 1:   # component axis on real-valued models
             th = th[..., None]
-        if deriv:
-            d00 = (6 * th * th - 6 * th) / self.dt
-            d10 = 3 * th * th - 4 * th + 1
-            d01 = -d00
-            d11 = 3 * th * th - 2 * th
-            return d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
-        h00 = 2 * th ** 3 - 3 * th ** 2 + 1
-        h10 = th ** 3 - 2 * th ** 2 + th
-        h01 = -2 * th ** 3 + 3 * th ** 2
-        h11 = th ** 3 - th ** 2
-        return h00 * y0 + h10 * self.dt * f0 + h01 * y1 + h11 * self.dt * f1
+        return _hermite(th, y0, f0, y1, f1, self.dt, deriv)
 
 
 @dataclass
@@ -276,18 +267,9 @@ class _EdgeLookup:
         y1 = Y[k1, self.rows, self.cols]
         f0 = F[k0, self.rows, self.cols]
         f1 = F[k1, self.rows, self.cols]
-        t2 = th * th
-        t3 = t2 * th
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = t3 - 2 * t2 + th
-        h01 = -2 * t3 + 3 * t2
-        h11 = t3 - t2
         if y0.ndim == 3:  # (M,N,d): broadcast weights over components
-            h00 = h00[..., None]
-            h10 = h10[..., None]
-            h01 = h01[..., None]
-            h11 = h11[..., None]
-        return h00 * y0 + h10 * self.dt * f0 + h01 * y1 + h11 * self.dt * f1
+            th = th[..., None]
+        return _hermite(th, y0, f0, y1, f1, self.dt)
 
 
 def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,

@@ -190,22 +190,20 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
     inside the given complex window."""
     lin = fhn_linearization(stst, params, C)
     if C == 0.0 or abs(math.cos(wv.k_minus)) < 1e-12 or lin.b13 == 0.0:
-        lam = np.linalg.eigvals(lin.A)
-        re_min, re_max, im_min, im_max = window
-        keep = ((lam.real >= re_min) & (lam.real <= re_max)
-                & (lam.imag >= im_min) & (lam.imag <= im_max))
-        return RootSet(roots=lam[keep], tolerance=1e-10, window=window)
-    if tau == 0.0:
+        # mode decoupled: the Jacobian's own eigenvalues
+        Mat = lin.A
+    elif tau == 0.0:
         coup = 2.0 * lin.b13 * math.cos(wv.k_minus) * cmath.exp(1j * wv.k_plus)
         Mat = lin.A.astype(complex)
         Mat[0, 2] += coup
-        lam = np.linalg.eigvals(Mat)
-        re_min, re_max, im_min, im_max = window
-        keep = ((lam.real >= re_min) & (lam.real <= re_max)
-                & (lam.imag >= im_min) & (lam.imag <= im_max))
-        return RootSet(roots=lam[keep], tolerance=1e-10, window=window)
-    f, df = fhn_char_function(lin, tau, wv)
-    return find_roots_quasipoly(f, window, grid=grid, df=df)
+    else:
+        f, df = fhn_char_function(lin, tau, wv)
+        return find_roots_quasipoly(f, window, grid=grid, df=df)
+    lam = np.linalg.eigvals(Mat)
+    re_min, re_max, im_min, im_max = window
+    keep = ((lam.real >= re_min) & (lam.real <= re_max)
+            & (lam.imag >= im_min) & (lam.imag <= im_max))
+    return RootSet(roots=lam[keep], tolerance=1e-10, window=window)
 
 
 def fhn_strong_spectrum(stst: FhnSteadyState, params: FHNParams, C: float):

@@ -1,118 +1,61 @@
-"""Multi-branch complex Lambert W function.
+"""Multi-branch complex Lambert W function of a log-form argument.
 
-Solves w * exp(w) = z on an arbitrary branch j via Halley iteration seeded
-from the asymptotic log series, with a dedicated series expansion near the
-branch point z = -1/e where the iteration degenerates.
+Branches are evaluated with ``scipy.special.lambertw`` (Corless et al.,
+Adv. Comput. Math. 5, 1996). Only arguments whose modulus overflows a
+double are solved here, by Newton iteration on the log form of the
+defining relation.
 """
 
 from __future__ import annotations
 
-import cmath
+import numpy as np
+from scipy.special import lambertw
 
 MAX_BRANCH = 64
 _MAX_ITER = 60
 _STEP_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
 
-_E = cmath.e.real
-_BRANCH_POINT = -1.0 / _E
-
 
 class LambertWError(ArithmeticError):
     pass
 
 
-def _initial_guess(j: int, z: complex) -> complex:
-    two_pi_ij = 2j * cmath.pi * j
-    if j == 0:
-        if abs(z + 1.0 / _E) < 0.3:
-            # series around the branch point
-            p = cmath.sqrt(2.0 * (_E * z + 1.0))
-            return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
-        if abs(z) < 0.5:
-            return z * (1.0 - z)
-        return cmath.log(z)
-    if j == -1 and abs(z + 1.0 / _E) < 0.3 and z.imag <= 0:
-        p = -cmath.sqrt(2.0 * (_E * z + 1.0))
-        return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
-    # asymptotic two-term log series on branch j
-    w = cmath.log(z) + two_pi_ij
-    if abs(w) > 1e-300:
-        w = w - cmath.log(w)
-    return w
+def lambert_w_log(j, log_z: complex) -> np.ndarray:
+    """W_j at z = exp(log_z) for an integer array of branches j.
 
-
-def lambert_w(j: int, z: complex) -> complex:
-    """Value of the j-th branch of the Lambert W function at z.
-
-    The returned w satisfies w*exp(w) = z with relative residual below
-    1e-12; the branch is the standard one with Im W_j near 2*pi*j for
-    large |z|.
+    Returns an array shaped like j; the branch is the standard one with
+    Im W_j near 2*pi*j for large |z|. For Re log_z beyond 500, where z
+    would overflow a double, the defining relation is solved in log form,
+    w + Log w = log_z + 2*pi*i*j, which is well conditioned because w then
+    lies deep in the right half-plane where the principal logarithm is
+    smooth.
     """
-    if abs(j) > MAX_BRANCH:
-        raise ValueError(f"branch index |j| <= {MAX_BRANCH} required, got {j}")
-    z = complex(z)
-
-    if z == 0:
-        if j == 0:
-            return 0.0 + 0.0j
-        raise LambertWError(f"W_{j}(0) diverges; z must be nonzero for j != 0")
-    if j in (0, -1) and abs(z - _BRANCH_POINT) < 1e-15:
-        return -1.0 + 0.0j
-
-    w = _initial_guess(j, z)
-    for _ in range(_MAX_ITER):
-        ew = cmath.exp(w)
-        f = w * ew - z
-        # Halley's method
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0:
-            break
-        step = f / denom
-        w = w - step
-        if abs(step) <= _STEP_TOL * (1.0 + abs(w)):
-            break
-    else:
-        raise LambertWError(
-            f"no convergence after {_MAX_ITER} iterations for j={j}, "
-            f"z={z}, last iterate {w}")
-
-    residual = abs(w * cmath.exp(w) - z) / max(abs(z), 1.0)
-    if residual > _RESIDUAL_TOL:
-        raise LambertWError(
-            f"residual {residual:.3e} above tolerance for j={j}, z={z}, w={w}")
-    return w
-
-
-def lambert_w_log(j: int, log_z: complex) -> complex:
-    """W_j at z = exp(log_z), taking the logarithm of the argument.
-
-    Needed when z itself overflows a double (Re log_z beyond ~709): the
-    defining relation is solved in log form, w + Log w = log_z + 2*pi*i*j,
-    which is well conditioned because w then lies deep in the right
-    half-plane where the principal logarithm is smooth.
-    """
-    if abs(j) > MAX_BRANCH:
+    j = np.asarray(j, dtype=int)
+    if np.any(np.abs(j) > MAX_BRANCH):
         raise ValueError(f"branch index |j| <= {MAX_BRANCH} required, got {j}")
     log_z = complex(log_z)
     if log_z.real <= 500.0:
-        return lambert_w(j, cmath.exp(log_z))
+        w = lambertw(np.exp(log_z), j)
+        if not np.all(np.isfinite(w)):
+            # z underflowed to 0 on a branch j != 0, or scipy did not converge
+            raise LambertWError(f"W_j(exp({log_z})) is not finite on "
+                                f"branches {j[~np.isfinite(w)]}")
+        return w
 
-    L = log_z + 2j * cmath.pi * j
-    w = L - cmath.log(L)
+    L = log_z + 2j * np.pi * j
+    w = L - np.log(L)
     for _ in range(_MAX_ITER):
-        f = w + cmath.log(w) - L
-        step = f / (1.0 + 1.0 / w)
+        step = (w + np.log(w) - L) / (1.0 + 1.0 / w)
         w = w - step
-        if abs(step) <= _STEP_TOL * (1.0 + abs(w)):
+        if np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(w))):
             break
     else:
         raise LambertWError(
             f"no convergence in log form for j={j}, log_z={log_z}")
-    residual = abs(w + cmath.log(w) - L) / max(abs(L), 1.0)
-    if residual > _RESIDUAL_TOL:
+    residual = np.abs(w + np.log(w) - L) / np.maximum(np.abs(L), 1.0)
+    if np.any(residual > _RESIDUAL_TOL):
         raise LambertWError(
-            f"log-form residual {residual:.3e} above tolerance for j={j}, "
-            f"log_z={log_z}")
+            f"log-form residual {residual.max():.3e} above tolerance for "
+            f"j={j}, log_z={log_z}")
     return w

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import TWO_PI, LatticeSpec, SLParams, WaveVector, enumerate_modes
-from .lambertw import MAX_BRANCH, LambertWError, lambert_w_log
+from .lambertw import MAX_BRANCH, lambert_w_log
 from .roots import RootSet, find_roots_quasipoly, solve_cubic_real, solve_kepler
 
 TRIVIAL_EXCLUSION_RADIUS = 1e-6
@@ -96,18 +96,12 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     # the double-precision exponent range
     log_z = (math.log(tau * abs(R)) - alpha * tau
              + 1j * (wv.k_plus - beta * tau + (math.pi if R < 0 else 0.0)))
-    roots = []
-    for j in branches:
-        try:
-            w = lambert_w_log(j, log_z)
-        except LambertWError:
-            continue
-        lam = mu + w / tau
-        # factor of the characteristic product for this mode
-        resid = abs(-lam + mu + cmath.exp(log_z - w) / tau)
-        if resid <= 1e-10 * max(1.0, abs(lam)):
-            roots.append(lam)
-    return RootSet(roots=np.array(roots), tolerance=1e-10, window=window)
+    w = lambert_w_log(np.fromiter(branches, dtype=int), log_z)
+    lam = mu + w / tau
+    # factor of the characteristic product for this mode
+    resid = np.abs(-lam + mu + np.exp(log_z - w) / tau)
+    roots = lam[resid <= 1e-10 * np.maximum(1.0, np.abs(lam))]
+    return RootSet(roots=roots, tolerance=1e-10, window=window)
 
 
 def sl_stst_pcs(params: SLParams, C: float, k_minus: float,
@@ -190,22 +184,14 @@ def sl_floquet_chi(wave: PlaneWave, lam, q_plus: float, q_minus: float,
                    C: float, tau: float):
     """Exact Floquet characteristic function chi(lambda; q_minus, q_plus)
     of a plane wave. Accepts scalar or array lambda."""
-    a2, R, kt = wave.a2, wave.R, wave.k_tau
-    Rp = C * math.cos(wave.wv.k_minus + q_minus)
-    Rm = C * math.cos(wave.wv.k_minus - q_minus)
-    P = a2 + R * math.cos(kt)
-    G = Rp * cmath.exp(1j * kt) + Rm * cmath.exp(-1j * kt)
-    Hd = Rp * cmath.exp(1j * kt) - Rm * cmath.exp(-1j * kt)
-    lam = np.asarray(lam, dtype=complex)
-    e1 = np.exp(-lam * tau + 1j * q_plus)
-    chi = (lam * lam + 2.0 * P * lam + R * R + 2.0 * R * a2 * math.cos(kt)
-           + Rp * Rm * e1 * e1
-           - ((P + lam) * G - 1j * R * math.sin(kt) * Hd) * e1)
-    return chi if chi.ndim else complex(chi)
+    chi, _ = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
+    val = chi(np.asarray(lam, dtype=complex))
+    return val if val.ndim else complex(val)
 
 
 def _chi_and_deriv(wave: PlaneWave, C: float, tau: float,
                    q_plus: float, q_minus: float):
+    """chi(lambda) and d chi / d lambda for one perturbation mode."""
     a2, R, kt = wave.a2, wave.R, wave.k_tau
     Rp = C * math.cos(wave.wv.k_minus + q_minus)
     Rm = C * math.cos(wave.wv.k_minus - q_minus)

@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
-from delaylattice.lambertw import lambert_w
 from delaylattice.roots import (find_roots_quasipoly, solve_cubic_real,
                                 solve_kepler)
 
@@ -48,7 +48,7 @@ def test_sl_mode_factor_matches_lambert_w():
     rs = find_roots_quasipoly(f, (-0.5, 0.2, -1.0, 2.0), grid=(60, 60))
     assert len(rs) > 3
     z = tau * C * cmath.exp(-mu * tau)
-    lw = [mu + lambert_w(j, z) / tau for j in range(-30, 31)]
+    lw = mu + lambertw(z, np.arange(-30, 31)) / tau
     for lam in rs.roots:
         assert min(abs(lam - w) for w in lw) < 1e-8
 

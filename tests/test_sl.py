@@ -53,6 +53,19 @@ def test_stst_roots_satisfy_characteristic_factor():
         assert abs(resid) < 1e-9
 
 
+def test_stst_finds_every_branch_root_near_branch_point():
+    # alpha=0.5, beta=0, C=2, tau=0.5, (k1, k2)=(pi/2, pi): W_{-1} once
+    # converged onto W_0's root, so the spectrum held a duplicate and
+    # missed the unstable root, and the rest state looked stable
+    rs = sl_stst_eigenvalues(SLParams(0.5, 0.0), 2.0, 0.5,
+                             WaveVector(math.pi / 2, math.pi))
+    assert len(rs) == 15
+    gaps = np.abs(rs.roots[:, None] - rs.roots[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > 1e-8
+    assert rs.max_real() == pytest.approx(0.27928805037412, abs=1e-9)
+
+
 def test_stst_pcs_zero_at_threshold():
     assert sl_stst_pcs(SLParams(-2.0, 0.5), 2.0, 0.0, 0.5) == pytest.approx(
         0.0, abs=1e-14)
