@@ -25,7 +25,7 @@ import numpy as np
 
 from . import core, dde, fhn, pattern, sl
 from .core import ConfigError, Model
-from .dde import SimulationError
+from .dde import InsufficientDataError, SimulationError
 
 
 def _fmt(x) -> str:
@@ -421,7 +421,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ArithmeticError, SimulationError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, SimulationError, InsufficientDataError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,25 @@
 """Fixed-step RK4 integrator for the delay-coupled lattice.
 
-History is kept in a ring of (state, derivative) samples at uniform step
-dt; delayed neighbor values are read through cubic Hermite interpolation,
-which keeps the scheme 4th order for smooth history. Per-edge heterogeneous
-delays are supported; interpolation offsets are precomputed per edge since
-delays are constant in time.
+Delayed neighbor values are read through cubic Hermite interpolation of
+(value, derivative) samples at uniform step dt, which keeps the scheme 4th
+order for smooth history. Per-edge heterogeneous delays are supported.
+
+The coupling reads one channel of the neighbor state: z for Stuart-Landau,
+the synaptic gate s for FitzHugh-Nagumo. Only that channel is kept in the
+history ring, shaped (D, 2, M*N) with D = H + 4 slots for H =
+ceil(max_delay/dt) + 2: slot (n + H) % D holds the channel and its
+derivative at time n*dt, node-major. Since delays are constant in time, the flat ring
+index and the Hermite weight of every read (2 edges x 4 reads x M*N nodes)
+are precomputed for the stage offsets c = 0, 1/2, 1; each step then makes
+one wrapped ``take`` and a weighted sum for both stages it needs.
+``store_full`` keeps the full (state, derivative) samples of the whole run
+beside the ring, for ``DenseOutput``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -99,17 +108,25 @@ def plane_wave_history(wave, spec: LatticeSpec) -> FunctionHistory:
 # ---------------------------------------------------------------------------
 # dense output and trajectories
 
-def _hermite(th, y0, f0, y1, f1, dt: float, deriv: bool = False):
-    """Cubic Hermite interpolant through (y0, f0) and (y1, f1) one step dt
-    apart, at fraction th of the step; with ``deriv`` its time derivative."""
+def _hermite_weights(th, dt: float):
+    """Weights of y0, f0, y1, f1 in the cubic Hermite interpolant through
+    (y0, f0) and (y1, f1) one step dt apart, at fraction th of the step."""
     t2 = th * th
+    t3 = t2 * th
+    return (2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * dt,
+            -2 * t3 + 3 * t2, (t3 - t2) * dt)
+
+
+def _hermite(th, y0, f0, y1, f1, dt: float, deriv: bool = False):
+    """Cubic Hermite interpolant at fraction th of the step; with ``deriv``
+    its time derivative."""
     if deriv:
+        t2 = th * th
         d00 = (6 * t2 - 6 * th) / dt
         return (d00 * y0 + (3 * t2 - 4 * th + 1) * f0 - d00 * y1
                 + (3 * t2 - 2 * th) * f1)
-    t3 = t2 * th
-    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + th) * dt * f0
-            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * dt * f1)
+    w0, w1, w2, w3 = _hermite_weights(th, dt)
+    return w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1
 
 
 class DenseOutput:
@@ -188,88 +205,115 @@ class Trajectory:
 
 # ---------------------------------------------------------------------------
 # right-hand sides
+#
+# The kernel holds the state as a (d, M*N) array, one row per component:
+# z (complex) for Stuart-Landau, v, w, s for FitzHugh-Nagumo. The coupling
+# reads only the coupled channel: z, or the gate s (row 2).
+
 
 def _make_rhs(spec: LatticeSpec):
+    """rhs(y, x, out) writes dy/dt into ``out``, given the rows of the
+    kernel state y and the delayed up + left neighbor sum x of the coupled
+    channel; ``out`` is a sequence of rows too."""
     C = spec.coupling
     if spec.model is Model.STUART_LANDAU:
         p: SLParams = spec.params
         mu = complex(p.alpha, p.beta)
 
-        def rhs(y, w):
-            # y complex (M,N); w = delayed up + left neighbor sum
-            return mu * y - y * (y.real ** 2 + y.imag ** 2) + 0.5 * C * w
+        def rhs(y, x, out):
+            z, = y
+            np.add(mu * z - z * (z.real ** 2 + z.imag ** 2), 0.5 * C * x,
+                   out=out[0])
 
         return rhs
     p: FHNParams = spec.params
+    # 0-d arrays are cheaper ufunc operands than Python floats
+    I, a, b, eps, v_r, half_C = (np.array(c, dtype=float) for c in
+                                 (p.I, p.a, p.b, p.eps, p.v_r, 0.5 * C))
+    t = np.empty(spec.rows * spec.cols)
 
-    def rhs(y, w):
-        # y real (M,N,3); w[..., 2] carries the delayed gating sum
-        v, rec, s = y[..., 0], y[..., 1], y[..., 2]
-        s_in = w[..., 2]
-        out = np.empty_like(y)
-        out[..., 0] = (v - v ** 3 / 3.0 - rec + p.I
-                       + 0.5 * C * (p.v_r - v) * s_in)
-        out[..., 1] = p.eps * (v + p.a - p.b * rec)
-        out[..., 2] = gate_rate(v) * (1.0 - s) - 0.6 * s
-        return out
+    def rhs(y, x, out):
+        v, rec, s = y
+        dv, drec, ds = out
+        # v - v**3/3 - w + I + C/2 (v_r - v) x
+        np.divide(np.power(v, 3, t), 3.0, t)
+        np.subtract(v, t, dv)
+        np.subtract(dv, rec, dv)
+        np.add(dv, I, dv)
+        np.multiply(half_C, np.subtract(v_r, v, t), t)
+        np.add(dv, np.multiply(t, x, t), dv)
+        # eps (v + a - b w)
+        np.subtract(np.add(v, a, drec), np.multiply(b, rec, t), drec)
+        np.multiply(drec, eps, drec)
+        # alpha(v) (1 - s) - 0.6 s
+        np.multiply(np.subtract(1.0, s, ds), gate_rate(v, t), ds)
+        np.subtract(ds, np.multiply(0.6, s, t), ds)
 
     return rhs
 
 
 def _to_snapshot(y: np.ndarray, model: Model) -> np.ndarray:
+    """(M, N, d) state with a complex z stored as (re, im) components."""
     if model is Model.STUART_LANDAU:
-        return np.stack([y.real, y.imag], axis=-1)
-    return y.copy()
+        return np.concatenate([y.real, y.imag], axis=-1)
+    return y
 
 
-def _from_snapshot(arr: np.ndarray, model: Model) -> np.ndarray:
+def _from_snapshot(arr, model: Model) -> np.ndarray:
+    """A history sample as an (..., d) array: complex z for Stuart-Landau
+    (given complex, or as (re, im) components), (v, w, s) for FHN."""
+    arr = np.asarray(arr)
     if model is Model.STUART_LANDAU:
-        if np.iscomplexobj(arr):
-            return np.array(arr)
-        return arr[..., 0] + 1j * arr[..., 1]
-    return np.array(arr)
+        if not np.iscomplexobj(arr):
+            arr = arr[..., 0] + 1j * arr[..., 1]
+        return arr[..., None]
+    return arr
 
 
 # ---------------------------------------------------------------------------
 # the integrator
 
-class _EdgeLookup:
-    """Precomputed Hermite gather for one delayed edge family at the three
-    RK4 stage offsets (0, 1/2, 1)."""
+def _coupling_reader(ring: np.ndarray, delays: DelayMap, dt: float, H: int,
+                     offsets: tuple):
+    """read(phase) -> (len(offsets), M*N) array: the delayed up + left
+    neighbor sums of the coupled channel at the RK4 stage offsets c of step
+    n, given the ring phase n % D.
 
-    def __init__(self, tau: np.ndarray, dt: float, roll_axis: int,
-                 M: int, N: int):
-        self.rows = np.arange(M)[:, None] * np.ones(N, dtype=int)[None, :]
-        self.cols = np.ones(M, dtype=int)[:, None] * np.arange(N)[None, :]
-        if roll_axis == 0:
-            self.rows = (self.rows - 1) % M
-        else:
-            self.cols = (self.cols - 1) % N
-        self.offsets = []
-        self.thetas = []
-        for c in (0.0, 0.5, 1.0):
-            p = c - tau / dt
-            base = np.floor(p + 1e-12).astype(int)
-            th = p - base
-            # snap grid-aligned lookups for exact reads
-            snap = th < 1e-9
-            th = np.where(snap, 0.0, th)
-            self.offsets.append(base)
-            self.thetas.append(th)
-        self.dt = dt
+    The flat ring index and the Hermite weight of every read are
+    precomputed, shaped (stage, read y0 f0 y1 f1, edge up/left, node): a
+    read at time j*dt sits in slot j + H at step 0, and step n shifts it by
+    n*2*M*N modulo the ring size, which ``take`` wraps. Each sum is
+    w0 y0 + w1 f0 + w2 y1 + w3 f1 per edge, added left to right as in
+    ``_hermite``, then up + left."""
+    MN = ring.shape[2]
+    node = np.arange(MN).reshape(delays.down.shape)
+    src = np.stack([np.roll(node, 1, axis=0),
+                    np.roll(node, 1, axis=1)]).reshape(2, MN)
+    tau = np.stack([delays.down, delays.right]).reshape(2, MN)
+    idx = np.empty((len(offsets), 4, 2, MN), dtype=np.intp)
+    wts = np.empty(idx.shape)
+    for i, c in enumerate(offsets):
+        p = c - tau / dt
+        base = np.floor(p + 1e-12).astype(int)
+        th = p - base
+        # snap grid-aligned lookups for exact reads
+        wts[i] = _hermite_weights(np.where(th < 1e-9, 0.0, th), dt)
+        for r in range(4):   # y0, f0 at base; y1, f1 at base + 1
+            idx[i, r] = (base + H + r // 2) * 2 * MN + (r % 2) * MN + src
+    flat = ring.reshape(-1)
+    at = np.empty_like(idx)   # idx + shift < 2 * ring size: one wrap at most
+    g = np.empty(idx.shape, dtype=ring.dtype)
+    y0, f0, y1, f1 = (g[:, r] for r in range(4))
+    edges = np.empty(y0.shape, dtype=ring.dtype)
+    out = np.empty((len(offsets), MN), dtype=ring.dtype)
 
-    def gather(self, stage: int, n_step: int, slot_of, Y, F):
-        base = self.offsets[stage] + n_step
-        th = self.thetas[stage]
-        k0 = slot_of(base)
-        k1 = slot_of(base + 1)
-        y0 = Y[k0, self.rows, self.cols]
-        y1 = Y[k1, self.rows, self.cols]
-        f0 = F[k0, self.rows, self.cols]
-        f1 = F[k1, self.rows, self.cols]
-        if y0.ndim == 3:  # (M,N,d): broadcast weights over components
-            th = th[..., None]
-        return _hermite(th, y0, f0, y1, f1, self.dt)
+    def read(phase: int) -> np.ndarray:
+        flat.take(np.add(idx, phase * 2 * MN, at), out=g, mode="wrap")
+        np.multiply(g, wts, g)
+        np.add(np.add(np.add(y0, f0, edges), y1, edges), f1, edges)
+        return np.add(edges[:, 0], edges[:, 1], out)
+
+    return read
 
 
 def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
@@ -295,78 +339,93 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
             f"dt={dt} invalid: need 0 < dt <= min_delay/4 = {min_delay / 4.0}")
 
     M, N = spec.rows, spec.cols
+    MN = M * N
     model = spec.model
+    sl = model is Model.STUART_LANDAU
+    dtype, d, ch = (complex, 1, 0) if sl else (float, 3, 2)
     n_steps = int(math.ceil(t_end / dt - 1e-9))
     H = int(math.ceil(delays.max_delay / dt)) + 2
+    D = H + 4
+
+    # ring of the coupled channel: slot (n + H) % D holds its value and
+    # derivative at time n*dt
+    ring = np.zeros((D, 2, MN), dtype=dtype)
+    read_start = _coupling_reader(ring, delays, dt, H, (0.0,))
+    read_step = _coupling_reader(ring, delays, dt, H, (0.5, 1.0))
 
     if store_full:
-        D = H + n_steps + 1
-
-        def slot_of(idx):
-            return idx + H
-    else:
-        D = H + 4
-
-        def slot_of(idx):
-            return (idx + H) % D
-
-    if model is Model.STUART_LANDAU:
-        buf_shape = (D, M, N)
-        buf_dtype = complex
-    else:
-        buf_shape = (D, M, N, 3)
-        buf_dtype = float
-    Y = np.zeros(buf_shape, dtype=buf_dtype)
-    F = np.zeros(buf_shape, dtype=buf_dtype)
-
-    up = _EdgeLookup(delays.down, dt, roll_axis=0, M=M, N=N)
-    left = _EdgeLookup(delays.right, dt, roll_axis=1, M=M, N=N)
-    rhs = _make_rhs(spec)
+        full = np.zeros((2, H + n_steps + 1, M, N, d), dtype=dtype)
 
     # prefill the history interval [-H*dt, 0]
+    ring4 = ring.reshape(D, 2, M, N)
     for n in range(-H, 1):
         t = n * dt
-        Y[slot_of(n)] = _from_snapshot(init.state(t), model)
+        state = _from_snapshot(init.state(t), model)
+        ring4[n + H, 0] = state[..., ch]
+        if store_full:
+            full[0, n + H] = state
         if n < 0:
-            F[slot_of(n)] = _from_snapshot(init.deriv(t), model)
+            deriv = _from_snapshot(init.deriv(t), model)
+            ring4[n + H, 1] = deriv[..., ch]
+            if store_full:
+                full[1, n + H] = deriv
 
-    def coupling(stage: int, n: int):
-        return (up.gather(stage, n, slot_of, Y, F)
-                + left.gather(stage, n, slot_of, Y, F))
+    # kernel states, their rows, and their (M, N, d) lattice views
+    y, yt, k1, k2, k3, k4 = bufs = np.empty((6, d, MN), dtype=dtype)
+    Y, YT, K1, K2, K3, K4 = (tuple(b) for b in bufs)
+    y_lat, k1_lat = (b.T.reshape(M, N, d) for b in (y, k1))
+    y_lat[...] = state          # the t = 0 sample
+    rhs = _make_rhs(spec)
+    rhs(Y, read_start(0)[0], K1)
+    ring[H, 1] = K1[ch]
+    if store_full:
+        full[1, H] = k1_lat
 
-    y = Y[slot_of(0)].copy()
-    F[slot_of(0)] = rhs(y, coupling(0, 0))
+    n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
+    rec_times = np.empty(n_rec)
+    rec_snaps = np.empty((n_rec, M, N, spec.state_dim))
+    rec_times[0] = 0.0
+    rec_snaps[0] = _to_snapshot(y_lat, model)
+    i_rec = 0
 
-    rec_times = [0.0]
-    rec_snaps = [_to_snapshot(y, model)]
-
-    k1 = F[slot_of(0)].copy()
+    h2, h6 = 0.5 * dt, dt / 6.0
     for n in range(n_steps):
-        w_half = coupling(1, n)
-        w_one = coupling(2, n)
-        k2 = rhs(y + 0.5 * dt * k1, w_half)
-        k3 = rhs(y + 0.5 * dt * k2, w_half)
-        k4 = rhs(y + dt * k3, w_one)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Y[slot_of(n + 1)] = y
-        k1 = rhs(y, w_one)   # derivative at t_{n+1}; reused as next k1
-        F[slot_of(n + 1)] = k1
+        x_half, x_one = read_step(n % D)
+        np.add(y, np.multiply(h2, k1, yt), yt)
+        rhs(YT, x_half, K2)
+        np.add(y, np.multiply(h2, k2, yt), yt)
+        rhs(YT, x_half, K3)
+        np.add(y, np.multiply(dt, k3, yt), yt)
+        rhs(YT, x_one, K4)
+        # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.add(k1, np.multiply(2.0, k2, yt), yt)
+        np.add(yt, np.multiply(2.0, k3, k2), yt)
+        np.add(yt, k4, yt)
+        np.add(y, np.multiply(h6, yt, yt), y)
+        rhs(Y, x_one, K1)   # derivative at t_{n+1}; reused as next k1
+        slot = (n + 1 + H) % D
+        ring[slot, 0] = Y[ch]
+        ring[slot, 1] = K1[ch]
+        if store_full:
+            full[0, n + 1 + H], full[1, n + 1 + H] = y_lat, k1_lat
 
         if (n + 1) % 64 == 0:
-            finite = np.isfinite(np.abs(y).reshape(M, N, -1)).all(axis=-1)
+            finite = np.isfinite(np.abs(y)).all(axis=0)
             if not finite.all():
-                node = tuple(int(i) for i in np.argwhere(~finite)[0])
+                node = divmod(int(np.flatnonzero(~finite)[0]), N)
                 raise SimulationError(
                     f"non-finite state at t={(n + 1) * dt:.6g}, node {node}")
         if (n + 1) % record_every == 0 or n + 1 == n_steps:
-            rec_times.append((n + 1) * dt)
-            rec_snaps.append(_to_snapshot(y, model))
+            i_rec += 1
+            rec_times[i_rec] = (n + 1) * dt
+            rec_snaps[i_rec] = _to_snapshot(y_lat, model)
 
     dense = None
     if store_full:
-        dense = DenseOutput(t0=-H * dt, dt=dt, states=Y, derivs=F)
-    return Trajectory(times=np.array(rec_times),
-                      snapshots=np.array(rec_snaps),
+        if sl:
+            full = full[..., 0]
+        dense = DenseOutput(t0=-H * dt, dt=dt, states=full[0], derivs=full[1])
+    return Trajectory(times=rec_times, snapshots=rec_snaps,
                       dt=dt, record_every=record_every, dense=dense)
 
 
@@ -380,27 +439,29 @@ def detect_spikes(traj: Trajectory, component: int = 0,
     recorded samples. Returns nested lists spikes[m][n] of event times."""
     t = traj.times
     M, N = traj.shape
-    out = []
-    for m in range(M):
-        row = []
-        for n in range(N):
-            x = traj.snapshots[:, m, n, component]
-            below = x[:-1] <= threshold
-            above = x[1:] > threshold
-            idx = np.flatnonzero(below & above)
-            if len(idx) == 0:
-                row.append(np.array([]))
-                continue
-            frac = (threshold - x[idx]) / (x[idx + 1] - x[idx])
-            times = t[idx] + frac * (t[idx + 1] - t[idx])
-            events = []
-            for ev in times:
-                if not events or ev - events[-1] >= refractory:
-                    events.append(ev)
-            row.append(np.array(events))
-        out.append(row)
+    x = np.moveaxis(traj.snapshots[..., component], 0, -1)   # (M, N, time)
+    # crossings of all nodes at once, ordered by node and then by time
+    m, n, k = np.nonzero((x[..., :-1] <= threshold) & (x[..., 1:] > threshold))
+    x0, x1 = x[m, n, k], x[m, n, k + 1]
+    frac = (threshold - x0) / (x1 - x0)
+    times = t[k] + frac * (t[k + 1] - t[k])
+    ends = np.cumsum(np.bincount(m * N + n, minlength=M * N))
+    runs = iter(np.split(times, ends[:-1]))
+    out = [[_refractory_filter(next(runs), refractory) for _ in range(N)]
+           for _ in range(M)]
     traj.spikes = out
     return out
+
+
+def _refractory_filter(events: np.ndarray, refractory: float) -> np.ndarray:
+    """Drop each event closer than ``refractory`` to the last one kept."""
+    if np.all(np.diff(events) >= refractory):
+        return events
+    kept = [events[0]]
+    for ev in events[1:]:
+        if ev - kept[-1] >= refractory:
+            kept.append(ev)
+    return np.array(kept)
 
 
 class InsufficientDataError(RuntimeError):

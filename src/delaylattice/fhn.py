@@ -17,9 +17,12 @@ from .core import FHNParams, WaveVector
 from .roots import RootSet, find_roots_quasipoly
 
 
-def gate_rate(v):
-    """Synaptic activation rate alpha(v) = 1/2 * [1 + exp(-5(v-1))]^-1."""
-    return 0.5 / (1.0 + np.exp(-5.0 * (np.asarray(v, dtype=float) - 1.0)))
+def gate_rate(v, out=None):
+    """Synaptic activation rate alpha(v) = 1/2 * [1 + exp(-5(v-1))]^-1,
+    written into ``out`` when one is given."""
+    e = np.exp(np.multiply(-5.0, np.subtract(v, 1.0, out=out), out=out),
+               out=out)
+    return np.divide(0.5, np.add(1.0, e, out=out), out=out)
 
 
 def gate_rate_deriv(v):

@@ -1,9 +1,10 @@
 """Multi-branch complex Lambert W function of a log-form argument.
 
 Branches are evaluated with ``scipy.special.lambertw`` (Corless et al.,
-Adv. Comput. Math. 5, 1996). Only arguments whose modulus overflows a
-double are solved here, by Newton iteration on the log form of the
-defining relation.
+Adv. Comput. Math. 5, 1996). Only arguments whose modulus leaves the
+double range are solved here, by Newton iteration on the log form of the
+defining relation: z beyond overflow on every branch, and z at or below
+the subnormal range on the branches j != 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ MAX_BRANCH = 64
 _MAX_ITER = 60
 _STEP_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
+# Re log z outside this range is solved in log form
+_OVERFLOW = 500.0
+_UNDERFLOW = -700.0
 
 
 class LambertWError(ArithmeticError):
@@ -25,36 +29,59 @@ def lambert_w_log(j, log_z: complex) -> np.ndarray:
     """W_j at z = exp(log_z) for an integer array of branches j.
 
     Returns an array shaped like j; the branch is the standard one with
-    Im W_j near 2*pi*j for large |z|. For Re log_z beyond 500, where z
-    would overflow a double, the defining relation is solved in log form,
-    w + Log w = log_z + 2*pi*i*j, which is well conditioned because w then
-    lies deep in the right half-plane where the principal logarithm is
-    smooth.
+    Im W_j near 2*pi*j for large |z|. Where z would overflow a double
+    (Re log_z > 500), or on the branches j != 0 where it underflows or
+    loses precision as a subnormal (Re log_z < -700), the defining relation
+    is solved in log form, w + Log w = log_z + 2*pi*i*j.
     """
     j = np.asarray(j, dtype=int)
     if np.any(np.abs(j) > MAX_BRANCH):
         raise ValueError(f"branch index |j| <= {MAX_BRANCH} required, got {j}")
     log_z = complex(log_z)
-    if log_z.real <= 500.0:
-        w = lambertw(np.exp(log_z), j)
-        if not np.all(np.isfinite(w)):
-            # z underflowed to 0 on a branch j != 0, or scipy did not converge
-            raise LambertWError(f"W_j(exp({log_z})) is not finite on "
-                                f"branches {j[~np.isfinite(w)]}")
-        return w
+    if log_z.real > _OVERFLOW:
+        return _log_form(j, log_z)
+    direct = (j == 0) | (log_z.real >= _UNDERFLOW)
+    w = np.empty(j.shape, dtype=complex)
+    w[direct] = lambertw(np.exp(log_z), j[direct])
+    if not np.all(np.isfinite(w[direct])):
+        raise LambertWError(f"W_j(exp({log_z})) is not finite on branches "
+                            f"{j[direct][~np.isfinite(w[direct])]}")
+    if not direct.all():
+        if log_z.real == -np.inf:
+            raise LambertWError(f"W_j(0) is -inf on branches {j[~direct]}")
+        w[~direct] = _log_form(j[~direct], log_z)
+    return w[()]    # a scalar for a scalar j
 
+
+def _log_form(j: np.ndarray, log_z: complex) -> np.ndarray:
+    """Newton on w + Log w = log_z + 2*pi*i*j, vectorized over j.
+
+    For large |z|, w lies deep in the right half-plane, where the principal
+    logarithm is smooth. For tiny |z| and j != 0, w lies deep in the left
+    half-plane with sign(Im w) = sign(j) (Im w -> 0- for j = -1 as z nears
+    the negative real axis from above, the standard branch's value on the
+    cut). There Log w = log(-w) + i*pi*sign(j), and solving with log(-w)
+    keeps Newton off the cut of Log along the negative real axis.
+    """
     L = log_z + 2j * np.pi * j
-    w = L - np.log(L)
+    if log_z.real < 0.0:
+        L = L - 1j * np.pi * np.sign(j)
+
+        def log(w):
+            return np.log(-w)
+    else:
+        log = np.log
+    w = L - log(L)
     for _ in range(_MAX_ITER):
-        step = (w + np.log(w) - L) / (1.0 + 1.0 / w)
+        step = (w + log(w) - L) / (1.0 + 1.0 / w)
         w = w - step
         if np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(w))):
             break
     else:
         raise LambertWError(
             f"no convergence in log form for j={j}, log_z={log_z}")
-    residual = np.abs(w + np.log(w) - L) / np.maximum(np.abs(L), 1.0)
-    if np.any(residual > _RESIDUAL_TOL):
+    residual = np.abs(w + log(w) - L) / np.maximum(np.abs(L), 1.0)
+    if not np.all(residual <= _RESIDUAL_TOL):
         raise LambertWError(
             f"log-form residual {residual.max():.3e} above tolerance for "
             f"j={j}, log_z={log_z}")

@@ -184,3 +184,21 @@ def test_encode_and_verify_pipeline(tmp_path):
     report = json.loads((out / "fidelity.json").read_text())
     assert set(report) == {"correlation", "max_dev", "missing_nodes"}
     assert report["missing_nodes"] == []
+
+
+def test_verify_with_too_few_spikes_is_a_numerical_failure(tmp_path, capsys):
+    # 5 time units hold fewer than the 3 events the period estimate needs
+    cfgp = write_config(tmp_path / "sim.json", {
+        "model": "sl", "M": 2, "N": 2,
+        "params": {"alpha": 1.0, "beta": 1.0},
+        "C": 0.0, "delay": {"homogeneous": 1.0},
+        "sim": {"t_end": 5.0, "dt": 0.01, "record_every": 5},
+        "seed": 3,
+    })
+    rundir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", cfgp, "--out", str(rundir)]) == 0
+    etap = tmp_path / "eta.csv"
+    np.savetxt(etap, np.zeros((2, 2)), delimiter=",")
+    assert cli.main(["verify", "--run", str(rundir), "--eta", str(etap),
+                     "--out", str(tmp_path / "ver")]) == 2
+    assert "numerical failure" in capsys.readouterr().err

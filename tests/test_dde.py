@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +102,46 @@ def test_detect_spikes_quiescent():
                     dt=0.01, record_every=10)
     spikes = detect_spikes(traj)
     assert all(len(spikes[m][n]) == 0 for m in range(2) for n in range(2))
+
+
+def _spikes_per_node(traj, component, threshold, refractory):
+    # reference: crossings and refractory filter one node at a time
+    t = traj.times
+    M, N = traj.shape
+    out = []
+    for m in range(M):
+        row = []
+        for n in range(N):
+            x = traj.snapshots[:, m, n, component]
+            idx = np.flatnonzero((x[:-1] <= threshold) & (x[1:] > threshold))
+            frac = (threshold - x[idx]) / (x[idx + 1] - x[idx])
+            events = []
+            for ev in t[idx] + frac * (t[idx + 1] - t[idx]):
+                if not events or ev - events[-1] >= refractory:
+                    events.append(ev)
+            row.append(np.array(events))
+        out.append(row)
+    return out
+
+
+def test_detect_spikes_matches_per_node_reference():
+    # noisy oscillations: many crossings fall inside the refractory time
+    rng = np.random.default_rng(3)
+    times = np.arange(400) * 0.1
+    phase = rng.uniform(0, 6, (1, 3, 4, 1))
+    snaps = (np.sin(times[:, None, None, None] * rng.uniform(0.5, 3, (1, 3, 4, 1))
+                    + phase) + 0.3 * rng.standard_normal((400, 3, 4, 2)))
+    snaps[:, 0, 0, 0] = -1.0   # a silent node
+    for component, refractory in ((0, 1.0), (1, 0.0)):
+        traj = Trajectory(times=times, snapshots=snaps, dt=0.1, record_every=1)
+        got = detect_spikes(traj, component=component, threshold=0.1,
+                            refractory=refractory)
+        want = _spikes_per_node(traj, component, 0.1, refractory)
+        if component == 0:
+            assert len(got[0][0]) == 0
+        for m in range(3):
+            for n in range(4):
+                assert np.array_equal(got[m][n], want[m][n])
 
 
 def test_estimate_period_sinusoid():
@@ -221,3 +263,66 @@ def test_nonfinite_state_aborts():
     with pytest.raises(SimulationError), np.errstate(over="ignore",
                                                      invalid="ignore"):
         simulate(spec, dm, init, t_end=10.0, dt=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the integrator's output, pinned bit for bit
+
+def _pinned_fhn(store_full=False):
+    rng = np.random.default_rng(7)
+    spec = fhn_spec(4, 5, 0.5, 1.0)
+    dm = DelayMap(rng.uniform(2.0, 5.0, (4, 5)), rng.uniform(2.0, 5.0, (4, 5)))
+    init = ConstantHistory(rng.uniform(-1.5, 1.5, (4, 5, 3)) * [1, 1, 0.2]
+                           + [0, 0, 0.3])
+    return simulate(spec, dm, init, t_end=60.0, dt=0.05, record_every=40,
+                    store_full=store_full)
+
+
+def _pinned_sl(store_full=False):
+    rng = np.random.default_rng(8)
+    spec = sl_spec(5, 6, 1.0, 0.5, 0.8)
+    dm = DelayMap(rng.uniform(1.0, 3.0, (5, 6)), rng.uniform(1.0, 3.0, (5, 6)))
+    z0 = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    lam = 0.1 + 1.3j
+    init = FunctionHistory(lambda t: z0 * np.exp(lam * t),
+                           lambda t: lam * z0 * np.exp(lam * t))
+    return simulate(spec, dm, init, t_end=40.0, dt=0.02, record_every=50,
+                    store_full=store_full)
+
+
+# sha256 of the final snapshot (little-endian float64) of each run, recorded
+# with the three-component ring and per-edge gathers the single-channel ring
+# replaced; its arithmetic must stay the same operation for operation
+PINNED = {
+    "fhn": (_pinned_fhn,
+            "e5e9e0cab7c50f66383b06687b518b559efeda9ffa52fe409445a2ff1f2e6203"),
+    "sl": (_pinned_sl,
+           "d05b9a73c46ba0f3af1dce8c1daa4389e280da522acf8d8a6d29549a829d2976"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_final_snapshot(case):
+    run, digest = PINNED[case]
+    traj = run()
+    final = np.ascontiguousarray(traj.snapshots[-1], dtype="<f8")
+    assert hashlib.sha256(final.tobytes()).hexdigest() == digest
+    # the dense store rides along without touching the coupling reads
+    full = run(store_full=True)
+    assert np.array_equal(full.snapshots, traj.snapshots)
+    assert np.array_equal(full.times, traj.times)
+
+
+def test_simulate_peak_memory():
+    # the ring holds only the coupled channel s and its derivative:
+    # 806 slots x 2 x 1024 nodes x 8 B = 13.2 MB (three components: 40 MB)
+    spec = fhn_spec(32, 32, 0.5, 1.0)
+    init = ConstantHistory(np.tile([1.0, 0.5, 0.3], (32, 32, 1)))
+    tracemalloc.start()
+    try:
+        simulate(spec, DelayMap.homogeneous(32, 32, 80.0), init, t_end=5.0,
+                 dt=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6

@@ -37,9 +37,72 @@ def test_high_branch_residual():
 def test_nonzero_branch_rejects_zero():
     with pytest.raises(LambertWError):
         lambert_w_log(1, complex(-np.inf, 0.0))
-    # exp(-800) underflows to 0: W_{+-1} would be -inf
     with pytest.raises(LambertWError):
-        lambert_w_log(np.array([0, 1, -1]), -800.0)
+        lambert_w_log(np.array([0, 1, -1]), complex(-np.inf, 0.0))
+
+
+def test_log_form_below_double_underflow():
+    # exp(-800) underflows to 0, but W_j for j != 0 is finite there:
+    # about L - log L with L = log z + 2*pi*i*j
+    j = np.array([-3, -1, 0, 1, 2])
+    for log_z in (-800.0, -800.0 + 2.0j, -5000.0 - 1.0j):
+        w = lambert_w_log(j, log_z)
+        assert w[j == 0] == 0.0
+        nz = w[j != 0]
+        L = log_z + 2j * np.pi * j[j != 0]
+        assert np.all(np.abs(nz + np.log(nz) - L) <= 1e-12 * np.abs(L))
+        assert np.all(np.abs(nz - (L - np.log(L))) < 0.01)
+
+
+def test_log_form_near_negative_real_axis():
+    # W_{+-1} of a tiny z near the negative real axis lie near the cut of
+    # Log; the branch identity must still pick branch j, with the standard
+    # value on the cut (continuous from above: W_{-1} real there)
+    j = np.array([-2, -1, 1, 2])
+    on_cut = lambert_w_log(j, complex(-800.0, np.pi))
+    above = lambert_w_log(j, complex(-800.0, np.pi - 1e-9))
+    below = lambert_w_log(j, complex(-800.0, -np.pi + 1e-9))
+    assert np.all(np.abs(on_cut - above) < 1e-8)
+    assert on_cut[1].imag == 0.0 and on_cut[1].real < -800.0
+    # conjugate symmetry off the cut
+    assert np.all(np.abs(below[::-1] - above.conj()) < 1e-12 * np.abs(above))
+    for log_z, w in ((complex(-800.0, np.pi - 1e-9), above),
+                     (complex(-800.0, -np.pi + 1e-9), below)):
+        assert np.all(np.abs(w + np.log(w) - log_z - 2j * np.pi * j)
+                      <= 1e-12 * abs(log_z))
+    # scipy agrees on an exactly negative real z that is still a normal double
+    x = -3e-306
+    assert np.all(np.abs(lambert_w_log(j, cmath.log(x)) - scipy_lambertw(x, j))
+                  <= 1e-12 * np.abs(on_cut))
+
+
+def test_log_form_agrees_with_scipy_below_underflow_threshold():
+    # for -745 < Re log z < -700 z is a subnormal or small normal double, so
+    # the log form can be checked against scipy at the same z. scipy loses
+    # accuracy on subnormal z (its identity residual reaches 1e-8 at
+    # Re log z = -720 and it returns nan near -730), so the agreement is
+    # required up to scipy's own residual, which is 1e-13 or less down to -708
+    rng = np.random.default_rng(5)
+    j = np.arange(-6, 7)
+    tight = 0
+    for _ in range(200):
+        z = complex(np.exp(complex(rng.uniform(-745.0, -700.0),
+                                   rng.uniform(-np.pi, np.pi))))
+        if z.imag == 0:
+            # underflowed to 0, or rounded onto the real axis, where the
+            # sign of a zero imaginary part picks the side of the cut
+            continue
+        log_z = cmath.log(z)
+        a = lambert_w_log(j, log_z)
+        assert np.all(np.abs(a + np.log(a) - log_z - 2j * np.pi * j)
+                      <= 1e-12 * abs(log_z))
+        b = scipy_lambertw(z, j)
+        ok = np.isfinite(b)
+        b_resid = np.abs(b + np.log(b) - log_z - 2j * np.pi * j)[ok]
+        assert np.all(np.abs(a[ok] - b[ok])
+                      <= 1e-12 * (1.0 + np.abs(b[ok])) + 2.0 * b_resid)
+        tight += log_z.real > -708.0
+    assert tight > 20
 
 
 def test_branch_cap():

@@ -66,6 +66,18 @@ def test_stst_finds_every_branch_root_near_branch_point():
     assert rs.max_real() == pytest.approx(0.27928805037412, abs=1e-9)
 
 
+def test_stst_keeps_every_branch_where_z_underflows():
+    # alpha=2, tau=400: log z = log(800) - 800, so exp(log z) underflows to
+    # 0 and every branch j != 0 needs the log form of W; one root per
+    # branch j = -64..64 passes the residual filter
+    rs = sl_stst_eigenvalues(SLParams(2.0, 0.0), 2.0, 400.0, HOMOG)
+    assert len(rs) == 129
+    # every root solves lambda = mu + R exp(-lambda tau) on its own
+    lam = rs.roots
+    resid = np.abs(-lam + 2.0 + 2.0 * np.exp(-lam * 400.0))
+    assert np.all(resid <= 1e-10 * np.abs(lam))
+
+
 def test_stst_pcs_zero_at_threshold():
     assert sl_stst_pcs(SLParams(-2.0, 0.5), 2.0, 0.0, 0.5) == pytest.approx(
         0.0, abs=1e-14)
