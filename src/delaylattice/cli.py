@@ -264,13 +264,16 @@ def _write_trajectory(run: _Run, traj: dde.Trajectory, spec: core.LatticeSpec):
     d = traj.snapshots.shape[-1]
     comp_names = ["re_z", "im_z"] if spec.model is Model.STUART_LANDAU \
         else ["v", "w", "s"]
-    rows = []
-    for it, t in enumerate(traj.times):
-        for m in range(M):
-            for n in range(N):
-                rows.append((t, float(m), float(n),
-                             *traj.snapshots[it, m, n, :]))
-    _write_csv(run.out("snapshots.csv"), ["t", "m", "n"] + comp_names, rows)
+    # one row (t, m, n, components...) per frame and node, formatted as
+    # _write_csv formats its values
+    table = np.empty((len(traj.times), M, N, 3 + d))
+    table[..., 0] = traj.times[:, None, None]
+    table[..., 1] = np.arange(M)[:, None]
+    table[..., 2] = np.arange(N)
+    table[..., 3:] = traj.snapshots
+    np.savetxt(run.out("snapshots.csv"), table.reshape(-1, 3 + d),
+               fmt="%.17g", delimiter=",", comments="",
+               header=",".join(["t", "m", "n"] + comp_names))
 
     frames = traj.snapshots.astype("<f8")
     frames.tofile(run.out("frames.f64"))

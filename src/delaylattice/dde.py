@@ -53,13 +53,11 @@ class ConstantHistory:
 
 class FunctionHistory:
     """History from a callable t -> (M, N, d) array; derivative either
-    supplied or taken by central differences."""
+    supplied or taken by central differences of step 1e-6."""
 
-    def __init__(self, f: Callable, df: Optional[Callable] = None,
-                 fd_step: float = 1e-6):
+    def __init__(self, f: Callable, df: Optional[Callable] = None):
         self._f = f
         self._df = df
-        self._h = fd_step
 
     def state(self, t: float) -> np.ndarray:
         return self._f(t)
@@ -67,7 +65,7 @@ class FunctionHistory:
     def deriv(self, t: float) -> np.ndarray:
         if self._df is not None:
             return self._df(t)
-        return (self._f(t + self._h) - self._f(t - self._h)) / (2.0 * self._h)
+        return (self._f(t + 1e-6) - self._f(t - 1e-6)) / 2e-6
 
 
 class ShiftedReplayHistory:
@@ -143,18 +141,6 @@ class DenseOutput:
     @property
     def t_end(self) -> float:
         return self.t0 + (len(self.states) - 1) * self.dt
-
-    def __call__(self, t: float, deriv: bool = False) -> np.ndarray:
-        p = (t - self.t0) / self.dt
-        k = int(math.floor(p + 1e-12))
-        if k == len(self.states) - 1 and p - k < 1e-9:
-            k -= 1
-        if k < 0 or k + 1 >= len(self.states):
-            raise SimulationError(
-                f"dense output lookup at t={t} outside "
-                f"[{self.t0}, {self.t_end}]")
-        return _hermite(p - k, self.states[k], self.derivs[k],
-                        self.states[k + 1], self.derivs[k + 1], self.dt, deriv)
 
     def eval_shifted(self, times: np.ndarray, deriv: bool = False):
         """Vectorized per-node lookup: times is an (M, N) array and node
@@ -468,15 +454,19 @@ class InsufficientDataError(RuntimeError):
     pass
 
 
-def estimate_period(traj: Trajectory, t_discard: float,
-                    node: tuple = (0, 0), component: int = 0,
-                    threshold: float = 0.0) -> tuple:
-    """Mean inter-event interval of the reference node after the transient,
-    with the standard deviation of the intervals. Needs >= 3 events."""
+def _reference_events(traj: Trajectory, t_discard: float) -> np.ndarray:
+    """Upward zero crossings of component 0 at node (0, 0) from t_discard
+    on; detected first if the trajectory has no spikes yet."""
     if traj.spikes is None:
-        detect_spikes(traj, component=component, threshold=threshold)
-    events = np.asarray(traj.spikes[node[0]][node[1]])
-    events = events[events >= t_discard]
+        detect_spikes(traj)
+    events = np.asarray(traj.spikes[0][0])
+    return events[events >= t_discard]
+
+
+def estimate_period(traj: Trajectory, t_discard: float) -> tuple:
+    """Mean inter-event interval of node (0, 0) after the transient, with
+    the standard deviation of the intervals. Needs >= 3 events."""
+    events = _reference_events(traj, t_discard)
     if len(events) < 3:
         raise InsufficientDataError(
             f"only {len(events)} events after t={t_discard}; need >= 3")
@@ -484,25 +474,21 @@ def estimate_period(traj: Trajectory, t_discard: float,
     return float(np.mean(intervals)), float(np.std(intervals))
 
 
-def estimate_orbit_period(traj: Trajectory, t_discard: float,
-                          node: tuple = (0, 0), component: int = 0,
-                          threshold: float = 0.0, tol: float = 0.02) -> float:
-    """Full orbit period of a possibly multi-pulse periodic orbit.
+def estimate_orbit_period(traj: Trajectory, t_discard: float) -> float:
+    """Full orbit period of a possibly multi-pulse periodic orbit at node
+    (0, 0).
 
     The mean inter-event interval is wrong for orbits with several spikes
-    per period at unequal spacing; here the smallest block length p with a
-    p-periodic interval sequence is found and the period is the mean sum of
-    p consecutive intervals."""
-    if traj.spikes is None:
-        detect_spikes(traj, component=component, threshold=threshold)
-    events = np.asarray(traj.spikes[node[0]][node[1]])
-    events = events[events >= t_discard]
+    per period at unequal spacing; here the smallest block length p whose
+    interval sequence repeats to within 0.02 is found and the period is the
+    mean sum of p consecutive intervals."""
+    events = _reference_events(traj, t_discard)
     if len(events) < 4:
         raise InsufficientDataError(
             f"only {len(events)} events after t={t_discard}; need >= 4")
     isis = np.diff(events)
     for p in range(1, len(isis) // 2 + 1):
-        if np.max(np.abs(isis[p:] - isis[:-p])) < tol:
+        if np.max(np.abs(isis[p:] - isis[:-p])) < 0.02:
             blocks = [isis[i:i + p].sum() for i in range(0, len(isis) - p + 1, p)]
             return float(np.mean(blocks))
     raise InsufficientDataError(

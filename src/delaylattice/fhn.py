@@ -8,13 +8,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import FHNParams, WaveVector
-from .roots import RootSet, find_roots_quasipoly
+from .roots import RootSet, bisect_sign_changes, find_roots_quasipoly
 
 
 def gate_rate(v, out=None):
@@ -61,26 +60,15 @@ def _stst_residual(v, params: FHNParams, C: float):
             + C * (params.v_r - v) * synaptic_gate(v))
 
 
-def fhn_steady_states(params: FHNParams, C: float,
-                      v_range: tuple = (-5.0, 5.0),
-                      scan_step: float = 1e-3) -> list[FhnSteadyState]:
-    """All homogeneous steady states: real roots of the scalar rest-state
-    equation, found by dense bracketing plus bisection."""
-    lo, hi = v_range
-    n = int(math.ceil((hi - lo) / scan_step)) + 1
-    v = np.linspace(lo, hi, n)
-    g = _stst_residual(v, params, C)
-    states = []
-    sign = np.sign(g)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        vb = brentq(lambda x: float(_stst_residual(x, params, C)),
-                    v[i], v[i + 1], xtol=1e-14, rtol=8.9e-16)
-        states.append(vb)
-    for i in np.flatnonzero(g == 0.0):
-        states.append(float(v[i]))
-    states = sorted(states)
+def fhn_steady_states(params: FHNParams, C: float) -> list[FhnSteadyState]:
+    """All homogeneous steady states with v in [-5, 5]: real roots of the
+    scalar rest-state equation, bracketed on a grid of step 1e-3 and
+    bisected."""
+    v = np.linspace(-5.0, 5.0, 10001)
+    roots = bisect_sign_changes(lambda x: _stst_residual(x, params, C), v,
+                                _stst_residual(v, params, C))
     out = []
-    for vb in states:
+    for vb in roots.tolist():
         if out and abs(vb - out[-1].v) < 1e-9:
             continue
         out.append(FhnSteadyState(v=vb, w=(vb + params.a) / params.b,
@@ -90,8 +78,7 @@ def fhn_steady_states(params: FHNParams, C: float,
 
 def stst_current(v: float, params: FHNParams, C: float) -> float:
     """The injected current I that makes v a rest potential."""
-    return -(v - v ** 3 / 3.0 - (v + params.a) / params.b
-             + C * (params.v_r - v) * synaptic_gate(v))
+    return float(params.I - _stst_residual(v, params, C))
 
 
 def _fold_coupling(v, params: FHNParams):
@@ -258,16 +245,15 @@ def fhn_hybrid_dispersion(stst: FhnSteadyState, params: FHNParams, C: float,
 
 
 def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
-                    I_range: tuple = (-4.0, 4.0),
-                    v_range: tuple = (-2.5, 2.5),
-                    omega_range: tuple = (0.0, 3.0),
-                    n_seeds: tuple = (50, 50),
-                    residual_tol: float = 1e-10) -> list[tuple]:
-    """Hopf points (I, Omega) of the steady state for one Fourier mode.
+                    *, omega_range: tuple = (0.0, 3.0),
+                    n_seeds: tuple = (50, 50)) -> list[tuple]:
+    """Hopf points (I, Omega) of the steady state for one Fourier mode,
+    with I in [-4, 4].
 
     Solves Re/Im of the characteristic function at lambda = i*Omega by a
-    2D Newton iteration over (v, Omega); the current I follows from the
-    rest-state equation. Diverging seeds are skipped silently."""
+    2D Newton iteration over (v, Omega) from seeds v in [-2.5, 2.5]; the
+    current I follows from the rest-state equation. Diverging seeds are
+    skipped silently."""
     def resid(v, om):
         stst = FhnSteadyState(v=v, w=(v + params.a) / params.b,
                               s=float(synaptic_gate(v)))
@@ -277,7 +263,7 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
         return np.array([val.real, val.imag])
 
     found = []
-    v_seeds = np.linspace(v_range[0], v_range[1], n_seeds[0])
+    v_seeds = np.linspace(-2.5, 2.5, n_seeds[0])
     om_seeds = np.linspace(omega_range[0] + 1e-3, omega_range[1], n_seeds[1])
     h = 1e-7
     for v0 in v_seeds:
@@ -304,15 +290,10 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
             v, om = float(x[0]), float(x[1])
             if om <= 1e-6:   # omega -> 0 is a fold, not a Hopf point
                 continue
-            if np.max(np.abs(resid(v, om))) > residual_tol:
+            if np.max(np.abs(resid(v, om))) > 1e-10:
                 continue
             I = stst_current(v, params, C)
-            if not (I_range[0] <= I <= I_range[1]):
-                continue
-            # the located rest state must actually exist at this current
-            if abs(float(_stst_residual(
-                    v, FHNParams(I=I, a=params.a, b=params.b,
-                                 eps=params.eps, v_r=params.v_r), C))) > 1e-8:
+            if not (-4.0 <= I <= 4.0):
                 continue
             if any(abs(I - I0) < 1e-7 and abs(om - om0_) < 1e-7
                    for I0, om0_ in found):

@@ -1,18 +1,18 @@
-"""Root-finding utilities: Newton sweeps for quasi-polynomials, the Kepler
-equation for plane-wave frequencies, and real cubics via the companion
-matrix."""
+"""Root-finding utilities: Newton sweeps for quasi-polynomials, one
+bracket refiner and one Newton polish for real roots, the Kepler equation
+for plane-wave frequencies, and real cubics via the companion matrix."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 DEDUP_RADIUS = 1e-8
 RESIDUAL_TOL = 1e-10
+KEPLER_RESIDUAL_TOL = 1e-12
 
 
 @dataclass
@@ -44,9 +44,7 @@ def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray
 
 
 def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
-                         df: Optional[Callable] = None,
-                         residual_tol: float = RESIDUAL_TOL,
-                         max_iter: int = 80) -> RootSet:
+                         df: Optional[Callable] = None) -> RootSet:
     """Newton iteration from a rectangular grid of seeds over the window.
 
     ``f`` must accept complex numpy arrays. ``df`` defaults to a central
@@ -71,7 +69,7 @@ def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
     z = (re[:, None] + 1j * im[None, :]).ravel()
 
     active = np.ones(z.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(80):
         if not active.any():
             break
         fz = f(z[active])
@@ -96,21 +94,66 @@ def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
     # residual alone is not enough: quasi-polynomials are exponentially
     # flat along dense spectrum curves, so demand Newton convergence too
     ok = ~active
-    ok &= (np.abs(fz) <= residual_tol * scale)
+    ok &= (np.abs(fz) <= RESIDUAL_TOL * scale)
     ok &= (z.real >= re_min - 1e-9) & (z.real <= re_max + 1e-9)
     ok &= (z.imag >= im_min - 1e-9) & (z.imag <= im_max + 1e-9)
     ok &= np.isfinite(z)
     roots = _dedup_sorted(z[ok])
-    return RootSet(roots=roots, tolerance=residual_tol * scale, window=window)
+    return RootSet(roots=roots, tolerance=RESIDUAL_TOL * scale, window=window)
 
 
-def solve_kepler(beta: float, R: float, k_plus: float, tau: float,
-                 residual_tol: float = 1e-12) -> np.ndarray:
-    """All real solutions Omega of Omega = beta + R*sin(k_plus - Omega*tau).
+def bisect_sign_changes(g: Callable, x: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """The real roots of g that its samples ``gx = g(x)`` on the ascending
+    grid ``x`` show, in ascending order: the grid points where gx is exactly
+    0, and one root in every step where gx changes sign.
 
-    Solutions lie in [beta-|R|, beta+|R|]. The interval is sampled finer
-    than the oscillation wavelength 2*pi/tau, so no bracket is missed;
-    tangencies are caught by polishing the sampled extrema as well.
+    ``g`` must accept float arrays. All brackets are bisected at once until
+    each midpoint rounds to an end, i.e. the ends are adjacent doubles; the
+    root is the end with the smaller |g|.
+    """
+    i = np.flatnonzero(np.sign(gx[:-1]) * np.sign(gx[1:]) < 0)
+    lo, hi, s_lo = x[i], x[i + 1], np.sign(gx[i])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((mid != lo) & (mid != hi)):
+            break
+        s_mid = np.sign(g(mid))
+        # closed brackets stay put; an exact zero closes onto mid
+        lo, hi = (np.where(s_mid != -s_lo, mid, lo),
+                  np.where(s_mid != s_lo, mid, hi))
+    roots = np.where(np.abs(g(lo)) <= np.abs(g(hi)), lo, hi)
+    return np.sort(np.concatenate([roots, x[gx == 0.0]]))
+
+
+def newton_polish(g: Callable, dg: Callable, x: np.ndarray) -> np.ndarray:
+    """Newton's method on every entry of ``x`` at once. An entry stops when
+    its step falls below 1e-15 (1 + |x|) or its slope is 0; at most 60
+    steps. ``g`` and ``dg`` must accept float arrays."""
+    x = np.array(x, dtype=float)
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(60):
+        if not active.any():
+            break
+        xa = x[active]
+        slope = dg(xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(slope != 0, g(xa) / slope, 0.0)
+        idx = np.flatnonzero(active)
+        x[idx] = xa - step
+        active[idx[np.abs(step) < 1e-15 * (1 + np.abs(xa))]] = False
+    return x
+
+
+def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray:
+    """All real solutions Omega of Omega = beta + R*sin(k_plus - Omega*tau)
+    that the sampling finds, with |residual| <= 1e-12.
+
+    Solutions lie in [beta-|R|, beta+|R|]. The interval is sampled at
+    step min(pi/(4(1+|R|tau)), 0.01); every sign change is bisected, and
+    sampled local minima of |g| below |R|*1e-3 + 1e-9 are polished by
+    Newton to catch tangencies. Two roots inside one step with the same
+    sign of g at both ends can still be missed when the minimum of |g|
+    between them is not small enough to be a candidate.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -120,6 +163,9 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float,
 
     def g(om):
         return om - beta - R * np.sin(k_plus - om * tau)
+
+    def dg(om):
+        return 1.0 + R * tau * np.cos(k_plus - om * tau)
 
     if tau == 0.0:
         return np.array([beta + R * math.sin(k_plus)])
@@ -131,44 +177,22 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float,
     om = np.linspace(lo, hi, n)
     val = g(om)
 
-    roots = []
-    sign = np.sign(val)
-    flip = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    for i in flip:
-        roots.append(brentq(g, om[i], om[i + 1], xtol=1e-14, rtol=8.9e-16))
-    # exact hits on the sample grid
-    for i in np.flatnonzero(val == 0.0):
-        roots.append(om[i])
-    # tangential roots: polish local minima of |g|
+    # tangential roots: polish the small sampled local minima of |g|
     mag = np.abs(val)
     interior = np.flatnonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
-    for i in interior:
-        if mag[i] < abs(R) * 1e-3 + 1e-9:
-            x = om[i]
-            for _ in range(60):
-                gx = g(x)
-                dgx = 1.0 + R * tau * math.cos(k_plus - x * tau)
-                if dgx == 0:
-                    break
-                x_new = x - gx / dgx
-                if abs(x_new - x) < 1e-15 * (1 + abs(x)):
-                    x = x_new
-                    break
-                x = x_new
-            if abs(g(x)) <= residual_tol:
-                roots.append(x)
+    tangent = newton_polish(g, dg, om[interior[mag[interior] < abs(R) * 1e-3 + 1e-9]])
+    tangent = tangent[np.abs(g(tangent)) <= KEPLER_RESIDUAL_TOL]
 
-    roots = np.array(sorted(roots))
+    roots = np.sort(np.concatenate([bisect_sign_changes(g, om, val), tangent]))
     if len(roots):
         keep = np.ones(len(roots), dtype=bool)
         keep[1:] = np.diff(roots) > 1e-9
         roots = roots[keep]
-        roots = roots[np.abs(g(roots)) <= residual_tol]
+        roots = roots[np.abs(g(roots)) <= KEPLER_RESIDUAL_TOL]
     return roots
 
 
-def solve_cubic_real(c3: float, c2: float, c1: float, c0: float,
-                     residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def solve_cubic_real(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
     """Real roots of c3*x^3 + c2*x^2 + c1*x + c0 via the companion matrix.
 
     Roots within 1e-8 of each other are reported once (multiplicity-aware).
@@ -177,26 +201,18 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float,
         raise ValueError("leading coefficient c3 must be nonzero")
     coeffs = np.array([c3, c2, c1, c0], dtype=float)
     scale = np.max(np.abs(coeffs))
-    all_roots = np.roots(coeffs)
-    real = []
-    for r in all_roots:
-        if abs(r.imag) <= 1e-8 * (1.0 + abs(r)):
-            x = r.real
-            # Newton polish on the real line
-            for _ in range(50):
-                p = ((c3 * x + c2) * x + c1) * x + c0
-                dp = (3 * c3 * x + 2 * c2) * x + c1
-                if dp == 0:
-                    break
-                x_new = x - p / dp
-                if abs(x_new - x) < 1e-16 * (1 + abs(x)):
-                    x = x_new
-                    break
-                x = x_new
-            p = ((c3 * x + c2) * x + c1) * x + c0
-            if abs(p) <= residual_tol * scale * max(1.0, abs(x)) ** 3:
-                real.append(x)
-    real = np.array(sorted(real))
+    r = np.roots(coeffs)
+    x = r.real[np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r))]
+
+    def p(x):
+        return ((c3 * x + c2) * x + c1) * x + c0
+
+    def dp(x):
+        return (3 * c3 * x + 2 * c2) * x + c1
+
+    x = newton_polish(p, dp, x)
+    real = np.sort(x[np.abs(p(x)) <= RESIDUAL_TOL * scale
+                     * np.maximum(1.0, np.abs(x)) ** 3])
     if len(real):
         keep = np.ones(len(real), dtype=bool)
         keep[1:] = np.diff(real) > 1e-8

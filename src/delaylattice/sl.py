@@ -13,7 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,18 +63,16 @@ class PCSCurve:
     branch: str = ""
 
 
-def _branch_range(beta: float, C: float, tau: float,
-                  n_extra: int = 6) -> range:
+def _branch_range(beta: float, C: float, tau: float) -> range:
     # pseudo-continuous roots near Im lambda in beta +- C need branches
-    # around j ~ Omega*tau/(2*pi)
+    # around j ~ Omega*tau/(2*pi), plus 6 on either side
     span = (abs(beta) + C + 1.0) * tau / TWO_PI
-    J = min(MAX_BRANCH, int(math.ceil(span)) + n_extra)
+    J = min(MAX_BRANCH, int(math.ceil(span)) + 6)
     return range(-J, J + 1)
 
 
 def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
-                        wv: WaveVector,
-                        branches: Optional[Iterable[int]] = None) -> RootSet:
+                        wv: WaveVector) -> RootSet:
     """Exact eigenvalues of the zero steady state for one Fourier mode.
 
     lambda_j = alpha + i*beta + W_j(tau*R*exp(i*k_plus - (alpha+i*beta)*tau))/tau
@@ -90,13 +87,11 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     window = (-np.inf, np.inf, -np.inf, np.inf)
     if R == 0.0:
         return RootSet(roots=np.array([mu]), tolerance=1e-10, window=window)
-    if branches is None:
-        branches = _branch_range(beta, C, tau)
     # work with log z: for strongly stable alpha the argument of W exceeds
     # the double-precision exponent range
     log_z = (math.log(tau * abs(R)) - alpha * tau
              + 1j * (wv.k_plus - beta * tau + (math.pi if R < 0 else 0.0)))
-    w = lambert_w_log(np.fromiter(branches, dtype=int), log_z)
+    w = lambert_w_log(np.array(_branch_range(beta, C, tau)), log_z)
     lam = mu + w / tau
     # factor of the characteristic product for this mode
     resid = np.abs(-lam + mu + np.exp(log_z - w) / tau)
@@ -129,19 +124,17 @@ def sl_rightmost_eigenvalue(params: SLParams, C: float, tau: float,
 
 
 def sl_hopf_threshold(params: SLParams, C: float, tau: float,
-                      spec: LatticeSpec, bracket: tuple = None,
-                      tol: float = 1e-6) -> float:
+                      spec: LatticeSpec) -> float:
     """The alpha at which the rightmost steady-state eigenvalue over all
-    modes crosses zero, by bisection on alpha."""
+    modes crosses zero, by bisection on alpha in -C +- max(2, C) to a
+    bracket width of 1e-6."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
         # instantaneous eigenvalue alpha + C cos(k_minus) e^{i k_plus};
         # most unstable mode is k_plus = k_minus = 0
         return -C
-    if bracket is None:
-        bracket = (-C - max(2.0, C), -C + max(2.0, C))
-    lo, hi = bracket
+    lo, hi = -C - max(2.0, C), -C + max(2.0, C)
 
     def rightmost(alpha):
         return sl_rightmost_eigenvalue(SLParams(alpha, params.beta), C, tau, spec)
@@ -151,7 +144,7 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
         raise ArithmeticError(
             f"no sign change of the rightmost eigenvalue on alpha in "
             f"[{lo}, {hi}]: f({lo})={f_lo:.3g}, f({hi})={f_hi:.3g}")
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if rightmost(mid) < 0:
             lo = mid
@@ -282,37 +275,23 @@ def sl_floquet_pcs(wave: PlaneWave, C: float, omega, q_minus):
 
 
 def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
-                     q_modes: Optional[Sequence[WaveVector]] = None,
-                     spec: Optional[LatticeSpec] = None,
-                     infinite: bool = False, n_infinite: int = 256,
-                     seeds: tuple = (40, 40)) -> StabilityVerdict:
+                     spec: LatticeSpec) -> StabilityVerdict:
     """Stability verdict of a plane wave from the exact quasi-polynomial.
 
-    For each perturbation mode (q_plus, q_minus), Newton sweeps locate the
-    characteristic roots in the window Re in [-2, max(1, 2*alpha)],
-    Im in [-(3|beta|+3), 3|beta|+3]. The verdict follows from the maximal
-    real part, excluding the trivial root at (lambda=0, q=0)."""
+    For each perturbation mode (q_plus, q_minus) of the lattice, Newton
+    sweeps locate the characteristic roots in the window
+    Re in [-2, max(1, 2*alpha)], Im in [-(3|beta|+3), 3|beta|+3]. The
+    verdict follows from the maximal real part, excluding the trivial root
+    at (lambda=0, q=0)."""
     alpha, beta = params.alpha, params.beta
-    if infinite:
-        # continuous-lattice mode: uniform product sampling of the q-torus
-        nq = max(2, int(math.sqrt(n_infinite)))
-        pairs = [(float(p), float(m))
-                 for m in np.linspace(-math.pi, math.pi, nq, endpoint=False)
-                 for p in np.linspace(0.0, TWO_PI, nq, endpoint=False)]
-    else:
-        if q_modes is None:
-            if spec is None:
-                raise ValueError("need q_modes, spec, or infinite=True")
-            q_modes = enumerate_modes(spec)
-        pairs = [(q.k_plus, q.k_minus) for q in q_modes]
-
     window = (-2.0, max(1.0, 2.0 * alpha), -(3.0 * abs(beta) + 3.0),
               3.0 * abs(beta) + 3.0)
     max_growth = -np.inf
     witness = (0.0, 0.0, 0.0)
-    for q_plus, q_minus in pairs:
+    for q in enumerate_modes(spec):
+        q_plus, q_minus = q.k_plus, q.k_minus
         f, df = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
-        rs = find_roots_quasipoly(f, window, grid=seeds, df=df)
+        rs = find_roots_quasipoly(f, window, df=df)
         trivial_mode = (abs(math.sin(q_plus)) < 1e-12
                         and abs(math.cos(q_plus) - 1.0) < 1e-12
                         and abs(math.sin(q_minus)) < 1e-12)

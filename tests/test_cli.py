@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from delaylattice import cli
-from delaylattice.core import LatticeSpec, Model, SLParams, parse_config
+from delaylattice import cli, dde
+from delaylattice.core import (FHNParams, LatticeSpec, Model, SLParams,
+                               parse_config)
 from delaylattice.pattern import write_pgm
 from delaylattice.sl import sl_enumerate_plane_waves
 
@@ -117,6 +118,50 @@ def test_simulate_artifacts(tmp_path):
     assert frames.size == header["n_frames"] * 2 * 2 * 2
     assert (out / "snapshots.csv").exists()
     assert (out / "spikes.csv").exists()
+
+
+def _row_formatted_snapshots(times, snaps, names) -> bytes:
+    """snapshots.csv as the per-row formatter writes it: one line per
+    frame and node, every value as %.17g."""
+    lines = [",".join(["t", "m", "n"] + names)]
+    for it, t in enumerate(times):
+        for m in range(snaps.shape[1]):
+            for n in range(snaps.shape[2]):
+                row = (t, float(m), float(n), *snaps[it, m, n, :])
+                lines.append(",".join(f"{float(v):.17g}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("model", ["sl", "fhn"])
+def test_snapshots_csv_matches_row_formatter(tmp_path, model):
+    doc = {"model": model, "M": 2, "N": 3, "C": 0.5,
+           "delay": {"homogeneous": 2.0},
+           "sim": {"t_end": 4.0, "dt": 0.01, "record_every": 25}, "seed": 3}
+    doc["params"] = ({"alpha": 1.0, "beta": 1.0} if model == "sl"
+                     else {"I": 0.5})
+    out = tmp_path / "r"
+    assert cli.main(["simulate", "--config",
+                     write_config(tmp_path / "sim.json", doc),
+                     "--out", str(out)]) == 0
+    header = json.loads((out / "frames.json").read_text())
+    snaps = np.fromfile(out / "frames.f64", dtype="<f8").reshape(
+        header["n_frames"], header["M"], header["N"], header["d"])
+    names = ["re_z", "im_z"] if model == "sl" else ["v", "w", "s"]
+    assert (out / "snapshots.csv").read_bytes() == _row_formatted_snapshots(
+        header["times"], snaps, names)
+
+
+def test_snapshots_csv_special_values(tmp_path):
+    # negative zero, a subnormal, huge and non-finite values format as
+    # the row formatter writes them
+    snaps = np.array([0.0, -0.0, 5e-324, -1e300, np.inf, np.nan, 1 / 3,
+                      -2.5e-7, 1e16, 0.1, 7.0, -1.0]).reshape(2, 2, 1, 3)
+    traj = dde.Trajectory(times=np.array([0.0, 0.1]), snapshots=snaps,
+                          dt=0.1, record_every=1)
+    spec = LatticeSpec(2, 1, Model.FITZHUGH_NAGUMO, FHNParams(), 1.0)
+    cli._write_trajectory(cli._Run(tmp_path), traj, spec)
+    assert (tmp_path / "snapshots.csv").read_bytes() == \
+        _row_formatted_snapshots(traj.times, snaps, ["v", "w", "s"])
 
 
 def test_simulate_requires_sim_section(tmp_path, sl_config):

@@ -30,6 +30,24 @@ def test_steady_state_uncoupled():
     assert states[0].w == pytest.approx((v + 0.7) / 0.8, abs=1e-10)
 
 
+def test_steady_states_match_brentq():
+    # every rest state agrees with scipy's brentq on the same bracket
+    for I in np.linspace(-2.0, 2.0, 17):
+        for C in (0.0, 1.0, 3.0, 6.0):
+            params = FHNParams(I=I)
+
+            def g(x):
+                return (x - x ** 3 / 3 - (x + params.a) / params.b + params.I
+                        + C * (params.v_r - x) * synaptic_gate(x))
+
+            states = fhn_steady_states(params, C)
+            assert len(states) in (1, 3)
+            for st in states:
+                ref = brentq(g, st.v - 1e-3, st.v + 1e-3, xtol=1e-15,
+                             rtol=8.9e-16)
+                assert abs(st.v - ref) < 1e-13
+
+
 def test_steady_state_unique_below_saddle_node():
     params_grid = [FHNParams(I=I) for I in np.linspace(-3, 3, 13)]
     for params in params_grid:
