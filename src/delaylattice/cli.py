@@ -2,8 +2,7 @@
 emit CSV/raw artifacts plus a manifest with content hashes.
 
 Subcommands: spectrum-stst, dispersion, planewaves, floquet, hopf,
-simulate, encode, verify. The environment variable DELAYLATTICE_THREADS
-caps the thread count of the numerical backends.
+simulate, encode, verify.
 """
 
 from __future__ import annotations
@@ -12,32 +11,15 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
-
-if "DELAYLATTICE_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["DELAYLATTICE_THREADS"])
 
 import numpy as np
 
 from . import core, dde, fhn, pattern, sl
 from .core import ConfigError, Model
 from .dde import InsufficientDataError, SimulationError
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, header: list, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v)
-                             for v in row) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -49,57 +31,84 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Collects inputs/outputs of one command and writes the manifest."""
+    """The output directory of one command. Every artifact is written
+    through it, hashed from the bytes as they are written, and listed in
+    the manifest that `finish` writes."""
 
     def __init__(self, outdir: Path):
         self.outdir = outdir
         outdir.mkdir(parents=True, exist_ok=True)
         self.t_start = time.time()
         self.inputs = {}
-        self.outputs = []
+        self.outputs = {}
 
     def add_input(self, path):
         if path is not None:
             p = Path(path)
             self.inputs[str(p)] = _sha256(p)
 
-    def out(self, name: str) -> Path:
-        p = self.outdir / name
-        self.outputs.append(p)
-        return p
+    def write(self, name: str, chunks):
+        """Write an iterable of bytes-like chunks to `name`."""
+        h = hashlib.sha256()
+        with open(self.outdir / name, "wb") as fh:
+            for chunk in chunks:
+                h.update(chunk)
+                fh.write(chunk)
+        self.outputs[name] = h.hexdigest()
 
-    def echo_config(self, cfg: core.RunConfig):
-        path = self.out("resolved_config.json")
-        with open(path, "w") as fh:
-            json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def write_json(self, name: str, doc):
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        self.write(name, [text.encode()])
+
+    def write_csv(self, name: str, header, blocks):
+        """CSV of the rows in `blocks` (2-D arrays or lists of equal-length
+        rows), under a `header` line unless it is None. One row-format
+        string serves every row: %s for label columns, given as bytes, and
+        %.17g for numbers."""
+        def chunks():
+            if header is not None:
+                yield (",".join(header) + "\n").encode()
+            rowfmt = None
+            for block in blocks:
+                cells = np.asarray(block, dtype=object)
+                if not len(cells):
+                    continue
+                if rowfmt is None:
+                    rowfmt = b",".join(b"%s" if isinstance(v, bytes)
+                                       else b"%.17g" for v in cells[0]) + b"\n"
+                # formatting straight to bytes skips a str copy of each
+                # block, which fragmented the heap of long runs
+                yield (rowfmt * len(cells)) % tuple(cells.ravel().tolist())
+        self.write(name, chunks())
 
     def finish(self):
-        manifest = {
+        self.write_json("manifest.json", {
             "inputs": self.inputs,
-            "outputs": {p.name: _sha256(p) for p in self.outputs},
+            "outputs": dict(self.outputs),
             "wall_time": round(time.time() - self.t_start, 3),
-        }
-        with open(self.outdir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
-def _load_config(path, overrides=None) -> core.RunConfig:
-    with open(path) as fh:
+def _start(args) -> tuple:
+    """Start of every config-driven subcommand: hash the config as an
+    input, load it with the --alpha override where the subcommand has one,
+    and echo the resolved config."""
+    run = _Run(Path(args.out))
+    run.add_input(args.config)
+    with open(args.config) as fh:
         cfg = core.parse_config(fh.read())
-    if overrides:
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None:
         doc = cfg.to_dict()
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            section, _, leaf = key.partition(".")
-            if leaf:
-                doc.setdefault(section, {})[leaf] = value
-            else:
-                doc[section] = value
+        doc["params"]["alpha"] = alpha
         cfg = core.parse_config(json.dumps(doc))
-    return cfg
+    run.write_json("resolved_config.json", cfg.to_dict())
+    return run, cfg
+
+
+def _require(ok: bool, flag: str, reason: str):
+    if not ok:
+        raise ConfigError(flag, reason)
 
 
 def _require_tau(cfg: core.RunConfig) -> float:
@@ -125,11 +134,8 @@ def _load_delay_map(cfg: core.RunConfig, run: _Run) -> core.DelayMap:
 # subcommands
 
 def cmd_spectrum_stst(args) -> int:
-    run = _Run(Path(args.out))
-    run.add_input(args.config)
-    cfg = _load_config(args.config, {"params.alpha": args.alpha})
+    run, cfg = _start(args)
     tau = _require_tau(cfg)
-    run.echo_config(cfg)
     rows = []
     if cfg.spec.model is Model.STUART_LANDAU:
         for wv in core.enumerate_modes(cfg.spec):
@@ -137,7 +143,7 @@ def cmd_spectrum_stst(args) -> int:
                                         tau, wv)
             for lam in rs.roots:
                 rows.append((wv.k1, wv.k2, 0.0, 0.0, lam.real, lam.imag,
-                             "stst"))
+                             b"stst"))
     else:
         states = fhn.fhn_steady_states(cfg.spec.params, cfg.spec.coupling)
         for i, stst in enumerate(states):
@@ -146,66 +152,60 @@ def cmd_spectrum_stst(args) -> int:
                                         cfg.spec.coupling, tau, wv)
                 for lam in rs.roots:
                     rows.append((wv.k1, wv.k2, 0.0, 0.0, lam.real, lam.imag,
-                                 f"stst{i}"))
+                                 b"stst%d" % i))
     rows.sort(key=lambda r: tuple(r[:6]))
-    _write_csv(run.out("eigenvalues.csv"),
-               ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"],
-               rows)
+    run.write_csv("eigenvalues.csv",
+                  ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"],
+                  [rows])
     run.finish()
     return 0
 
 
 def cmd_dispersion(args) -> int:
-    run = _Run(Path(args.out))
-    run.add_input(args.config)
-    cfg = _load_config(args.config, {"params.alpha": args.alpha})
-    run.echo_config(cfg)
+    run, cfg = _start(args)
     n = args.grid
+    _require(n >= 1, "--grid", f"needs at least 1 point, got {n}")
     omegas = np.linspace(-args.omega_max, args.omega_max, n)
     # stay off the decoupled modes cos(k_minus) = 0
     kms = np.linspace(-math.pi / 2, math.pi / 2, n + 2)[1:-1]
-    rows = []
+    prm, C = cfg.spec.params, cfg.spec.coupling
     if cfg.spec.model is Model.STUART_LANDAU:
-        for km in kms:
-            g = sl.sl_stst_pcs(cfg.spec.params, cfg.spec.coupling, km, omegas)
-            rows.extend((om, km, gv) for om, gv in zip(omegas, g))
+        surface = [sl.sl_stst_pcs(prm, C, km, omegas) for km in kms]
     else:
-        states = fhn.fhn_steady_states(cfg.spec.params, cfg.spec.coupling)
-        stst = states[args.state_index]
-        for km in kms:
-            g = fhn.fhn_hybrid_dispersion(stst, cfg.spec.params,
-                                          cfg.spec.coupling, omegas, km)
-            rows.extend((om, km, gv) for om, gv in zip(omegas, g))
-    _write_csv(run.out("dispersion.csv"), ["omega", "k_minus", "gamma"], rows)
+        states = fhn.fhn_steady_states(prm, C)
+        i = args.state_index
+        _require(0 <= i < len(states), "--state-index",
+                 f"{i} is not one of the {len(states)} rest states")
+        surface = [fhn.fhn_hybrid_dispersion(states[i], prm, C, omegas, km)
+                   for km in kms]
+    run.write_csv("dispersion.csv", ["omega", "k_minus", "gamma"],
+                  [np.column_stack([omegas, np.full(n, km), g])
+                   for km, g in zip(kms, surface)])
     run.finish()
     return 0
 
 
 def cmd_planewaves(args) -> int:
-    run = _Run(Path(args.out))
-    run.add_input(args.config)
-    cfg = _load_config(args.config, {"params.alpha": args.alpha})
+    run, cfg = _start(args)
     tau = _require_tau(cfg)
-    run.echo_config(cfg)
     if cfg.spec.model is not Model.STUART_LANDAU:
         raise ConfigError("model", "planewaves requires the sl model")
     waves = sl.sl_enumerate_plane_waves(cfg.spec.params, cfg.spec.coupling,
                                         tau, cfg.spec)
     rows = [(w.wv.k1, w.wv.k2, w.a, w.Omega, w.k_tau, w.R) for w in waves]
-    _write_csv(run.out("planewaves.csv"),
-               ["k1", "k2", "a", "omega", "k_tau", "R"], rows)
+    run.write_csv("planewaves.csv", ["k1", "k2", "a", "omega", "k_tau", "R"],
+                  [rows])
     run.finish()
     return 0
 
 
 def cmd_floquet(args) -> int:
-    run = _Run(Path(args.out))
-    run.add_input(args.config)
-    cfg = _load_config(args.config, {"params.alpha": args.alpha})
+    run, cfg = _start(args)
     tau = _require_tau(cfg)
-    run.echo_config(cfg)
     if cfg.spec.model is not Model.STUART_LANDAU:
         raise ConfigError("model", "floquet requires the sl model")
+    _require(args.max_waves >= 0, "--max-waves",
+             f"must be >= 0 (0 means all), got {args.max_waves}")
     waves = sl.sl_enumerate_plane_waves(cfg.spec.params, cfg.spec.coupling,
                                         tau, cfg.spec)
     if args.max_waves:
@@ -216,29 +216,26 @@ def cmd_floquet(args) -> int:
                                       tau, spec=cfg.spec)
         omega, qm, qp = verdict.witness
         rows.append((w.wv.k1, w.wv.k2, qp + qm, qp - qm,
-                     verdict.max_growth, omega, verdict.cls.value))
-    _write_csv(run.out("floquet.csv"),
-               ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"],
-               rows)
+                     verdict.max_growth, omega, verdict.cls.value.encode()))
+    run.write_csv("floquet.csv",
+                  ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"],
+                  [rows])
     run.finish()
     return 0
 
 
 def cmd_hopf(args) -> int:
-    run = _Run(Path(args.out))
-    run.add_input(args.config)
-    cfg = _load_config(args.config, None)
+    run, cfg = _start(args)
     tau = _require_tau(cfg)
-    run.echo_config(cfg)
     if cfg.spec.model is Model.STUART_LANDAU:
         alpha_h = sl.sl_hopf_threshold(cfg.spec.params, cfg.spec.coupling,
                                        tau, cfg.spec)
-        _write_csv(run.out("hopf.csv"), ["alpha_H"], [(alpha_h,)])
+        run.write_csv("hopf.csv", ["alpha_H"], [[(alpha_h,)]])
     else:
         wv = core.WaveVector(args.k1, args.k2)
         points = fhn.fhn_hopf_points(cfg.spec.params, cfg.spec.coupling,
                                      tau, wv)
-        _write_csv(run.out("hopf.csv"), ["I", "omega"], points)
+        run.write_csv("hopf.csv", ["I", "omega"], [points])
     run.finish()
     return 0
 
@@ -264,38 +261,34 @@ def _write_trajectory(run: _Run, traj: dde.Trajectory, spec: core.LatticeSpec):
     d = traj.snapshots.shape[-1]
     comp_names = ["re_z", "im_z"] if spec.model is Model.STUART_LANDAU \
         else ["v", "w", "s"]
-    # one row (t, m, n, components...) per frame and node, formatted as
-    # _write_csv formats its values
-    table = np.empty((len(traj.times), M, N, 3 + d))
-    table[..., 0] = traj.times[:, None, None]
-    table[..., 1] = np.arange(M)[:, None]
-    table[..., 2] = np.arange(N)
-    table[..., 3:] = traj.snapshots
-    np.savetxt(run.out("snapshots.csv"), table.reshape(-1, 3 + d),
-               fmt="%.17g", delimiter=",", comments="",
-               header=",".join(["t", "m", "n"] + comp_names))
 
-    frames = traj.snapshots.astype("<f8")
-    frames.tofile(run.out("frames.f64"))
-    with open(run.out("frames.json"), "w") as fh:
-        json.dump({"M": M, "N": N, "d": d, "dt": traj.dt,
-                   "record_every": traj.record_every, "t0": float(traj.times[0]),
-                   "n_frames": len(traj.times),
-                   "times": [float(t) for t in traj.times]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def frames():
+        # one block of rows (t, m, n, components...) per frame
+        block = np.empty((M, N, 3 + d))
+        block[..., 1] = np.arange(M)[:, None]
+        block[..., 2] = np.arange(N)
+        for t, snap in zip(traj.times, traj.snapshots):
+            block[..., 0] = t
+            block[..., 3:] = snap
+            yield block.reshape(-1, 3 + d)
+    run.write_csv("snapshots.csv", ["t", "m", "n"] + comp_names, frames())
+
+    run.write("frames.f64",
+              [np.ascontiguousarray(traj.snapshots, dtype="<f8")])
+    run.write_json("frames.json", {
+        "M": M, "N": N, "d": d, "dt": traj.dt,
+        "record_every": traj.record_every, "t0": float(traj.times[0]),
+        "n_frames": len(traj.times),
+        "times": [float(t) for t in traj.times]})
 
     spikes = dde.detect_spikes(traj, component=0, threshold=0.0)
     rows = [(float(m), float(n), t)
             for m in range(M) for n in range(N) for t in spikes[m][n]]
-    _write_csv(run.out("spikes.csv"), ["m", "n", "t"], rows)
+    run.write_csv("spikes.csv", ["m", "n", "t"], [rows])
 
 
 def cmd_simulate(args) -> int:
-    run = _Run(Path(args.out))
-    run.add_input(args.config)
-    cfg = _load_config(args.config, None)
-    run.echo_config(cfg)
+    run, cfg = _start(args)
     if cfg.sim is None:
         raise ConfigError("sim", "simulate requires a sim section")
     delays = _load_delay_map(cfg, run)
@@ -308,21 +301,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _require(args.tau > 0, "--tau", f"must be > 0, got {args.tau}")
+    _require(args.eta_min <= args.eta_max, "--eta-min",
+             f"{args.eta_min} exceeds --eta-max {args.eta_max}")
     run = _Run(Path(args.out))
     run.add_input(args.image)
     img = pattern.read_pgm(args.image)
     eta = pattern.eta_from_image(img, args.eta_min, args.eta_max)
     delays = pattern.delays_from_timeshifts(eta, args.tau)
-    np.savetxt(run.out("delays_down.csv"), delays.down, delimiter=",",
-               fmt="%.17g")
-    np.savetxt(run.out("delays_right.csv"), delays.right, delimiter=",",
-               fmt="%.17g")
-    np.savetxt(run.out("eta.csv"), eta.eta, delimiter=",", fmt="%.17g")
+    run.write_csv("delays_down.csv", None, [delays.down])
+    run.write_csv("delays_right.csv", None, [delays.right])
+    run.write_csv("eta.csv", None, [eta.eta])
     run.finish()
     return 0
 
 
 def cmd_verify(args) -> int:
+    _require(args.period is None or args.period > 0, "--period",
+             f"must be > 0, got {args.period}")
     run = _Run(Path(args.out))
     rundir = Path(args.run)
     for name in ("frames.f64", "frames.json"):
@@ -340,8 +336,7 @@ def cmd_verify(args) -> int:
     else:
         T, _ = dde.estimate_period(traj, t_discard=args.t_discard)
     report = pattern.verify_pattern(traj, eta, T, t_discard=args.t_discard)
-    with open(run.out("fidelity.json"), "w") as fh:
-        fh.write(report.to_json() + "\n")
+    run.write("fidelity.json", [(report.to_json() + "\n").encode()])
     run.finish()
     return 0
 

@@ -92,17 +92,12 @@ def read_pgm(path) -> np.ndarray:
     return img.reshape(height, width)
 
 
-def write_pgm(path, img: np.ndarray, binary: bool = True):
+def write_pgm(path, img: np.ndarray):
+    """8-bit grayscale image as a binary (P5) PGM file."""
     img = np.asarray(img, dtype=np.uint8)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n"
     with open(path, "wb") as fh:
-        if binary:
-            fh.write(header.encode())
-            fh.write(img.tobytes())
-        else:
-            fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-            for row in img:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n").encode())
+        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        fh.write(img.tobytes())
 
 
 def eta_from_image(image: np.ndarray, eta_min: float,

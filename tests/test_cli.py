@@ -53,15 +53,71 @@ def test_spectrum_stst_alpha_override(tmp_path, sl_config):
     assert echoed["params"]["alpha"] == -3.5
 
 
-def test_manifest_hashes_match_files(tmp_path, sl_config):
+OSCILLATING_SL = {
+    "model": "sl", "M": 2, "N": 2,
+    "params": {"alpha": 1.0, "beta": 1.0},
+    "C": 0.0, "delay": {"homogeneous": 1.0},
+    "sim": {"t_end": 60.0, "dt": 0.01, "record_every": 5},
+    "seed": 3,
+}
+
+
+def _subcommand_argv(command, tmp_path, sl_config):
+    """Arguments for one run of `command`, with its inputs prepared."""
+    if command in ("simulate", "verify"):
+        cfgp = write_config(tmp_path / "sim.json", OSCILLATING_SL)
+        if command == "simulate":
+            return ["simulate", "--config", cfgp]
+        rundir = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", cfgp,
+                         "--out", str(rundir)]) == 0
+        etap = tmp_path / "eta.csv"
+        etap.write_text("0,0.25\n0.5,0\n")
+        return ["verify", "--run", str(rundir), "--eta", str(etap),
+                "--t-discard", "20.0"]
+    if command == "encode":
+        imgp = tmp_path / "pat.pgm"
+        write_pgm(imgp, np.array([[0, 255], [128, 64]], dtype=np.uint8))
+        return ["encode", "--image", str(imgp), "--tau", "10.0",
+                "--eta-max", "0.5"]
+    extra = {"spectrum-stst": [], "dispersion": ["--grid", "6"],
+             "planewaves": ["--alpha", "3.0"],
+             "floquet": ["--alpha", "3.0", "--max-waves", "1"],
+             "hopf": []}[command]
+    return [command, "--config", sl_config, *extra]
+
+
+@pytest.mark.parametrize("command", [
+    "spectrum-stst", "dispersion", "planewaves", "floquet", "hopf",
+    "simulate", "encode", "verify"])
+def test_manifest_hashes_match_files(tmp_path, sl_config, command):
     import hashlib
     out = tmp_path / "r"
-    cli.main(["planewaves", "--config", sl_config, "--out", str(out),
-              "--alpha", "3.0"])
+    argv = _subcommand_argv(command, tmp_path, sl_config)
+    assert cli.main(argv + ["--out", str(out)]) == 0
     man = read_manifest(out)
+    assert set(man["outputs"]) | {"manifest.json"} == \
+        {p.name for p in out.iterdir()}
     for name, digest in man["outputs"].items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == digest
+        if not name.endswith(".csv"):
+            continue
+        # every number is written as %.17g; header names and labels such
+        # as the floquet class do not parse as numbers
+        lines = (out / name).read_text().splitlines()
+        n_numbers = 0
+        for line in lines:
+            fields = line.split(",")
+            assert len(fields) == len(lines[0].split(","))
+            for field in fields:
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue
+                assert field == f"{value:.17g}"
+                n_numbers += 1
+        assert n_numbers > 0
 
 
 def test_planewaves_count_matches_enumeration(tmp_path, sl_config):
@@ -179,6 +235,40 @@ def test_config_error_exit_code(tmp_path):
                      "--out", str(tmp_path / "r")]) == 1
 
 
+@pytest.fixture
+def fhn_config(tmp_path):
+    # one rest state at I = 0, C = 3
+    return write_config(tmp_path / "fhn.json", {
+        "model": "fhn", "M": 2, "N": 2, "params": {"I": 0.0}, "C": 3.0,
+        "delay": {"homogeneous": 5.0},
+    })
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("dispersion", "--state-index 7"),
+    ("dispersion", "--state-index -1"),
+    ("dispersion", "--grid 0"),
+    ("floquet", "--max-waves -1"),
+    ("verify", "--period 0"),
+    ("encode", "--tau -1"),
+    ("encode", "--eta-min 1"),     # above --eta-max 0.5
+])
+def test_invalid_argument_is_a_config_error(tmp_path, sl_config, fhn_config,
+                                            capsys, command, bad):
+    # valid inputs; the last occurrence of a flag wins, so only `bad` is
+    # wrong
+    if command == "dispersion":
+        argv = ["dispersion", "--config", fhn_config]
+    else:
+        argv = _subcommand_argv(command, tmp_path, sl_config)
+    bad = bad.split()
+    capsys.readouterr()
+    assert cli.main(argv + bad + ["--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad[0]}: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_delay_exit_code(tmp_path):
     cfgp = write_config(tmp_path / "nodelay.json", {
         "model": "sl", "M": 2, "N": 2,
@@ -212,13 +302,7 @@ def test_encode_and_verify_pipeline(tmp_path):
     assert eta[0, 0] == 0.0 and eta[0, 1] == 0.5
 
     # oscillatory SL run, then check fidelity reporting end to end
-    cfgp = write_config(tmp_path / "sim.json", {
-        "model": "sl", "M": 2, "N": 2,
-        "params": {"alpha": 1.0, "beta": 1.0},
-        "C": 0.0, "delay": {"homogeneous": 1.0},
-        "sim": {"t_end": 60.0, "dt": 0.01, "record_every": 5},
-        "seed": 3,
-    })
+    cfgp = write_config(tmp_path / "sim.json", OSCILLATING_SL)
     rundir = tmp_path / "run"
     assert cli.main(["simulate", "--config", cfgp, "--out", str(rundir)]) == 0
     etap = tmp_path / "eta.csv"

@@ -68,7 +68,7 @@ def test_pgm_roundtrip_binary(tmp_path):
     rng = np.random.default_rng(5)
     img = rng.integers(0, 256, size=(7, 11), dtype=np.uint8)
     p = tmp_path / "a.pgm"
-    write_pgm(p, img, binary=True)
+    write_pgm(p, img)
     assert np.array_equal(read_pgm(p), img)
 
 
@@ -76,7 +76,8 @@ def test_pgm_roundtrip_ascii(tmp_path):
     rng = np.random.default_rng(6)
     img = rng.integers(0, 256, size=(4, 3), dtype=np.uint8)
     p = tmp_path / "a.pgm"
-    write_pgm(p, img, binary=False)
+    rows = "".join(" ".join(str(v) for v in row) + "\n" for row in img)
+    p.write_bytes(f"P2\n3 4\n255\n{rows}".encode())
     assert np.array_equal(read_pgm(p), img)
 
 
