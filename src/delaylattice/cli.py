@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,20 @@ def _require(ok: bool, flag: str, reason: str):
         raise ConfigError(flag, reason)
 
 
+def _require_finite(value: float, flag: str):
+    _require(math.isfinite(value), flag, f"must be finite, got {value}")
+
+
+@contextmanager
+def _input_of(flag: str):
+    """The ValueError with which the library rejects what ``flag`` gave
+    becomes a config error of that flag."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(flag, str(exc)) from exc
+
+
 def _require_tau(cfg: core.RunConfig) -> float:
     if cfg.tau is None:
         raise ConfigError("delay", "this command needs a homogeneous delay")
@@ -165,6 +180,7 @@ def cmd_dispersion(args) -> int:
     run, cfg = _start(args)
     n = args.grid
     _require(n >= 1, "--grid", f"needs at least 1 point, got {n}")
+    _require_finite(args.omega_max, "--omega-max")
     omegas = np.linspace(-args.omega_max, args.omega_max, n)
     # stay off the decoupled modes cos(k_minus) = 0
     kms = np.linspace(-math.pi / 2, math.pi / 2, n + 2)[1:-1]
@@ -225,6 +241,8 @@ def cmd_floquet(args) -> int:
 
 
 def cmd_hopf(args) -> int:
+    _require_finite(args.k1, "--k1")
+    _require_finite(args.k2, "--k2")
     run, cfg = _start(args)
     tau = _require_tau(cfg)
     if cfg.spec.model is Model.STUART_LANDAU:
@@ -301,14 +319,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    for value, flag in ((args.tau, "--tau"), (args.eta_min, "--eta-min"),
+                        (args.eta_max, "--eta-max")):
+        _require_finite(value, flag)
     _require(args.tau > 0, "--tau", f"must be > 0, got {args.tau}")
     _require(args.eta_min <= args.eta_max, "--eta-min",
              f"{args.eta_min} exceeds --eta-max {args.eta_max}")
+    with _input_of("--image"):
+        img = pattern.read_pgm(args.image)
+    eta = pattern.eta_from_image(img, args.eta_min, args.eta_max)
+    # every delay is positive only if the image's shifts stay below tau
+    with _input_of("--tau"):
+        delays = pattern.delays_from_timeshifts(eta, args.tau)
     run = _Run(Path(args.out))
     run.add_input(args.image)
-    img = pattern.read_pgm(args.image)
-    eta = pattern.eta_from_image(img, args.eta_min, args.eta_max)
-    delays = pattern.delays_from_timeshifts(eta, args.tau)
     run.write_csv("delays_down.csv", None, [delays.down])
     run.write_csv("delays_right.csv", None, [delays.right])
     run.write_csv("eta.csv", None, [eta.eta])
@@ -317,20 +341,25 @@ def cmd_encode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require(args.period is None or args.period > 0, "--period",
-             f"must be > 0, got {args.period}")
-    run = _Run(Path(args.out))
+    _require(args.period is None or 0 < args.period < math.inf, "--period",
+             f"must be finite and > 0, got {args.period}")
+    _require_finite(args.t_discard, "--t-discard")
     rundir = Path(args.run)
-    for name in ("frames.f64", "frames.json"):
-        run.add_input(rundir / name)
-    run.add_input(args.eta)
     with open(rundir / "frames.json") as fh:
         header = json.load(fh)
     frames = np.fromfile(rundir / "frames.f64", dtype="<f8").reshape(
         header["n_frames"], header["M"], header["N"], header["d"])
     traj = dde.Trajectory(times=np.array(header["times"]), snapshots=frames,
                           dt=header["dt"], record_every=header["record_every"])
-    eta = pattern.ShiftField(np.loadtxt(args.eta, delimiter=",", ndmin=2))
+    with _input_of("--eta"):
+        eta = pattern.ShiftField(np.loadtxt(args.eta, delimiter=",", ndmin=2))
+    _require(eta.eta.shape == traj.shape, "--eta",
+             f"shift field is {eta.eta.shape[0]}x{eta.eta.shape[1]}, "
+             f"the run is {traj.shape[0]}x{traj.shape[1]}")
+    run = _Run(Path(args.out))
+    for name in ("frames.f64", "frames.json"):
+        run.add_input(rundir / name)
+    run.add_input(args.eta)
     if args.period is not None:
         T = args.period
     else:

@@ -17,10 +17,14 @@ KEPLER_RESIDUAL_TOL = 1e-12
 
 @dataclass
 class RootSet:
-    """Deduplicated roots inside a rectangular window of the complex plane."""
+    """Deduplicated roots inside a rectangular window of the complex plane.
+    A Newton sweep also reports its number of seeds and how many of them
+    converged; both are 0 where no sweep ran."""
     roots: np.ndarray
     tolerance: float
     window: tuple  # (re_min, re_max, im_min, im_max)
+    seeds: int = 0
+    converged: int = 0
 
     def __len__(self):
         return len(self.roots)
@@ -32,25 +36,29 @@ class RootSet:
 
 
 def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray:
-    if len(roots) == 0:
-        return roots
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
+    """The roots in (Re, Im) order, each kept unless it lies within
+    ``radius`` of a root kept before it. Every kept root precedes all the
+    roots it strikes, so striking them at once keeps the same roots as
+    testing each root against all kept ones."""
+    roots = roots[np.lexsort((roots.imag, roots.real))]
     kept = []
-    for r in roots:
-        if all(abs(r - k) > radius for k in kept):
-            kept.append(r)
-    return np.array(kept)
+    while len(roots):
+        first, rest = roots[0], roots[1:]
+        kept.append(first)
+        roots = rest[np.abs(rest - first) > radius]
+    return np.array(kept, dtype=roots.dtype)
 
 
 def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
                          df: Optional[Callable] = None) -> RootSet:
     """Newton iteration from a rectangular grid of seeds over the window.
 
-    ``f`` must accept complex numpy arrays. ``df`` defaults to a central
-    difference. Converged roots are kept if they lie inside the window and
-    pass the residual test; duplicates within 1e-8 are merged. An empty
-    result is not an error.
+    ``f`` must accept complex numpy arrays and act elementwise. ``df``
+    defaults to a central difference. Converged roots are kept if they lie
+    inside the window and pass the residual test. Duplicates are merged in
+    (Re, Im) order: a root is dropped when it lies within 1e-8 of a root
+    kept before it, so a chain of roots 0.9e-8 apart keeps every other one.
+    An empty result is not an error.
     """
     re_min, re_max, im_min, im_max = window
     nx, ny = grid
@@ -68,24 +76,31 @@ def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
     im = np.linspace(im_min, im_max, ny)
     z = (re[:, None] + 1j * im[None, :]).ravel()
 
-    active = np.ones(z.shape, dtype=bool)
+    # the seeds still iterating: their indices into z and their values
+    idx = np.arange(z.size)
+    za = z.copy()
+    # limit huge steps to keep seeds from shooting off
+    cap = 0.5 * max(re_max - re_min, im_max - im_min)
     for _ in range(80):
-        if not active.any():
+        if not idx.size:
             break
-        fz = f(z[active])
-        dfz = df(z[active])
+        fz = f(za)
+        dfz = df(za)
         with np.errstate(all="ignore"):
             step = fz / dfz
         step = np.where(np.isfinite(step), step, 0.0)
-        # limit huge steps to keep seeds from shooting off
         mag = np.abs(step)
-        cap = 0.5 * max(re_max - re_min, im_max - im_min)
-        step = np.where(mag > cap, step * (cap / np.where(mag == 0, 1, mag)), step)
-        z_new = z[active] - step
-        done = np.abs(step) <= 1e-14 * (1.0 + np.abs(z_new))
-        idx = np.flatnonzero(active)
-        z[idx] = z_new
-        active[idx[done]] = False
+        big = mag > cap
+        if big.any():
+            step[big] *= cap / mag[big]
+        za = za - step
+        done = np.abs(step) <= 1e-14 * (1.0 + np.abs(za))
+        z[idx[done]] = za[done]
+        going = ~done
+        idx, za = idx[going], za[going]
+    z[idx] = za
+    converged = np.ones(z.shape, dtype=bool)
+    converged[idx] = False
 
     # keep converged roots in the window with small residual
     scale = max(1.0, float(np.nanmedian(np.abs(f(
@@ -93,13 +108,14 @@ def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
     fz = f(z)
     # residual alone is not enough: quasi-polynomials are exponentially
     # flat along dense spectrum curves, so demand Newton convergence too
-    ok = ~active
+    ok = converged
     ok &= (np.abs(fz) <= RESIDUAL_TOL * scale)
     ok &= (z.real >= re_min - 1e-9) & (z.real <= re_max + 1e-9)
     ok &= (z.imag >= im_min - 1e-9) & (z.imag <= im_max + 1e-9)
     ok &= np.isfinite(z)
     roots = _dedup_sorted(z[ok])
-    return RootSet(roots=roots, tolerance=RESIDUAL_TOL * scale, window=window)
+    return RootSet(roots=roots, tolerance=RESIDUAL_TOL * scale, window=window,
+                   seeds=z.size, converged=z.size - idx.size)
 
 
 def bisect_sign_changes(g: Callable, x: np.ndarray, gx: np.ndarray) -> np.ndarray:

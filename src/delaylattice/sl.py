@@ -286,21 +286,28 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
     alpha, beta = params.alpha, params.beta
     window = (-2.0, max(1.0, 2.0 * alpha), -(3.0 * abs(beta) + 3.0),
               3.0 * abs(beta) + 3.0)
-    max_growth = -np.inf
-    witness = (0.0, 0.0, 0.0)
-    for q in enumerate_modes(spec):
+    modes = enumerate_modes(spec)
+    roots, excluded = [], []
+    for q in modes:
         q_plus, q_minus = q.k_plus, q.k_minus
         f, df = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
         rs = find_roots_quasipoly(f, window, df=df)
         trivial_mode = (abs(math.sin(q_plus)) < 1e-12
                         and abs(math.cos(q_plus) - 1.0) < 1e-12
                         and abs(math.sin(q_minus)) < 1e-12)
-        for lam in rs.roots:
-            if trivial_mode and abs(lam) < TRIVIAL_EXCLUSION_RADIUS:
-                continue
-            if lam.real > max_growth:
-                max_growth = float(lam.real)
-                witness = (float(lam.imag), q_minus, q_plus)
+        roots.append(rs.roots)
+        excluded.append(trivial_mode
+                        & (np.abs(rs.roots) < TRIVIAL_EXCLUSION_RADIUS))
+    # the first maximum in mode-then-root order is the witness
+    lam = np.concatenate(roots)
+    counted = ~np.concatenate(excluded)
+    max_growth = -np.inf
+    witness = (0.0, 0.0, 0.0)
+    if counted.any():
+        i = int(np.argmax(np.where(counted, lam.real, -np.inf)))
+        q = modes[np.repeat(np.arange(len(modes)), [len(r) for r in roots])[i]]
+        max_growth = float(lam[i].real)
+        witness = (float(lam[i].imag), q.k_minus, q.k_plus)
 
     if max_growth <= STABILITY_TOL:
         cls = StabilityClass.STABLE

@@ -252,6 +252,14 @@ def fhn_config(tmp_path):
     ("verify", "--period 0"),
     ("encode", "--tau -1"),
     ("encode", "--eta-min 1"),     # above --eta-max 0.5
+    ("dispersion", "--omega-max nan"),
+    ("dispersion", "--omega-max inf"),
+    ("hopf", "--k1 nan"),
+    ("hopf", "--k2 nan"),
+    ("encode", "--tau inf"),
+    ("encode", "--eta-max inf"),
+    ("verify", "--period inf"),
+    ("verify", "--t-discard nan"),
 ])
 def test_invalid_argument_is_a_config_error(tmp_path, sl_config, fhn_config,
                                             capsys, command, bad):
@@ -267,6 +275,54 @@ def test_invalid_argument_is_a_config_error(tmp_path, sl_config, fhn_config,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {bad[0]}: ")
     assert err.count("\n") == 1
+
+
+def _checkerboard_image(tmp_path):
+    imgp = tmp_path / "board.pgm"
+    write_pgm(imgp, 255 * (np.indices((8, 8)).sum(axis=0) % 2).astype(np.uint8))
+    return imgp
+
+
+def _p6_image(tmp_path):
+    imgp = tmp_path / "color.ppm"
+    imgp.write_bytes(b"P6\n8 8\n255\n" + bytes(3 * 64))
+    return imgp
+
+
+def _eight_by_eight_run(tmp_path):
+    cfgp = write_config(tmp_path / "sim.json", {
+        **OSCILLATING_SL, "M": 8, "N": 8,
+        "sim": {"t_end": 1.0, "dt": 0.01, "record_every": 5}})
+    rundir = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", cfgp, "--out", str(rundir)]) == 0
+    return rundir
+
+
+def _two_by_two_eta(tmp_path):
+    etap = tmp_path / "eta.csv"
+    etap.write_text("0,0.25\n0.5,0\n")
+    return etap
+
+
+@pytest.mark.parametrize("flag, argv", [
+    # shifts 0 and 2.5 side by side need delays 1 - 2.5 on some edges
+    ("--tau", lambda tmp: ["encode", "--image", str(_checkerboard_image(tmp)),
+                           "--tau", "1", "--eta-max", "2.5"]),
+    ("--image", lambda tmp: ["encode", "--image", str(_p6_image(tmp)),
+                             "--tau", "10", "--eta-max", "0.5"]),
+    ("--eta", lambda tmp: ["verify", "--run", str(_eight_by_eight_run(tmp)),
+                           "--eta", str(_two_by_two_eta(tmp))]),
+], ids=["encode-shifts-exceed-tau", "encode-p6", "verify-eta-shape"])
+def test_input_the_library_rejects_is_a_config_error(tmp_path, capsys, flag,
+                                                     argv):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_delay_exit_code(tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
-from delaylattice.roots import (bisect_sign_changes, find_roots_quasipoly,
+from delaylattice import core, fhn, sl
+from delaylattice.core import FHNParams, LatticeSpec, Model, SLParams
+from delaylattice.roots import (DEDUP_RADIUS, _dedup_sorted,
+                                bisect_sign_changes, find_roots_quasipoly,
                                 newton_polish, solve_cubic_real, solve_kepler)
 
 
@@ -35,6 +39,121 @@ def test_empty_result_is_not_error():
 def test_degenerate_window_rejected():
     with pytest.raises(ValueError):
         find_roots_quasipoly(lambda z: z, (1, 1, -1, 1))
+
+
+def test_sweep_reports_seeds_and_converged():
+    rs = find_roots_quasipoly(lambda z: z * z + 1.0, (-2, 2, -2, 2),
+                              grid=(10, 10))
+    assert rs.seeds == 100
+    assert len(rs) <= rs.converged <= rs.seeds
+
+
+# ---------------------------------------------------------------------------
+# dedup: keep the first root in (Re, Im) order, drop all within the radius
+# of a kept root
+
+def _greedy_dedup(roots, radius=DEDUP_RADIUS):
+    """The pairwise reference: a root is kept when it is farther than the
+    radius from every root kept before it."""
+    roots = roots[np.lexsort((roots.imag, roots.real))]
+    kept = []
+    for r in roots:
+        if all(abs(r - k) > radius for k in kept):
+            kept.append(r)
+    return np.array(kept, dtype=complex)
+
+
+def test_dedup_chain_keeps_first_and_third():
+    # 0.9e-8 apart: the middle root is within the radius of both
+    # neighbours, the outer two are not within it of each other
+    got = _dedup_sorted(np.array([1.8e-8, 0.0, 0.9e-8], dtype=complex))
+    assert np.array_equal(got, [0.0, 1.8e-8])
+
+
+def test_dedup_orders_equal_real_parts_by_imaginary_part():
+    roots = np.array([1.0 + 2j, 1.0 - 3j, 1.0 + 0j, 0.5 + 9j])
+    assert np.array_equal(_dedup_sorted(roots),
+                          [0.5 + 9j, 1.0 - 3j, 1.0 + 0j, 1.0 + 2j])
+
+
+def test_dedup_of_nothing_is_empty_complex():
+    got = _dedup_sorted(np.array([], dtype=complex))
+    assert got.shape == (0,) and got.dtype == complex
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dedup_matches_greedy_reference(seed):
+    # clusters of near-duplicates at about the radius, a shared real part,
+    # and exact repeats
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
+    centres[:3] = centres[0].real + 1j * centres[:3].imag
+    roots = np.repeat(centres, rng.integers(1, 30, 12))
+    roots = roots + DEDUP_RADIUS * (rng.uniform(-1.5, 1.5, roots.shape)
+                                    + 1j * rng.uniform(-1.5, 1.5, roots.shape))
+    roots = np.concatenate([roots, roots[::7]])
+    rng.shuffle(roots)
+    got = _dedup_sorted(roots)
+    assert got.dtype == complex
+    assert np.array_equal(got, _greedy_dedup(roots))
+
+
+# ---------------------------------------------------------------------------
+# the sweep's roots, pinned bit for bit
+
+def _root_digest(root_sets) -> str:
+    h = hashlib.sha256()
+    for rs in root_sets:
+        roots = np.ascontiguousarray(rs.roots, dtype="<c16")
+        h.update(np.array([len(roots)], dtype="<i8").tobytes())
+        h.update(roots.tobytes())
+        h.update(np.array([rs.tolerance], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _floquet_root_sets(monkeypatch, wave_index):
+    """Per-mode root sets of the Floquet verdict of one plane wave of the
+    5x5 torus at alpha=3, beta=0.5, C=2, tau=20."""
+    spec = LatticeSpec(5, 5, Model.STUART_LANDAU, SLParams(3.0, 0.5), 2.0)
+    waves = sl.sl_enumerate_plane_waves(spec.params, spec.coupling, 20.0, spec)
+    sets = []
+
+    def record(*args, **kwargs):
+        sets.append(find_roots_quasipoly(*args, **kwargs))
+        return sets[-1]
+
+    monkeypatch.setattr(sl, "find_roots_quasipoly", record)
+    sl.sl_floquet_exact(waves[wave_index], spec.params, spec.coupling, 20.0,
+                        spec=spec)
+    assert len(sets) == 25
+    return sets
+
+
+def _fhn_root_sets():
+    """fhn_char_roots of every mode of the 3x3 torus, C=3, tau=50."""
+    spec = LatticeSpec(3, 3, Model.FITZHUGH_NAGUMO, FHNParams(I=0.0), 3.0)
+    stst = fhn.fhn_steady_states(spec.params, spec.coupling)[0]
+    return [fhn.fhn_char_roots(stst, spec.params, spec.coupling, 50.0, wv)
+            for wv in core.enumerate_modes(spec)]
+
+
+# sha256 of (count, roots as little-endian complex128, tolerance) per mode,
+# recorded with the pairwise dedup loop and the masked Newton loop; the
+# sweep's arithmetic must stay the same operation for operation
+PINNED_ROOTS = {
+    "floquet-100": (lambda mp: _floquet_root_sets(mp, 100),
+                    "ef8a6b591c14c29d66810c99f8f59b78b93a7a289a5206fbe986b178fe37b4c1"),
+    "floquet-395": (lambda mp: _floquet_root_sets(mp, 395),
+                    "a21ae865ef421f8174ada7c35d8630a2a66b8ba0a198cbc1fe9319cca99548c9"),
+    "fhn-3x3": (lambda mp: _fhn_root_sets(),
+                "d563ef1bd1c419bd4407fe3cd455ae90c4fa80d095653a6b1633df19abad7e99"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ROOTS))
+def test_pinned_sweep_roots(monkeypatch, case):
+    run, digest = PINNED_ROOTS[case]
+    assert _root_digest(run(monkeypatch)) == digest
 
 
 def test_sl_mode_factor_matches_lambert_w():
