@@ -94,11 +94,13 @@ def _start(args) -> tuple:
     """Start of every config-driven subcommand: hash the config as an
     input, load it with the --alpha override where the subcommand has one,
     and echo the resolved config."""
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None:
+        _require_finite(alpha, "--alpha")
     run = _Run(Path(args.out))
     run.add_input(args.config)
     with open(args.config) as fh:
         cfg = core.parse_config(fh.read())
-    alpha = getattr(args, "alpha", None)
     if alpha is not None:
         doc = cfg.to_dict()
         doc["params"]["alpha"] = alpha

@@ -198,9 +198,10 @@ class RunConfig:
         if self.sim is not None:
             out["sim"] = {
                 "t_end": self.sim.t_end,
-                "dt": self.sim.dt,
                 "record_every": self.sim.record_every,
             }
+            if self.sim.dt is not None:
+                out["sim"]["dt"] = self.sim.dt
         return out
 
 
@@ -218,6 +219,8 @@ def _require(doc: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 

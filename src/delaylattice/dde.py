@@ -52,10 +52,10 @@ class ConstantHistory:
 
 
 class FunctionHistory:
-    """History from a callable t -> (M, N, d) array; derivative either
-    supplied or taken by central differences of step 1e-6."""
+    """History from a callable t -> (M, N, d) array and its derivative
+    ``df``."""
 
-    def __init__(self, f: Callable, df: Optional[Callable] = None):
+    def __init__(self, f: Callable, df: Callable):
         self._f = f
         self._df = df
 
@@ -63,9 +63,7 @@ class FunctionHistory:
         return self._f(t)
 
     def deriv(self, t: float) -> np.ndarray:
-        if self._df is not None:
-            return self._df(t)
-        return (self._f(t + 1e-6) - self._f(t - 1e-6)) / 2e-6
+        return self._df(t)
 
 
 class ShiftedReplayHistory:

@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .core import FHNParams, WaveVector
-from .roots import RootSet, bisect_sign_changes, find_roots_quasipoly
+from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
+                    find_roots_quasipoly)
 
 
 def gate_rate(v, out=None):
@@ -67,13 +68,9 @@ def fhn_steady_states(params: FHNParams, C: float) -> list[FhnSteadyState]:
     v = np.linspace(-5.0, 5.0, 10001)
     roots = bisect_sign_changes(lambda x: _stst_residual(x, params, C), v,
                                 _stst_residual(v, params, C))
-    out = []
-    for vb in roots.tolist():
-        if out and abs(vb - out[-1].v) < 1e-9:
-            continue
-        out.append(FhnSteadyState(v=vb, w=(vb + params.a) / params.b,
-                                  s=float(synaptic_gate(vb))))
-    return out
+    return [FhnSteadyState(v=vb, w=(vb + params.a) / params.b,
+                           s=float(synaptic_gate(vb)))
+            for vb in _dedup_sorted(roots, 1e-9).tolist()]
 
 
 def stst_current(v: float, params: FHNParams, C: float) -> float:
@@ -147,29 +144,24 @@ def fhn_linearization(stst: FhnSteadyState, params: FHNParams,
 def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
     """The scalar characteristic function det(-lambda*Id + A + 2B cos(k_minus)
     e^{i k_plus} e^{-lambda tau}) expanded using the rank-1 structure of B.
-    Returns (f, df) callables accepting complex arrays."""
+    Returns one callable lambda -> (f(lambda), f'(lambda)) that accepts
+    complex arrays."""
     A = lin.A
     a11, a12 = A[0, 0], A[0, 1]
     a21, a22 = A[1, 0], A[1, 1]
     a31, a33 = A[2, 0], A[2, 2]
     coup = 2.0 * lin.b13 * math.cos(wv.k_minus) * cmath.exp(1j * wv.k_plus)
 
-    def f(lam):
+    def fdf(lam):
         lam = np.asarray(lam, dtype=complex)
         e = np.exp(-lam * tau)
-        return ((a11 - lam) * (a22 - lam) * (a33 - lam)
-                - a12 * a21 * (a33 - lam)
-                - a31 * (a22 - lam) * coup * e)
+        d1, d2, d3 = a11 - lam, a22 - lam, a33 - lam
+        f = d1 * d2 * d3 - a12 * a21 * d3 - a31 * d2 * coup * e
+        df = (-d2 * d3 - d1 * d3 - d1 * d2 + a12 * a21
+              + a31 * coup * e * (1.0 + tau * d2))
+        return f, df
 
-    def df(lam):
-        lam = np.asarray(lam, dtype=complex)
-        e = np.exp(-lam * tau)
-        d_poly = (-(a22 - lam) * (a33 - lam) - (a11 - lam) * (a33 - lam)
-                  - (a11 - lam) * (a22 - lam) + a12 * a21)
-        d_coup = a31 * coup * e * (1.0 + tau * (a22 - lam))
-        return d_poly + d_coup
-
-    return f, df
+    return fdf
 
 
 def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
@@ -187,8 +179,8 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
         Mat = lin.A.astype(complex)
         Mat[0, 2] += coup
     else:
-        f, df = fhn_char_function(lin, tau, wv)
-        return find_roots_quasipoly(f, window, grid=grid, df=df)
+        return find_roots_quasipoly(fhn_char_function(lin, tau, wv), window,
+                                    grid=grid)
     lam = np.linalg.eigvals(Mat)
     re_min, re_max, im_min, im_max = window
     keep = ((lam.real >= re_min) & (lam.real <= re_max)
@@ -250,17 +242,18 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
     """Hopf points (I, Omega) of the steady state for one Fourier mode,
     with I in [-4, 4].
 
-    Solves Re/Im of the characteristic function at lambda = i*Omega by a
-    2D Newton iteration over (v, Omega) from seeds v in [-2.5, 2.5]; the
-    current I follows from the rest-state equation. Diverging seeds are
-    skipped silently."""
-    def resid(v, om):
+    Solves F(v, Omega) = f(i*Omega) = 0 by a 2D Newton iteration over
+    (v, Omega) from seeds v in [-2.5, 2.5]; the current I follows from the
+    rest-state equation. dF/dOmega = i f'(i*Omega) is exact, dF/dv a
+    central difference. Diverging seeds are skipped silently. Points
+    within 1e-7 of one kept before them in (I, Omega) order are dropped."""
+    def F(v, om):
+        """F and dF/dOmega at (v, Omega)."""
         stst = FhnSteadyState(v=v, w=(v + params.a) / params.b,
                               s=float(synaptic_gate(v)))
         lin = fhn_linearization(stst, params, C)
-        f, _ = fhn_char_function(lin, tau, wv)
-        val = complex(f(1j * om))
-        return np.array([val.real, val.imag])
+        val, dval = fhn_char_function(lin, tau, wv)(1j * om)
+        return complex(val), 1j * complex(dval)
 
     found = []
     v_seeds = np.linspace(-2.5, 2.5, n_seeds[0])
@@ -271,12 +264,11 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
             x = np.array([v0, om0])
             ok = False
             for _ in range(50):
-                F = resid(x[0], x[1])
-                J = np.empty((2, 2))
-                J[:, 0] = (resid(x[0] + h, x[1]) - resid(x[0] - h, x[1])) / (2 * h)
-                J[:, 1] = (resid(x[0], x[1] + h) - resid(x[0], x[1] - h)) / (2 * h)
+                val, d_om = F(x[0], x[1])
+                d_v = (F(x[0] + h, x[1])[0] - F(x[0] - h, x[1])[0]) / (2 * h)
+                J = np.array([[d_v.real, d_om.real], [d_v.imag, d_om.imag]])
                 try:
-                    step = np.linalg.solve(J, F)
+                    step = np.linalg.solve(J, [val.real, val.imag])
                 except np.linalg.LinAlgError:
                     break
                 x = x - step
@@ -290,14 +282,11 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
             v, om = float(x[0]), float(x[1])
             if om <= 1e-6:   # omega -> 0 is a fold, not a Hopf point
                 continue
-            if np.max(np.abs(resid(v, om))) > 1e-10:
+            val, _ = F(v, om)
+            if max(abs(val.real), abs(val.imag)) > 1e-10:
                 continue
             I = stst_current(v, params, C)
-            if not (-4.0 <= I <= 4.0):
-                continue
-            if any(abs(I - I0) < 1e-7 and abs(om - om0_) < 1e-7
-                   for I0, om0_ in found):
-                continue
-            found.append((I, om))
-    found.sort()
-    return found
+            if -4.0 <= I <= 4.0:
+                found.append(complex(I, om))
+    return [(z.real, z.imag)
+            for z in _dedup_sorted(np.array(found, dtype=complex), 1e-7).tolist()]

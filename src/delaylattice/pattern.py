@@ -44,12 +44,15 @@ def delays_from_timeshifts(eta: ShiftField, tau: float) -> DelayMap:
     e = eta.eta
     down = tau - e + np.roll(e, 1, axis=0)
     right = tau - e + np.roll(e, 1, axis=1)
-    bad = []
-    for name, mat in (("down", down), ("right", right)):
-        for m, n in np.argwhere(mat <= 0):
-            bad.append(f"{name}[{m},{n}]={mat[m, n]:.6g}")
-    if bad:
-        raise ValueError("nonpositive delays on edges: " + ", ".join(bad))
+    n_bad = int(np.count_nonzero(down <= 0) + np.count_nonzero(right <= 0))
+    if n_bad:
+        # the count and the first few edges: a large image can have 10^5
+        shown = [f"{name}[{m},{n}]={mat[m, n]:.6g}"
+                 for name, mat in (("down", down), ("right", right))
+                 for m, n in np.argwhere(mat <= 0)[:5]][:5]
+        more = ", ..." if n_bad > 5 else ""
+        raise ValueError(f"nonpositive delays on {n_bad} edges: "
+                         + ", ".join(shown) + more)
     return DelayMap(down=down, right=right)
 
 
@@ -149,13 +152,13 @@ def _circular_mean(ang):
 
 
 def verify_pattern(traj: Trajectory, eta: ShiftField, T: float,
-                   component: int = 0, threshold: float = 0.0,
-                   t_discard: float = 0.0,
-                   reference: tuple = (0, 0)) -> FidelityReport:
+                   t_discard: float = 0.0) -> FidelityReport:
     """Compare per-node spike phases against the encoded shift field.
 
-    The measured offset of node (m,n) is (spike time of the node minus
-    spike time of the reference node) mod T. The transformation advances
+    Spikes are those of ``traj.spikes``, detected with the defaults of
+    `detect_spikes` when the trajectory has none yet. The measured offset
+    of node (m,n) is (spike time of the node minus spike time of node
+    (0,0), the reference) mod T. The transformation advances
     each node by eta, so the induced offset is (eta_ref - eta) mod T;
     the report gives the circular correlation between measured and induced
     offsets plus the maximum absolute circular deviation. Correlation is
@@ -164,7 +167,7 @@ def verify_pattern(traj: Trajectory, eta: ShiftField, T: float,
     if T <= 0:
         raise ValueError("T must be > 0")
     if traj.spikes is None:
-        detect_spikes(traj, component=component, threshold=threshold)
+        detect_spikes(traj)
     M, N = traj.shape
     if eta.eta.shape != (M, N):
         raise ValueError("shift field shape does not match the trajectory")
@@ -174,7 +177,7 @@ def verify_pattern(traj: Trajectory, eta: ShiftField, T: float,
         ev = ev[ev >= t_discard]
         return float(ev[0]) if len(ev) else None
 
-    ref_spike = first_spike(*reference)
+    ref_spike = first_spike(0, 0)
     missing = []
     measured = []
     expected = []
@@ -187,7 +190,7 @@ def verify_pattern(traj: Trajectory, eta: ShiftField, T: float,
             if ref_spike is None:
                 continue
             measured.append((s - ref_spike) % T)
-            expected.append((eta.eta[reference] - eta.eta[m, n]) % T)
+            expected.append((eta.eta[0, 0] - eta.eta[m, n]) % T)
     if ref_spike is None or not measured:
         return FidelityReport(correlation=None, max_dev=math.inf,
                               missing_nodes=missing)

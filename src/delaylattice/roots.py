@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class RootSet:
 
 
 def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray:
-    """The roots in (Re, Im) order, each kept unless it lies within
-    ``radius`` of a root kept before it. Every kept root precedes all the
+    """The roots, real or complex, in (Re, Im) order, each kept unless it
+    lies within ``radius`` of a root kept before it. Every kept root precedes all the
     roots it strikes, so striking them at once keeps the same roots as
     testing each root against all kept ones."""
     roots = roots[np.lexsort((roots.imag, roots.real))]
@@ -49,13 +49,13 @@ def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray
     return np.array(kept, dtype=roots.dtype)
 
 
-def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
-                         df: Optional[Callable] = None) -> RootSet:
+def find_roots_quasipoly(fdf: Callable, window: tuple,
+                         grid: tuple = (40, 40)) -> RootSet:
     """Newton iteration from a rectangular grid of seeds over the window.
 
-    ``f`` must accept complex numpy arrays and act elementwise. ``df``
-    defaults to a central difference. Converged roots are kept if they lie
-    inside the window and pass the residual test. Duplicates are merged in
+    ``fdf(z)`` returns the pair ``(f(z), f'(z))`` for a complex numpy array
+    ``z``, elementwise. Converged roots are kept if they lie inside the
+    window and pass the residual test on f. Duplicates are merged in
     (Re, Im) order: a root is dropped when it lies within 1e-8 of a root
     kept before it, so a chain of roots 0.9e-8 apart keeps every other one.
     An empty result is not an error.
@@ -66,11 +66,6 @@ def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
         raise ValueError(f"degenerate window {window}")
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2 x 2")
-
-    if df is None:
-        h = 1e-7
-        def df(z, _f=f):  # noqa: E731
-            return (_f(z + h) - _f(z - h)) / (2 * h)
 
     re = np.linspace(re_min, re_max, nx)
     im = np.linspace(im_min, im_max, ny)
@@ -84,8 +79,7 @@ def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
     for _ in range(80):
         if not idx.size:
             break
-        fz = f(za)
-        dfz = df(za)
+        fz, dfz = fdf(za)
         with np.errstate(all="ignore"):
             step = fz / dfz
         step = np.where(np.isfinite(step), step, 0.0)
@@ -103,9 +97,9 @@ def find_roots_quasipoly(f: Callable, window: tuple, grid: tuple = (40, 40),
     converged[idx] = False
 
     # keep converged roots in the window with small residual
-    scale = max(1.0, float(np.nanmedian(np.abs(f(
-        (re[:, None] + 1j * im[None, :]).ravel())))))
-    fz = f(z)
+    scale = max(1.0, float(np.nanmedian(np.abs(fdf(
+        (re[:, None] + 1j * im[None, :]).ravel())[0]))))
+    fz = fdf(z)[0]
     # residual alone is not enough: quasi-polynomials are exponentially
     # flat along dense spectrum curves, so demand Newton convergence too
     ok = converged
@@ -199,13 +193,9 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
     tangent = newton_polish(g, dg, om[interior[mag[interior] < abs(R) * 1e-3 + 1e-9]])
     tangent = tangent[np.abs(g(tangent)) <= KEPLER_RESIDUAL_TOL]
 
-    roots = np.sort(np.concatenate([bisect_sign_changes(g, om, val), tangent]))
-    if len(roots):
-        keep = np.ones(len(roots), dtype=bool)
-        keep[1:] = np.diff(roots) > 1e-9
-        roots = roots[keep]
-        roots = roots[np.abs(g(roots)) <= KEPLER_RESIDUAL_TOL]
-    return roots
+    roots = _dedup_sorted(np.concatenate([bisect_sign_changes(g, om, val),
+                                          tangent]), 1e-9)
+    return roots[np.abs(g(roots)) <= KEPLER_RESIDUAL_TOL]
 
 
 def solve_cubic_real(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
@@ -227,10 +217,5 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
         return (3 * c3 * x + 2 * c2) * x + c1
 
     x = newton_polish(p, dp, x)
-    real = np.sort(x[np.abs(p(x)) <= RESIDUAL_TOL * scale
-                     * np.maximum(1.0, np.abs(x)) ** 3])
-    if len(real):
-        keep = np.ones(len(real), dtype=bool)
-        keep[1:] = np.diff(real) > 1e-8
-        real = real[keep]
-    return real
+    return _dedup_sorted(x[np.abs(p(x)) <= RESIDUAL_TOL * scale
+                           * np.maximum(1.0, np.abs(x)) ** 3], 1e-8)

@@ -177,14 +177,14 @@ def sl_floquet_chi(wave: PlaneWave, lam, q_plus: float, q_minus: float,
                    C: float, tau: float):
     """Exact Floquet characteristic function chi(lambda; q_minus, q_plus)
     of a plane wave. Accepts scalar or array lambda."""
-    chi, _ = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
-    val = chi(np.asarray(lam, dtype=complex))
+    val, _ = _chi_and_deriv(wave, C, tau, q_plus, q_minus)(
+        np.asarray(lam, dtype=complex))
     return val if val.ndim else complex(val)
 
 
 def _chi_and_deriv(wave: PlaneWave, C: float, tau: float,
                    q_plus: float, q_minus: float):
-    """chi(lambda) and d chi / d lambda for one perturbation mode."""
+    """lambda -> (chi, d chi / d lambda) for one perturbation mode."""
     a2, R, kt = wave.a2, wave.R, wave.k_tau
     Rp = C * math.cos(wave.wv.k_minus + q_minus)
     Rm = C * math.cos(wave.wv.k_minus - q_minus)
@@ -194,17 +194,15 @@ def _chi_and_deriv(wave: PlaneWave, C: float, tau: float,
     const = R * R + 2.0 * R * a2 * math.cos(kt)
     Q = 1j * R * math.sin(kt) * Hd
 
-    def f(lam):
+    def fdf(lam):
         e1 = np.exp(-lam * tau + 1j * q_plus)
-        return (lam * lam + 2.0 * P * lam + const + Rp * Rm * e1 * e1
-                - ((P + lam) * G - Q) * e1)
+        lin = (P + lam) * G - Q
+        chi = lam * lam + 2.0 * P * lam + const + Rp * Rm * e1 * e1 - lin * e1
+        dchi = (2.0 * lam + 2.0 * P - 2.0 * tau * Rp * Rm * e1 * e1
+                - G * e1 + tau * lin * e1)
+        return chi, dchi
 
-    def df(lam):
-        e1 = np.exp(-lam * tau + 1j * q_plus)
-        return (2.0 * lam + 2.0 * P - 2.0 * tau * Rp * Rm * e1 * e1
-                - G * e1 + tau * ((P + lam) * G - Q) * e1)
-
-    return f, df
+    return fdf
 
 
 def sl_strong_spectrum(wave: PlaneWave, params: SLParams, C: float):
@@ -290,8 +288,8 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
     roots, excluded = [], []
     for q in modes:
         q_plus, q_minus = q.k_plus, q.k_minus
-        f, df = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
-        rs = find_roots_quasipoly(f, window, df=df)
+        rs = find_roots_quasipoly(
+            _chi_and_deriv(wave, C, tau, q_plus, q_minus), window)
         trivial_mode = (abs(math.sin(q_plus)) < 1e-12
                         and abs(math.cos(q_plus) - 1.0) < 1e-12
                         and abs(math.sin(q_minus)) < 1e-12)

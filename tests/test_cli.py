@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -275,6 +276,42 @@ def test_invalid_argument_is_a_config_error(tmp_path, sl_config, fhn_config,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {bad[0]}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, doc, extra, flag", [
+    ("spectrum-stst", {"model": "fhn", "params": {"I": 0.0}, "C": math.inf,
+                       "delay": {"homogeneous": 5.0}}, [], "C"),
+    ("planewaves", {"params": {"alpha": math.nan, "beta": 0.5}}, [],
+     "params.alpha"),
+    ("simulate", {"delay": {"homogeneous": math.nan}}, [],
+     "delay.homogeneous"),
+    ("spectrum-stst", {"delay": {"homogeneous": math.nan}}, [],
+     "delay.homogeneous"),
+    ("planewaves", {}, ["--alpha", "nan"], "--alpha"),
+    ("spectrum-stst", {}, ["--alpha", "inf"], "--alpha"),
+], ids=["fhn-C-inf", "alpha-nan", "simulate-tau-nan", "stst-tau-nan",
+        "flag-alpha-nan", "flag-alpha-inf"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, doc,
+                                             extra, flag):
+    # json.dumps writes NaN and Infinity, and json.loads reads them back
+    cfgp = write_config(tmp_path / "cfg.json", {**OSCILLATING_SL, **doc})
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "r")]
+                    + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: ")
+    assert err.count("\n") == 1
+
+
+def test_alpha_override_keeps_a_sim_section_without_dt(tmp_path):
+    doc = {**OSCILLATING_SL, "sim": {"t_end": 10.0}}
+    cfgp = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "r"
+    assert cli.main(["planewaves", "--config", cfgp, "--out", str(out),
+                     "--alpha", "2.0"]) == 0
+    want = parse_config(json.dumps({**doc, "params": {"alpha": 2.0,
+                                                      "beta": 1.0}}))
+    assert parse_config((out / "resolved_config.json").read_text()) == want
 
 
 def _checkerboard_image(tmp_path):

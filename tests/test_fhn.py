@@ -194,6 +194,23 @@ def test_strong_spectrum_boundaries():
     assert abs(lam_p - lam_m) < 1e-7   # discriminant vanishes
 
 
+def test_char_function_derivative_matches_central_difference():
+    # the derivative half of the one characteristic callable against its
+    # value half
+    rng = np.random.default_rng(17)
+    h = 1e-6
+    for I, C, tau in ((0.0, 3.0, 50.0), (-0.8, 1.0, 80.0), (0.5, 6.0, 20.0)):
+        params = FHNParams(I=I)
+        for st in fhn_steady_states(params, C):
+            lin = fhn_linearization(st, params, C)
+            wv = WaveVector(*rng.uniform(0, 2 * math.pi, 2))
+            fdf = fhn_char_function(lin, tau, wv)
+            lam = rng.uniform(-1, 0.5, 6) + 1j * rng.uniform(-4, 4, 6)
+            _, df = fdf(lam)
+            central = (fdf(lam + h)[0] - fdf(lam - h)[0]) / (2 * h)
+            assert np.all(np.abs(df - central) <= 1e-6 * np.abs(df))
+
+
 def test_hybrid_dispersion_symmetries():
     params = FHNParams(I=-0.8)
     st = fhn_steady_states(params, 3.0)[0]
@@ -268,6 +285,56 @@ def test_hopf_reappearance():
                               n_seeds=(12, 12))
     assert any(abs(I - I0) < 1e-6 and abs(om - om0) < 1e-6
                for I, om in points2)
+
+
+# Hopf points (I, Omega) of the homogeneous mode at C=3, tau=50, recorded
+# with the finite-difference Jacobian and the pairwise dedup they replaced
+HOPF_12X12 = [
+    (0.3312461067552976, 0.2745576157643837),
+    (0.5552657329483212, 0.9697276154626979),
+    (0.5569652819607864, 1.0888496212820182),
+    (0.5870286159165833, 0.7284122434783543),
+    (0.6224598440087438, 0.4869062196132296),
+    (0.6346916267219983, 0.36656483825438807),
+    (0.6371390481755733, 0.24687513481857845),
+    (0.6407747205627327, 1.078158044944525),
+    (0.7028925944571593, 0.9478178485805887),
+    (0.7430660100922085, 0.819027701972999),
+    (0.7934657374910766, 0.5627610644989737),
+    (0.8194927397224534, 0.3066125583430423),
+    (0.8481834488753143, 0.015662545774016313),
+]
+HOPF_DEFAULT = [
+    (0.3312461067552976, 0.2745576157643837),
+    (0.5552657329483212, 0.9697276154626979),
+    (0.5569652819607865, 1.0888496212820182),
+    (0.568992734647513, 0.8492243625744138),
+    (0.5870286159165835, 0.7284122434783543),
+    (0.6056735506120597, 0.607582604729601),
+    (0.6117790039364452, 0.12832605983138556),
+    (0.6224598440087438, 0.4869062196132296),
+    (0.6346916267219985, 0.36656483825438807),
+    (0.6371390481755733, 0.24687513481857845),
+    (0.6407747205627327, 1.078158044944525),
+    (0.7028925944571592, 0.9478178485805888),
+    (0.7430660100922085, 0.819027701972999),
+    (0.7721491479429907, 0.6907582264734478),
+    (0.7934657374910766, 0.5627610644989737),
+    (0.8088214730956279, 0.434857677438291),
+    (0.8194927397224534, 0.3066125583430423),
+    (0.8268601212455151, 0.17617234384546077),
+    (0.8481834488753142, 0.01566254577401631),
+]
+
+
+@pytest.mark.parametrize("kwargs, want", [
+    ({"n_seeds": (12, 12)}, HOPF_12X12), ({}, HOPF_DEFAULT)],
+    ids=["12x12", "default"])
+def test_pinned_hopf_points(kwargs, want):
+    points = fhn_hopf_points(FHNParams(), 3.0, 50.0, WaveVector(0, 0),
+                             **kwargs)
+    assert len(points) == len(want)
+    assert np.max(np.abs(np.array(points) - np.array(want))) <= 1e-10
 
 
 def test_hopf_zero_delay_matches_ode():

@@ -52,6 +52,17 @@ def test_nonpositive_delay_reports_edges():
         delays_from_timeshifts(ShiftField(eta), 3.0)
 
 
+def test_nonpositive_delay_message_stays_short():
+    # a 256x256 checkerboard of shifts 0 and 2.5 on tau = 1: every node of
+    # shift 2.5 has a nonpositive down and right delay
+    eta = 2.5 * (np.indices((256, 256)).sum(axis=0) % 2)
+    with pytest.raises(ValueError) as err:
+        delays_from_timeshifts(ShiftField(eta), 1.0)
+    msg = str(err.value)
+    assert "nonpositive delays on 65536 edges: down[0,1]=-1.5" in msg
+    assert len(msg) < 1024
+
+
 def test_shift_field_validation():
     with pytest.raises(ValueError):
         ShiftField(np.zeros(5))

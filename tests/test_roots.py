@@ -15,7 +15,7 @@ from delaylattice.roots import (DEDUP_RADIUS, _dedup_sorted,
 
 
 def test_quadratic_roots():
-    rs = find_roots_quasipoly(lambda z: z * z + 1.0, (-2, 2, -2, 2),
+    rs = find_roots_quasipoly(lambda z: (z * z + 1.0, 2.0 * z), (-2, 2, -2, 2),
                               grid=(10, 10))
     assert len(rs) == 2
     assert np.allclose(sorted(rs.roots, key=lambda r: r.imag), [-1j, 1j],
@@ -23,26 +23,26 @@ def test_quadratic_roots():
 
 
 def test_linear_root():
-    rs = find_roots_quasipoly(lambda z: -z + (-2.5 + 0.5j), (-4, 1, -2, 2),
-                              grid=(5, 5))
+    rs = find_roots_quasipoly(lambda z: (-z + (-2.5 + 0.5j), -np.ones_like(z)),
+                              (-4, 1, -2, 2), grid=(5, 5))
     assert len(rs) == 1
     assert abs(rs.roots[0] - (-2.5 + 0.5j)) < 1e-12
 
 
 def test_empty_result_is_not_error():
-    rs = find_roots_quasipoly(lambda z: np.exp(z) + 10.0, (-1, 1, -1, 1),
-                              grid=(8, 8))
+    rs = find_roots_quasipoly(lambda z: (np.exp(z) + 10.0, np.exp(z)),
+                              (-1, 1, -1, 1), grid=(8, 8))
     assert len(rs) == 0
     assert rs.max_real() == -np.inf
 
 
 def test_degenerate_window_rejected():
     with pytest.raises(ValueError):
-        find_roots_quasipoly(lambda z: z, (1, 1, -1, 1))
+        find_roots_quasipoly(lambda z: (z, np.ones_like(z)), (1, 1, -1, 1))
 
 
 def test_sweep_reports_seeds_and_converged():
-    rs = find_roots_quasipoly(lambda z: z * z + 1.0, (-2, 2, -2, 2),
+    rs = find_roots_quasipoly(lambda z: (z * z + 1.0, 2.0 * z), (-2, 2, -2, 2),
                               grid=(10, 10))
     assert rs.seeds == 100
     assert len(rs) <= rs.converged <= rs.seeds
@@ -162,10 +162,11 @@ def test_sl_mode_factor_matches_lambert_w():
     alpha, beta, C, tau = -2.0, 0.5, 2.0, 20.0
     mu = complex(alpha, beta)
 
-    def f(lam):
-        return -lam + mu + C * np.exp(-lam * tau)
+    def fdf(lam):
+        e = C * np.exp(-lam * tau)
+        return -lam + mu + e, -1.0 - tau * e
 
-    rs = find_roots_quasipoly(f, (-0.5, 0.2, -1.0, 2.0), grid=(60, 60))
+    rs = find_roots_quasipoly(fdf, (-0.5, 0.2, -1.0, 2.0), grid=(60, 60))
     assert len(rs) > 3
     z = tau * C * cmath.exp(-mu * tau)
     lw = mu + lambertw(z, np.arange(-30, 31)) / tau
@@ -174,10 +175,11 @@ def test_sl_mode_factor_matches_lambert_w():
 
 
 def test_conjugate_closure_of_real_quasipoly():
-    def f(lam):
-        return lam * lam + 0.3 * lam + 2.0 + 0.5 * np.exp(-lam)
+    def fdf(lam):
+        e = 0.5 * np.exp(-lam)
+        return lam * lam + 0.3 * lam + 2.0 + e, 2.0 * lam + 0.3 - e
 
-    rs = find_roots_quasipoly(f, (-2, 1, -4, 4), grid=(30, 30))
+    rs = find_roots_quasipoly(fdf, (-2, 1, -4, 4), grid=(30, 30))
     assert len(rs) >= 2
     for lam in rs.roots:
         assert min(abs(lam.conjugate() - r) for r in rs.roots) < 1e-8

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delaylattice.core import LatticeSpec, Model, SLParams, WaveVector
-from delaylattice.sl import (hessian_negative_definite,
+from delaylattice.sl import (_chi_and_deriv, hessian_negative_definite,
                              plane_wave_invariant_residuals, sl_alpha0,
                              sl_enumerate_plane_waves, sl_floquet_chi,
                              sl_floquet_pcs, sl_floquet_pcs_Y,
@@ -206,6 +206,20 @@ def test_chi_matches_determinant_oracle():
             want = _chi_determinant_oracle(w, spec.params, 2.0, 20.0,
                                            lam, q1, q2)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_chi_derivative_matches_central_difference():
+    # the derivative half of the one chi callable against its value half
+    waves, _ = _sample_waves(8, seed=7)
+    rng = np.random.default_rng(13)
+    h = 1e-6
+    for w in waves:
+        qp, qm = rng.uniform(0, 2 * math.pi, 2)
+        fdf = _chi_and_deriv(w, 2.0, 20.0, qp, qm)
+        lam = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-3, 3, 6)
+        _, dchi = fdf(lam)
+        central = (fdf(lam + h)[0] - fdf(lam - h)[0]) / (2 * h)
+        assert np.all(np.abs(dchi - central) <= 1e-6 * np.abs(dchi))
 
 
 def test_chi_conjugation_symmetry():
