@@ -90,23 +90,27 @@ class _Run:
         })
 
 
-def _start(args) -> tuple:
-    """Start of every config-driven subcommand: hash the config as an
-    input, load it with the --alpha override where the subcommand has one,
-    and echo the resolved config."""
+def _read_config(args) -> core.RunConfig:
+    """The config, with the --alpha override where the command has one."""
     alpha = getattr(args, "alpha", None)
     if alpha is not None:
         _require_finite(alpha, "--alpha")
-    run = _Run(Path(args.out))
-    run.add_input(args.config)
-    with open(args.config) as fh:
-        cfg = core.parse_config(fh.read())
+    with _input_of("--config"):
+        text = Path(args.config).read_text()
+    cfg = core.parse_config(text)
     if alpha is not None:
         doc = cfg.to_dict()
         doc["params"]["alpha"] = alpha
         cfg = core.parse_config(json.dumps(doc))
+    return cfg
+
+
+def _start(args, cfg: core.RunConfig) -> _Run:
+    """Open the output directory of a checked config, and echo it."""
+    run = _Run(Path(args.out))
+    run.add_input(args.config)
     run.write_json("resolved_config.json", cfg.to_dict())
-    return run, cfg
+    return run
 
 
 def _require(ok: bool, flag: str, reason: str):
@@ -120,11 +124,11 @@ def _require_finite(value: float, flag: str):
 
 @contextmanager
 def _input_of(flag: str):
-    """The ValueError with which the library rejects what ``flag`` gave
-    becomes a config error of that flag."""
+    """The ValueError with which the library rejects what ``flag`` gave,
+    or the OSError of reading it, becomes a config error of that flag."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(flag, str(exc)) from exc
 
 
@@ -134,14 +138,12 @@ def _require_tau(cfg: core.RunConfig) -> float:
     return cfg.tau
 
 
-def _load_delay_map(cfg: core.RunConfig, run: _Run) -> core.DelayMap:
+def _load_delay_map(cfg: core.RunConfig) -> core.DelayMap:
     if cfg.tau is not None:
         return core.DelayMap.homogeneous(cfg.spec.rows, cfg.spec.cols, cfg.tau)
     files = cfg.delay_files
     if files is None:
         raise ConfigError("delay", "missing delay section")
-    run.add_input(files["down"])
-    run.add_input(files["right"])
     down = np.loadtxt(files["down"], delimiter=",", ndmin=2)
     right = np.loadtxt(files["right"], delimiter=",", ndmin=2)
     return core.DelayMap(down=down, right=right)
@@ -151,8 +153,9 @@ def _load_delay_map(cfg: core.RunConfig, run: _Run) -> core.DelayMap:
 # subcommands
 
 def cmd_spectrum_stst(args) -> int:
-    run, cfg = _start(args)
+    cfg = _read_config(args)
     tau = _require_tau(cfg)
+    run = _start(args, cfg)
     rows = []
     if cfg.spec.model is Model.STUART_LANDAU:
         for wv in core.enumerate_modes(cfg.spec):
@@ -179,21 +182,23 @@ def cmd_spectrum_stst(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    run, cfg = _start(args)
     n = args.grid
     _require(n >= 1, "--grid", f"needs at least 1 point, got {n}")
     _require_finite(args.omega_max, "--omega-max")
+    cfg = _read_config(args)
     omegas = np.linspace(-args.omega_max, args.omega_max, n)
     # stay off the decoupled modes cos(k_minus) = 0
     kms = np.linspace(-math.pi / 2, math.pi / 2, n + 2)[1:-1]
     prm, C = cfg.spec.params, cfg.spec.coupling
     if cfg.spec.model is Model.STUART_LANDAU:
+        run = _start(args, cfg)
         surface = [sl.sl_stst_pcs(prm, C, km, omegas) for km in kms]
     else:
         states = fhn.fhn_steady_states(prm, C)
         i = args.state_index
         _require(0 <= i < len(states), "--state-index",
                  f"{i} is not one of the {len(states)} rest states")
+        run = _start(args, cfg)
         surface = [fhn.fhn_hybrid_dispersion(states[i], prm, C, omegas, km)
                    for km in kms]
     run.write_csv("dispersion.csv", ["omega", "k_minus", "gamma"],
@@ -204,10 +209,11 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_planewaves(args) -> int:
-    run, cfg = _start(args)
+    cfg = _read_config(args)
     tau = _require_tau(cfg)
     if cfg.spec.model is not Model.STUART_LANDAU:
         raise ConfigError("model", "planewaves requires the sl model")
+    run = _start(args, cfg)
     waves = sl.sl_enumerate_plane_waves(cfg.spec.params, cfg.spec.coupling,
                                         tau, cfg.spec)
     rows = [(w.wv.k1, w.wv.k2, w.a, w.Omega, w.k_tau, w.R) for w in waves]
@@ -218,12 +224,13 @@ def cmd_planewaves(args) -> int:
 
 
 def cmd_floquet(args) -> int:
-    run, cfg = _start(args)
+    _require(args.max_waves >= 0, "--max-waves",
+             f"must be >= 0 (0 means all), got {args.max_waves}")
+    cfg = _read_config(args)
     tau = _require_tau(cfg)
     if cfg.spec.model is not Model.STUART_LANDAU:
         raise ConfigError("model", "floquet requires the sl model")
-    _require(args.max_waves >= 0, "--max-waves",
-             f"must be >= 0 (0 means all), got {args.max_waves}")
+    run = _start(args, cfg)
     waves = sl.sl_enumerate_plane_waves(cfg.spec.params, cfg.spec.coupling,
                                         tau, cfg.spec)
     if args.max_waves:
@@ -245,8 +252,9 @@ def cmd_floquet(args) -> int:
 def cmd_hopf(args) -> int:
     _require_finite(args.k1, "--k1")
     _require_finite(args.k2, "--k2")
-    run, cfg = _start(args)
+    cfg = _read_config(args)
     tau = _require_tau(cfg)
+    run = _start(args, cfg)
     if cfg.spec.model is Model.STUART_LANDAU:
         alpha_h = sl.sl_hopf_threshold(cfg.spec.params, cfg.spec.coupling,
                                        tau, cfg.spec)
@@ -308,10 +316,13 @@ def _write_trajectory(run: _Run, traj: dde.Trajectory, spec: core.LatticeSpec):
 
 
 def cmd_simulate(args) -> int:
-    run, cfg = _start(args)
+    cfg = _read_config(args)
     if cfg.sim is None:
         raise ConfigError("sim", "simulate requires a sim section")
-    delays = _load_delay_map(cfg, run)
+    delays = _load_delay_map(cfg)
+    run = _start(args, cfg)
+    for path in (cfg.delay_files or {}).values():
+        run.add_input(path)
     init = _default_initial_history(cfg)
     traj = dde.simulate(cfg.spec, delays, init, t_end=cfg.sim.t_end,
                         dt=cfg.sim.dt, record_every=cfg.sim.record_every)

@@ -13,13 +13,17 @@ index and the Hermite weight of every read (2 edges x 4 reads x M*N nodes)
 are precomputed for the stage offsets c = 0, 1/2, 1; each step then makes
 one wrapped ``take`` and a weighted sum for both stages it needs.
 ``store_full`` keeps the full (state, derivative) samples of the whole run
-beside the ring, for ``DenseOutput``.
+beside the ring, for ``DenseOutput``. A history answers ``state(t)`` and
+``deriv(t)`` for times t of any shape, with that shape prepended to the
+sample's; ``simulate`` reads it in at least ``HISTORY_SPLIT`` blocks of at
+most about ``HISTORY_BLOCK`` node-times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +33,8 @@ from .fhn import gate_rate
 
 DEFAULT_DT_CAP = 0.01
 SPIKE_REFRACTORY = 1.0
+HISTORY_BLOCK = 2 ** 14      # node-times per history read, at most
+HISTORY_SPLIT = 8            # history reads per interval, at least
 
 
 class SimulationError(RuntimeError):
@@ -39,50 +45,58 @@ class SimulationError(RuntimeError):
 # history initializers
 
 class ConstantHistory:
-    """Constant state on the whole history interval; derivative zero."""
+    """Constant state and zero derivative, as read-only broadcast views."""
 
     def __init__(self, state: np.ndarray):
         self._state = np.asarray(state)
+        self._zero = np.zeros((), dtype=self._state.dtype)
 
-    def state(self, t: float) -> np.ndarray:
-        return self._state
+    def state(self, t) -> np.ndarray:
+        return np.broadcast_to(self._state, np.shape(t) + self._state.shape)
 
-    def deriv(self, t: float) -> np.ndarray:
-        return np.zeros_like(self._state)
+    def deriv(self, t) -> np.ndarray:
+        return np.broadcast_to(self._zero, np.shape(t) + self._state.shape)
 
 
 class FunctionHistory:
-    """History from a callable t -> (M, N, d) array and its derivative
-    ``df``."""
+    """History from callables f(t) -> (M, N, d) array and its derivative
+    df(t) of one scalar time, called once per time as a Python float."""
 
     def __init__(self, f: Callable, df: Callable):
-        self._f = f
-        self._df = df
+        self._f, self._df = f, df
 
-    def state(self, t: float) -> np.ndarray:
-        return self._f(t)
+    def _read(self, t, deriv: bool) -> np.ndarray:
+        f = self._df if deriv else self._f
+        out = np.array([f(s) for s in np.ravel(t).astype(float).tolist()])
+        return out.reshape(np.shape(t) + out.shape[1:])
 
-    def deriv(self, t: float) -> np.ndarray:
-        return self._df(t)
+    state = partialmethod(_read, deriv=False)
+    deriv = partialmethod(_read, deriv=True)
 
 
 class ShiftedReplayHistory:
     """History replayed from the dense output of a reference run, with a
-    per-node time shift: state(t)[m,n] = ref(t_align + t + eta[m,n])[m,n].
-
-    A (1, 1)-node reference (e.g. a synchronized orbit computed on a single
-    self-coupled node) is broadcast over the target lattice."""
+    per-node time shift: state(t)[m,n] = ref(t_align + t + eta[m,n])[m,n],
+    for times t of any shape in one lookup. A (1, 1)-node reference (e.g. a
+    synchronized orbit of one self-coupled node) is broadcast over the
+    lattice, and each distinct shift (at most 256 from an 8-bit image) is
+    looked up once."""
 
     def __init__(self, dense: "DenseOutput", t_align: float, eta: np.ndarray):
-        self._dense = dense
-        self._t0 = t_align
-        self._eta = np.asarray(eta, dtype=float)
+        self._dense, self._t0 = dense, t_align
+        self._eta, self._node = np.asarray(eta, dtype=float), None
+        if dense.states.shape[1:3] == (1, 1):
+            self._eta, node = np.unique(self._eta, return_inverse=True)
+            self._node = node.reshape(np.shape(eta))
 
-    def state(self, t: float) -> np.ndarray:
-        return self._dense.eval_shifted(self._t0 + t + self._eta)
+    def _read(self, t, deriv: bool) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        out = self._dense.eval_shifted(np.add.outer(self._t0 + t, self._eta),
+                                       deriv)
+        return out if self._node is None else out.take(self._node, axis=t.ndim)
 
-    def deriv(self, t: float) -> np.ndarray:
-        return self._dense.eval_shifted(self._t0 + t + self._eta, deriv=True)
+    state = partialmethod(_read, deriv=False)
+    deriv = partialmethod(_read, deriv=True)
 
 
 def plane_wave_history(wave, spec: LatticeSpec) -> FunctionHistory:
@@ -141,9 +155,9 @@ class DenseOutput:
         return self.t0 + (len(self.states) - 1) * self.dt
 
     def eval_shifted(self, times: np.ndarray, deriv: bool = False):
-        """Vectorized per-node lookup: times is an (M, N) array and node
-        (m, n) is evaluated at times[m, n]. A stored (1, 1) lattice is
-        broadcast over the requested shape."""
+        """Vectorized per-node lookup: times is an (..., M, N) array and
+        node (m, n) is evaluated at times[..., m, n]. A stored (1, 1)
+        lattice is broadcast over the requested shape."""
         times = np.asarray(times, dtype=float)
         p = (times - self.t0) / self.dt
         k = np.floor(p + 1e-12).astype(int)
@@ -154,19 +168,16 @@ class DenseOutput:
                 f"dense output lookup outside [{self.t0}, {self.t_end}]")
         th = p - k
         th = np.where(th < 1e-9, 0.0, th)
-        stored = self.states.shape[1:3]
-        if stored == times.shape:
-            rows, cols = np.indices(times.shape)
-            sel = (k, rows, cols)
-            sel1 = (k + 1, rows, cols)
-        elif stored == (1, 1):
-            sel = (k, 0, 0)
-            sel1 = (k + 1, 0, 0)
-        else:
+        S, M, N = self.states.shape[:3]
+        if (M, N) == times.shape[-2:]:   # flat index of sample k at (m, n)
+            k = k * (M * N) + np.arange(M * N).reshape(M, N)
+        elif (M, N) != (1, 1):
             raise SimulationError(
-                f"cannot broadcast stored lattice {stored} to {times.shape}")
-        y0, y1 = self.states[sel], self.states[sel1]
-        f0, f1 = self.derivs[sel], self.derivs[sel1]
+                f"cannot broadcast stored lattice {(M, N)} to {times.shape}")
+        states, derivs = (a.reshape((S * M * N,) + a.shape[3:])
+                          for a in (self.states, self.derivs))
+        y0, y1 = states.take(k, axis=0), states.take(k + M * N, axis=0)
+        f0, f1 = derivs.take(k, axis=0), derivs.take(k + M * N, axis=0)
         if y0.ndim == times.ndim + 1:   # component axis on real-valued models
             th = th[..., None]
         return _hermite(th, y0, f0, y1, f1, self.dt, deriv)
@@ -193,6 +204,9 @@ class Trajectory:
 # The kernel holds the state as a (d, M*N) array, one row per component:
 # z (complex) for Stuart-Landau, v, w, s for FitzHugh-Nagumo. The coupling
 # reads only the coupled channel: z, or the gate s (row 2).
+# Small lattices pay for ufunc dispatch: ufuncs are local names, constants
+# are 0-d arrays, and no output overlaps an input (numpy's path for that is
+# slower) except in gate_rate and the final y update.
 
 
 def _make_rhs(spec: LatticeSpec):
@@ -211,27 +225,25 @@ def _make_rhs(spec: LatticeSpec):
 
         return rhs
     p: FHNParams = spec.params
-    # 0-d arrays are cheaper ufunc operands than Python floats
-    I, a, b, eps, v_r, half_C = (np.array(c, dtype=float) for c in
-                                 (p.I, p.a, p.b, p.eps, p.v_r, 0.5 * C))
-    t = np.empty(spec.rows * spec.cols)
+    I, a, b, eps, v_r, half_C, three, one, decay = (np.array(float(c)) for c in
+        (p.I, p.a, p.b, p.eps, p.v_r, 0.5 * C, 3.0, 1.0, 0.6))
+    t, u, r = np.empty((3, spec.rows * spec.cols))
+    add, sub, mul, div, power = (np.add, np.subtract, np.multiply, np.divide,
+                                 np.power)
 
     def rhs(y, x, out):
-        v, rec, s = y
-        dv, drec, ds = out
+        v, w, s = y
+        dv, dw, ds = out
         # v - v**3/3 - w + I + C/2 (v_r - v) x
-        np.divide(np.power(v, 3, t), 3.0, t)
-        np.subtract(v, t, dv)
-        np.subtract(dv, rec, dv)
-        np.add(dv, I, dv)
-        np.multiply(half_C, np.subtract(v_r, v, t), t)
-        np.add(dv, np.multiply(t, x, t), dv)
+        div(power(v, three, t), three, u)
+        add(sub(sub(v, u, t), w, u), I, t)
+        mul(half_C, sub(v_r, v, u), r)
+        add(t, mul(r, x, u), dv)
         # eps (v + a - b w)
-        np.subtract(np.add(v, a, drec), np.multiply(b, rec, t), drec)
-        np.multiply(drec, eps, drec)
+        mul(sub(add(v, a, t), mul(b, w, u), r), eps, dw)
         # alpha(v) (1 - s) - 0.6 s
-        np.multiply(np.subtract(1.0, s, ds), gate_rate(v, t), ds)
-        np.subtract(ds, np.multiply(0.6, s, t), ds)
+        mul(sub(one, s, t), gate_rate(v, u), r)
+        sub(r, mul(decay, s, t), ds)
 
     return rhs
 
@@ -259,9 +271,9 @@ def _from_snapshot(arr, model: Model) -> np.ndarray:
 
 def _coupling_reader(ring: np.ndarray, delays: DelayMap, dt: float, H: int,
                      offsets: tuple):
-    """read(phase) -> (len(offsets), M*N) array: the delayed up + left
-    neighbor sums of the coupled channel at the RK4 stage offsets c of step
-    n, given the ring phase n % D.
+    """(read, rows): read(phase) writes into the M*N arrays ``rows`` the
+    delayed up + left neighbor sums of the coupled channel at the RK4 stage
+    offsets c of step n, given the ring phase n % D.
 
     The flat ring index and the Hermite weight of every read are
     precomputed, shaped (stage, read y0 f0 y1 f1, edge up/left, node): a
@@ -286,18 +298,19 @@ def _coupling_reader(ring: np.ndarray, delays: DelayMap, dt: float, H: int,
             idx[i, r] = (base + H + r // 2) * 2 * MN + (r % 2) * MN + src
     flat = ring.reshape(-1)
     at = np.empty_like(idx)   # idx + shift < 2 * ring size: one wrap at most
-    g = np.empty(idx.shape, dtype=ring.dtype)
-    y0, f0, y1, f1 = (g[:, r] for r in range(4))
-    edges = np.empty(y0.shape, dtype=ring.dtype)
+    g, gw = np.empty((2,) + idx.shape, dtype=ring.dtype)
+    y0, f0, y1, f1 = (gw[:, r] for r in range(4))
+    e, e2 = np.empty((2,) + y0.shape, dtype=ring.dtype)
     out = np.empty((len(offsets), MN), dtype=ring.dtype)
+    add, mul = np.add, np.multiply
 
-    def read(phase: int) -> np.ndarray:
-        flat.take(np.add(idx, phase * 2 * MN, at), out=g, mode="wrap")
-        np.multiply(g, wts, g)
-        np.add(np.add(np.add(y0, f0, edges), y1, edges), f1, edges)
-        return np.add(edges[:, 0], edges[:, 1], out)
+    def read(phase: int) -> None:
+        flat.take(add(idx, phase * 2 * MN, at), out=g, mode="wrap")
+        mul(g, wts, gw)
+        add(add(add(y0, f0, e), y1, e2), f1, e)
+        add(e[:, 0], e[:, 1], out)
 
-    return read
+    return read, tuple(out)
 
 
 def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
@@ -305,11 +318,11 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
              store_full: bool = False) -> Trajectory:
     """Integrate the lattice DDE from the given history up to t_end.
 
-    ``init`` must provide ``state(t)`` and ``deriv(t)`` on [-max_delay, 0]
-    returning (M, N) complex arrays for Stuart-Landau or (M, N, 3) arrays
-    for FitzHugh-Nagumo. Snapshots are recorded every ``record_every``
-    steps; with ``store_full`` the trajectory carries a dense interpolant
-    over the whole run including the history interval.
+    ``init`` is a history on [-max_delay, 0] whose samples are (M, N)
+    complex arrays for Stuart-Landau or (M, N, 3) arrays for
+    FitzHugh-Nagumo. Snapshots are recorded every ``record_every`` steps;
+    with ``store_full`` the trajectory carries a dense interpolant over the
+    whole run including the history interval.
     """
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
@@ -334,33 +347,35 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     # ring of the coupled channel: slot (n + H) % D holds its value and
     # derivative at time n*dt
     ring = np.zeros((D, 2, MN), dtype=dtype)
-    read_start = _coupling_reader(ring, delays, dt, H, (0.0,))
-    read_step = _coupling_reader(ring, delays, dt, H, (0.5, 1.0))
+    read_start, (x_start,) = _coupling_reader(ring, delays, dt, H, (0.0,))
+    read_step, (x_half, x_one) = _coupling_reader(ring, delays, dt, H,
+                                                  (0.5, 1.0))
 
     if store_full:
         full = np.zeros((2, H + n_steps + 1, M, N, d), dtype=dtype)
 
-    # prefill the history interval [-H*dt, 0]
-    ring4 = ring.reshape(D, 2, M, N)
-    for n in range(-H, 1):
-        t = n * dt
-        state = _from_snapshot(init.state(t), model)
-        ring4[n + H, 0] = state[..., ch]
-        if store_full:
-            full[0, n + H] = state
-        if n < 0:
-            deriv = _from_snapshot(init.deriv(t), model)
-            ring4[n + H, 1] = deriv[..., ch]
-            if store_full:
-                full[1, n + H] = deriv
+    # kernel states, rows and (M, N, d) views; y, k1 adjacent: one ring write
+    bufs = np.empty((7, d, MN), dtype=dtype)
+    y, k1, yt, k2, k3, k4, u = bufs
+    Y, K1, YT, K2, K3, K4 = (tuple(b) for b in bufs[:6])
+    y_lat, k1_lat = y_k1_lat = bufs[:2].transpose(0, 2, 1).reshape(2, M, N, d)
 
-    # kernel states, their rows, and their (M, N, d) lattice views
-    y, yt, k1, k2, k3, k4 = bufs = np.empty((6, d, MN), dtype=dtype)
-    Y, YT, K1, K2, K3, K4 = (tuple(b) for b in bufs)
-    y_lat, k1_lat = (b.T.reshape(M, N, d) for b in (y, k1))
-    y_lat[...] = state          # the t = 0 sample
+    # prefill [-H*dt, 0] in blocks; the derivative at t = 0 comes from rhs
+    ring4 = ring.reshape(D, 2, M, N)
+    block = max(1, min(HISTORY_BLOCK // MN,
+                       math.ceil((H + 1) / HISTORY_SPLIT)))
+    for i, (read, end) in enumerate(((init.state, 1), (init.deriv, 0))):
+        for lo in range(-H, end, block):
+            hi = min(lo + block, end)
+            sample = _from_snapshot(read(np.arange(lo, hi) * dt), model)
+            ring4[lo + H:hi + H, i] = sample[..., ch]
+            if store_full:
+                full[i, lo + H:hi + H] = sample
+        if end:   # the state block ends with the t = 0 sample
+            y_lat[...] = sample[-1]
     rhs = _make_rhs(spec)
-    rhs(Y, read_start(0)[0], K1)
+    read_start(0)
+    rhs(Y, x_start, K1)
     ring[H, 1] = K1[ch]
     if store_full:
         full[1, H] = k1_lat
@@ -372,26 +387,25 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     rec_snaps[0] = _to_snapshot(y_lat, model)
     i_rec = 0
 
-    h2, h6 = 0.5 * dt, dt / 6.0
+    h2, h6, h1, two = (np.array(c) for c in (0.5 * dt, dt / 6.0, dt, 2.0))
+    add, mul = np.add, np.multiply
     for n in range(n_steps):
-        x_half, x_one = read_step(n % D)
-        np.add(y, np.multiply(h2, k1, yt), yt)
+        read_step(n % D)
+        add(y, mul(h2, k1, u), yt)
         rhs(YT, x_half, K2)
-        np.add(y, np.multiply(h2, k2, yt), yt)
+        add(y, mul(h2, k2, u), yt)
         rhs(YT, x_half, K3)
-        np.add(y, np.multiply(dt, k3, yt), yt)
+        add(y, mul(h1, k3, u), yt)
         rhs(YT, x_one, K4)
         # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        np.add(k1, np.multiply(2.0, k2, yt), yt)
-        np.add(yt, np.multiply(2.0, k3, k2), yt)
-        np.add(yt, k4, yt)
-        np.add(y, np.multiply(h6, yt, yt), y)
+        add(k1, mul(two, k2, u), yt)
+        add(yt, mul(two, k3, u), k2)
+        add(k2, k4, yt)
+        add(y, mul(h6, yt, u), y)
         rhs(Y, x_one, K1)   # derivative at t_{n+1}; reused as next k1
-        slot = (n + 1 + H) % D
-        ring[slot, 0] = Y[ch]
-        ring[slot, 1] = K1[ch]
+        ring[(n + 1 + H) % D] = bufs[:2, ch]
         if store_full:
-            full[0, n + 1 + H], full[1, n + 1 + H] = y_lat, k1_lat
+            full[:, n + 1 + H] = y_k1_lat
 
         if (n + 1) % 64 == 0:
             finite = np.isfinite(np.abs(y)).all(axis=0)

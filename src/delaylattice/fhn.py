@@ -17,12 +17,15 @@ from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
                     find_roots_quasipoly)
 
 
+# 0-d arrays are cheaper ufunc operands than Python floats
+_MINUS_FIVE, _ONE, _HALF = np.array(-5.0), np.array(1.0), np.array(0.5)
+
+
 def gate_rate(v, out=None):
     """Synaptic activation rate alpha(v) = 1/2 * [1 + exp(-5(v-1))]^-1,
     written into ``out`` when one is given."""
-    e = np.exp(np.multiply(-5.0, np.subtract(v, 1.0, out=out), out=out),
-               out=out)
-    return np.divide(0.5, np.add(1.0, e, out=out), out=out)
+    e = np.exp(np.multiply(_MINUS_FIVE, np.subtract(v, _ONE, out), out), out)
+    return np.divide(_HALF, np.add(_ONE, e, out), out)
 
 
 def gate_rate_deriv(v):

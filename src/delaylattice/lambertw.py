@@ -10,7 +10,6 @@ the subnormal range on the branches j != 0.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import lambertw
 
 MAX_BRANCH = 64
 _MAX_ITER = 60
@@ -37,6 +36,7 @@ def lambert_w_log(j, log_z: complex) -> np.ndarray:
     j = np.asarray(j, dtype=int)
     if np.any(np.abs(j) > MAX_BRANCH):
         raise ValueError(f"branch index |j| <= {MAX_BRANCH} required, got {j}")
+    from scipy.special import lambertw   # loaded late: slow to import
     log_z = complex(log_z)
     if log_z.real > _OVERFLOW:
         return _log_form(j, log_z)

@@ -296,11 +296,13 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, doc,
     # json.dumps writes NaN and Infinity, and json.loads reads them back
     cfgp = write_config(tmp_path / "cfg.json", {**OSCILLATING_SL, **doc})
     capsys.readouterr()
-    assert cli.main([command, "--config", cfgp, "--out", str(tmp_path / "r")]
+    out = tmp_path / "r"
+    assert cli.main([command, "--config", cfgp, "--out", str(out)]
                     + extra) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {flag}: ")
     assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_alpha_override_keeps_a_sim_section_without_dt(tmp_path):
@@ -349,7 +351,14 @@ def _two_by_two_eta(tmp_path):
                              "--tau", "10", "--eta-max", "0.5"]),
     ("--eta", lambda tmp: ["verify", "--run", str(_eight_by_eight_run(tmp)),
                            "--eta", str(_two_by_two_eta(tmp))]),
-], ids=["encode-shifts-exceed-tau", "encode-p6", "verify-eta-shape"])
+    # a per-edge delay map where the command needs one homogeneous delay
+    ("delay", lambda tmp: ["planewaves", "--config", write_config(
+        tmp / "files.json", {**OSCILLATING_SL, "delay": {"files": {
+            "down": "down.csv", "right": "right.csv"}}})]),
+    ("--config", lambda tmp: ["planewaves",
+                              "--config", str(tmp / "missing.json")]),
+], ids=["encode-shifts-exceed-tau", "encode-p6", "verify-eta-shape",
+        "planewaves-delay-files", "missing-config"])
 def test_input_the_library_rejects_is_a_config_error(tmp_path, capsys, flag,
                                                      argv):
     argv = argv(tmp_path)

@@ -255,6 +255,96 @@ def test_shifted_replay_exact_conjugacy():
         assert np.max(np.abs(tr.snapshots[i] - want)) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the history protocol: times of any shape, samples with that shape prepended
+
+def _stored_run(M, N):
+    rng = np.random.default_rng(M * N)
+    init = ConstantHistory(rng.uniform(-1.5, 1.5, (M, N, 3)) * [1, 1, 0.2]
+                           + [0, 0, 0.3])
+    return simulate(fhn_spec(M, N, 0.5, 1.0), DelayMap.homogeneous(M, N, 2.0),
+                    init, t_end=10.0, dt=0.05, store_full=True).dense
+
+
+@pytest.mark.parametrize("stored", [(1, 1), (3, 4)], ids=["1x1", "3x4"])
+@pytest.mark.parametrize("deriv", [False, True], ids=["value", "deriv"])
+def test_eval_shifted_on_a_block_equals_one_call_per_time(stored, deriv):
+    from delaylattice.dde import SimulationError
+    dense = _stored_run(*stored)
+    rng = np.random.default_rng(5)
+    times = rng.uniform(dense.t0, dense.t_end, (7, 3, 4))
+    times[0, 0, 0], times[1, 2, 3] = dense.t0, dense.t_end   # both ends
+    times[2] = np.round(times[2] / dense.dt) * dense.dt      # on the grid
+    block = dense.eval_shifted(times, deriv=deriv)
+    one_by_one = np.stack([dense.eval_shifted(t, deriv=deriv) for t in times])
+    assert block.shape == (7, 3, 4, 3)
+    assert np.array_equal(block, one_by_one)
+    times[4, 1, 1] = dense.t_end + 0.01
+    with pytest.raises(SimulationError):
+        dense.eval_shifted(times, deriv=deriv)
+
+
+def _histories():
+    rng = np.random.default_rng(6)
+    z0 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    lam = 0.1 + 1.3j
+    return {
+        "constant": ConstantHistory(rng.uniform(-1, 1, (2, 3, 3))),
+        "function": FunctionHistory(lambda t: z0 * np.exp(lam * t),
+                                    lambda t: lam * z0 * np.exp(lam * t)),
+        # a (1, 1) reference is read once per distinct shift
+        "replay": ShiftedReplayHistory(_stored_run(1, 1), 5.0,
+                                       rng.choice([0.0, 0.3, 1.7], (2, 3))),
+        "replay-lattice": ShiftedReplayHistory(_stored_run(2, 3), 5.0,
+                                               rng.uniform(0.0, 2.0, (2, 3))),
+    }
+
+
+@pytest.mark.parametrize("name", ["constant", "function", "replay",
+                                  "replay-lattice"])
+def test_history_on_an_array_of_times_stacks_the_scalar_samples(name):
+    hist = _histories()[name]
+    times = np.arange(-40, 1) * 0.05
+    for read in (hist.state, hist.deriv):
+        one = read(-0.5)
+        assert one.shape in ((2, 3), (2, 3, 3))
+        block = read(times)
+        assert block.shape == times.shape + one.shape
+        assert np.array_equal(block,
+                              np.stack([read(t) for t in times.tolist()]))
+        # any shape of times, a 0-d array among them
+        assert np.array_equal(read(times.reshape(1, 41))[0], block)
+        assert np.array_equal(read(np.float64(-0.5)), one)
+
+
+def test_constant_history_allocates_no_samples():
+    base = np.ones((2, 3, 3))
+    hist = ConstantHistory(base)
+    times = np.arange(-1000, 1) * 0.05
+    assert np.shares_memory(hist.state(times), base)
+    assert hist.deriv(times).strides == (0,) * 4
+
+
+def test_function_history_is_called_once_per_time_with_python_floats():
+    seen = {"f": [], "df": []}
+
+    def sample(key):
+        def f(t):
+            seen[key].append(t)
+            return np.full((2, 2), 0.1 + 0.2j)
+        return f
+
+    dt = 0.1
+    simulate(sl_spec(2, 2, 1.0, 1.0, 0.5), DelayMap.homogeneous(2, 2, 1.0),
+             FunctionHistory(sample("f"), sample("df")), t_end=0.5, dt=dt)
+    H = len(seen["f"]) - 1
+    assert H == math.ceil(1.0 / dt) + 2
+    assert all(type(t) is float for t in seen["f"] + seen["df"])
+    assert seen["f"] == [n * dt for n in range(-H, 1)]
+    # the derivative at t = 0 comes from the right-hand side
+    assert seen["df"] == seen["f"][:-1]
+
+
 def test_nonfinite_state_aborts():
     from delaylattice.dde import SimulationError
     spec = sl_spec(2, 2, 50.0, 0.0, 0.0)   # blow-up-prone alpha
@@ -290,14 +380,33 @@ def _pinned_sl(store_full=False):
                     store_full=store_full)
 
 
+def _pinned_fhn_replay(store_full=False):
+    # a 3x4 lattice replaying a 1x1 reference orbit with off-grid shifts, so
+    # every history read interpolates between stored samples
+    from delaylattice.pattern import ShiftField, delays_from_timeshifts
+    rng = np.random.default_rng(9)
+    ref = simulate(fhn_spec(1, 1, 0.5, 1.0), DelayMap.homogeneous(1, 1, 5.0),
+                   ConstantHistory(np.array([[[1.5, 0.5, 0.3]]])),
+                   t_end=40.0, dt=0.05, store_full=True)
+    eta = rng.uniform(0.0, 2.0, (3, 4))
+    dm = delays_from_timeshifts(ShiftField(eta), 5.0)
+    return simulate(fhn_spec(3, 4, 0.5, 1.0), dm,
+                    ShiftedReplayHistory(ref.dense, 20.0, eta), t_end=20.0,
+                    dt=0.05, record_every=40, store_full=store_full)
+
+
 # sha256 of the final snapshot (little-endian float64) of each run, recorded
 # with the three-component ring and per-edge gathers the single-channel ring
-# replaced; its arithmetic must stay the same operation for operation
+# replaced (fhn-replay: with the history read one time at a time); its
+# arithmetic must stay the same operation for operation
 PINNED = {
     "fhn": (_pinned_fhn,
             "e5e9e0cab7c50f66383b06687b518b559efeda9ffa52fe409445a2ff1f2e6203"),
     "sl": (_pinned_sl,
            "d05b9a73c46ba0f3af1dce8c1daa4389e280da522acf8d8a6d29549a829d2976"),
+    "fhn-replay": (
+        _pinned_fhn_replay,
+        "f63211c355dcd75ed40272f62ae4b12e9d69e427b160f79dad13632b05718492"),
 }
 
 
@@ -315,14 +424,20 @@ def test_pinned_final_snapshot(case):
 
 def test_simulate_peak_memory():
     # the ring holds only the coupled channel s and its derivative:
-    # 806 slots x 2 x 1024 nodes x 8 B = 13.2 MB (three components: 40 MB)
+    # 806 slots x 2 x 1024 nodes x 8 B = 13.2 MB (three components: 40 MB);
+    # the history is read a block of times at a time, not all 803 at once
     spec = fhn_spec(32, 32, 0.5, 1.0)
-    init = ConstantHistory(np.tile([1.0, 0.5, 0.3], (32, 32, 1)))
-    tracemalloc.start()
-    try:
-        simulate(spec, DelayMap.homogeneous(32, 32, 80.0), init, t_end=5.0,
-                 dt=0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
+    ref = simulate(fhn_spec(1, 1, 0.5, 1.0), DelayMap.homogeneous(1, 1, 80.0),
+                   ConstantHistory(np.array([[[1.0, 0.5, 0.3]]])), t_end=5.0,
+                   dt=0.1, store_full=True)
+    eta = np.random.default_rng(4).uniform(0.0, 2.0, (32, 32))
+    for init in (ConstantHistory(np.tile([1.0, 0.5, 0.3], (32, 32, 1))),
+                 ShiftedReplayHistory(ref.dense, 0.0, eta)):
+        tracemalloc.start()
+        try:
+            simulate(spec, DelayMap.homogeneous(32, 32, 80.0), init,
+                     t_end=5.0, dt=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, type(init).__name__
