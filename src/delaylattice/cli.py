@@ -139,14 +139,20 @@ def _require_tau(cfg: core.RunConfig) -> float:
 
 
 def _load_delay_map(cfg: core.RunConfig) -> core.DelayMap:
+    M, N = cfg.spec.rows, cfg.spec.cols
     if cfg.tau is not None:
-        return core.DelayMap.homogeneous(cfg.spec.rows, cfg.spec.cols, cfg.tau)
+        return core.DelayMap.homogeneous(M, N, cfg.tau)
     files = cfg.delay_files
     if files is None:
         raise ConfigError("delay", "missing delay section")
-    down = np.loadtxt(files["down"], delimiter=",", ndmin=2)
-    right = np.loadtxt(files["right"], delimiter=",", ndmin=2)
-    return core.DelayMap(down=down, right=right)
+    with _input_of("delay.files"):
+        delays = core.DelayMap(
+            down=np.loadtxt(files["down"], delimiter=",", ndmin=2),
+            right=np.loadtxt(files["right"], delimiter=",", ndmin=2))
+    rows, cols = delays.down.shape
+    _require((rows, cols) == (M, N), "delay.files",
+             f"delay map is {rows}x{cols}, the lattice is {M}x{N}")
+    return delays
 
 
 # ---------------------------------------------------------------------------

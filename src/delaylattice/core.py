@@ -67,10 +67,6 @@ class LatticeSpec:
             raise ValueError("coupling C must be >= 0")
 
     @property
-    def n_nodes(self) -> int:
-        return self.rows * self.cols
-
-    @property
     def state_dim(self) -> int:
         return 2 if self.model is Model.STUART_LANDAU else 3
 

@@ -49,13 +49,13 @@ class FhnSteadyState:
 @dataclass(frozen=True)
 class LinearizationPair:
     """Instantaneous Jacobian A and delayed-coupling matrix B (rank one,
-    single entry b13)."""
+    single entry b13), each 3x3 or a stack of them of shape (..., 3, 3)."""
     A: np.ndarray
     B: np.ndarray
 
     @property
-    def b13(self) -> float:
-        return float(self.B[0, 2])
+    def b13(self):
+        return self.B[..., 0, 2]
 
 
 def _stst_residual(v, params: FHNParams, C: float):
@@ -76,9 +76,10 @@ def fhn_steady_states(params: FHNParams, C: float) -> list[FhnSteadyState]:
             for vb in _dedup_sorted(roots, 1e-9).tolist()]
 
 
-def stst_current(v: float, params: FHNParams, C: float) -> float:
-    """The injected current I that makes v a rest potential."""
-    return float(params.I - _stst_residual(v, params, C))
+def stst_current(v, params: FHNParams, C: float):
+    """The injected current I that makes v, a number or an array, a rest
+    potential."""
+    return params.I - _stst_residual(v, params, C)
 
 
 def _fold_coupling(v, params: FHNParams):
@@ -110,37 +111,30 @@ def fhn_saddle_node_C(params: Optional[FHNParams] = None) -> float:
     i = int(np.argmin(Cv))
     if not np.isfinite(Cv[i]):
         raise ArithmeticError("no fold point found in the scanned v range")
-    # golden-section polish around the discrete minimum
-    a, b = v[max(i - 2, 0)], v[min(i + 2, len(v) - 1)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1 = float(_fold_coupling(x1, params))
-    f2 = float(_fold_coupling(x2, params))
-    for _ in range(200):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = float(_fold_coupling(x1, params))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = float(_fold_coupling(x2, params))
-        if b - a < 1e-12:
-            break
-    return float(min(f1, f2))
+    # rescan the bracket around the discrete minimum: each pass shrinks it
+    # 500-fold, so four take it from 2e-4 to about 1e-12
+    for _ in range(4):
+        v = np.linspace(v[max(i - 1, 0)], v[min(i + 1, len(v) - 1)], 1001)
+        Cv = _fold_coupling(v, params)
+        i = int(np.argmin(Cv))
+    return float(Cv[i])
 
 
 def fhn_linearization(stst: FhnSteadyState, params: FHNParams,
                       C: float) -> LinearizationPair:
-    al = float(gate_rate(stst.v))
-    A = np.array([
-        [1.0 - stst.v ** 2 - C * stst.s, -1.0, 0.0],
-        [params.eps, -params.b * params.eps, 0.0],
-        [5.0 * al * (1.0 - 2.0 * al) * (1.0 - stst.s), 0.0, -al - 0.6],
-    ])
-    B = np.zeros((3, 3))
-    B[0, 2] = 0.5 * C * (params.v_r - stst.v)
+    """A and B at a rest state whose v and s are numbers, or arrays of one
+    shape that give A and B of shape (..., 3, 3)."""
+    v = np.asarray(stst.v, dtype=float)
+    s = np.asarray(stst.s, dtype=float)
+    A = np.zeros(v.shape + (3, 3))
+    A[..., 0, 0] = 1.0 - v ** 2 - C * s
+    A[..., 0, 1] = -1.0
+    A[..., 1, 0] = params.eps
+    A[..., 1, 1] = -params.b * params.eps
+    A[..., 2, 0] = gate_rate_deriv(v) * (1.0 - s)
+    A[..., 2, 2] = -gate_rate(v) - 0.6
+    B = np.zeros(v.shape + (3, 3))
+    B[..., 0, 2] = 0.5 * C * (params.v_r - v)
     return LinearizationPair(A=A, B=B)
 
 
@@ -148,11 +142,12 @@ def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
     """The scalar characteristic function det(-lambda*Id + A + 2B cos(k_minus)
     e^{i k_plus} e^{-lambda tau}) expanded using the rank-1 structure of B.
     Returns one callable lambda -> (f(lambda), f'(lambda)) that accepts
-    complex arrays."""
+    complex arrays; for a stacked linearization they broadcast against its
+    leading shape."""
     A = lin.A
-    a11, a12 = A[0, 0], A[0, 1]
-    a21, a22 = A[1, 0], A[1, 1]
-    a31, a33 = A[2, 0], A[2, 2]
+    a11, a12 = A[..., 0, 0], A[..., 0, 1]
+    a21, a22 = A[..., 1, 0], A[..., 1, 1]
+    a31, a33 = A[..., 2, 0], A[..., 2, 2]
     coup = 2.0 * lin.b13 * math.cos(wv.k_minus) * cmath.exp(1j * wv.k_plus)
 
     def fdf(lam):
@@ -169,8 +164,7 @@ def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
 
 def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
                    tau: float, wv: WaveVector,
-                   window: tuple = (-2.0, 1.0, -4.0, 4.0),
-                   grid: tuple = (40, 40)) -> RootSet:
+                   window: tuple = (-2.0, 1.0, -4.0, 4.0)) -> RootSet:
     """Characteristic roots of the steady state for one Fourier mode,
     inside the given complex window."""
     lin = fhn_linearization(stst, params, C)
@@ -182,8 +176,7 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
         Mat = lin.A.astype(complex)
         Mat[0, 2] += coup
     else:
-        return find_roots_quasipoly(fhn_char_function(lin, tau, wv), window,
-                                    grid=grid)
+        return find_roots_quasipoly(fhn_char_function(lin, tau, wv), window)
     lam = np.linalg.eigvals(Mat)
     re_min, re_max, im_min, im_max = window
     keep = ((lam.real >= re_min) & (lam.real <= re_max)
@@ -246,50 +239,53 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
     with I in [-4, 4].
 
     Solves F(v, Omega) = f(i*Omega) = 0 by a 2D Newton iteration over
-    (v, Omega) from seeds v in [-2.5, 2.5]; the current I follows from the
+    (v, Omega), run on all seeds at once from the grid of v in
+    [-2.5, 2.5] by Omega in ``omega_range``; the current I follows from the
     rest-state equation. dF/dOmega = i f'(i*Omega) is exact, dF/dv a
-    central difference. Diverging seeds are skipped silently. Points
-    within 1e-7 of one kept before them in (I, Omega) order are dropped."""
-    def F(v, om):
-        """F and dF/dOmega at (v, Omega)."""
-        stst = FhnSteadyState(v=v, w=(v + params.a) / params.b,
-                              s=float(synaptic_gate(v)))
-        lin = fhn_linearization(stst, params, C)
-        val, dval = fhn_char_function(lin, tau, wv)(1j * om)
-        return complex(val), 1j * complex(dval)
-
-    found = []
-    v_seeds = np.linspace(-2.5, 2.5, n_seeds[0])
-    om_seeds = np.linspace(omega_range[0] + 1e-3, omega_range[1], n_seeds[1])
+    central difference. A seed is dropped, without a report, when its
+    Jacobian is singular, when it leaves |v| <= 10, |Omega| <= 50, or when
+    it has not converged in 50 iterations. Points within 1e-7 of one kept
+    before them in (I, Omega) order are dropped."""
     h = 1e-7
-    for v0 in v_seeds:
-        for om0 in om_seeds:
-            x = np.array([v0, om0])
-            ok = False
-            for _ in range(50):
-                val, d_om = F(x[0], x[1])
-                d_v = (F(x[0] + h, x[1])[0] - F(x[0] - h, x[1])[0]) / (2 * h)
-                J = np.array([[d_v.real, d_om.real], [d_v.imag, d_om.imag]])
-                try:
-                    step = np.linalg.solve(J, [val.real, val.imag])
-                except np.linalg.LinAlgError:
-                    break
-                x = x - step
-                if not np.all(np.isfinite(x)) or abs(x[0]) > 10 or abs(x[1]) > 50:
-                    break
-                if np.max(np.abs(step)) < 1e-13 * (1.0 + np.max(np.abs(x))):
-                    ok = True
-                    break
-            if not ok:
-                continue
-            v, om = float(x[0]), float(x[1])
-            if om <= 1e-6:   # omega -> 0 is a fold, not a Hopf point
-                continue
-            val, _ = F(v, om)
-            if max(abs(val.real), abs(val.imag)) > 1e-10:
-                continue
-            I = stst_current(v, params, C)
-            if -4.0 <= I <= 4.0:
-                found.append(complex(I, om))
+
+    def F(v, om):
+        """F and dF/dOmega at arrays of (v, Omega)."""
+        stst = FhnSteadyState(v=v, w=(v + params.a) / params.b,
+                              s=synaptic_gate(v))
+        val, dval = fhn_char_function(fhn_linearization(stst, params, C),
+                                      tau, wv)(1j * om)
+        return val, 1j * dval
+
+    v, om = (g.ravel() for g in np.meshgrid(
+        np.linspace(-2.5, 2.5, n_seeds[0]),
+        np.linspace(omega_range[0] + 1e-3, omega_range[1], n_seeds[1]),
+        indexing="ij"))
+    live = np.arange(v.size)            # seeds still iterating
+    converged = np.zeros(v.size, dtype=bool)
+    for _ in range(50):
+        x_v, x_om = v[live], om[live]
+        val, d_om = F(np.stack([x_v, x_v + h, x_v - h]), x_om)
+        val, d_om, d_v = val[0], d_om[0], (val[1] - val[2]) / (2 * h)
+        # Cramer's rule on Re and Im of d_v * s_v + d_om * s_om = val
+        det = (d_v.conj() * d_om).imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_v = (val.conj() * d_om).imag / det
+            s_om = (d_v.conj() * val).imag / det
+        v[live] = x_v = x_v - s_v
+        om[live] = x_om = x_om - s_om
+        ok = ((det != 0.0) & np.isfinite(x_v) & np.isfinite(x_om)
+              & (np.abs(x_v) <= 10.0) & (np.abs(x_om) <= 50.0))
+        done = ok & (np.maximum(np.abs(s_v), np.abs(s_om))
+                     < 1e-13 * (1.0 + np.maximum(np.abs(x_v), np.abs(x_om))))
+        converged[live[done]] = True
+        live = live[ok & ~done]
+        if not live.size:
+            break
+    v, om = v[converged], om[converged]
+    val = F(v, om)[0]
+    I = stst_current(v, params, C)
+    # Omega -> 0 is a fold, not a Hopf point
+    keep = ((om > 1e-6) & (np.maximum(np.abs(val.real), np.abs(val.imag))
+                           <= 1e-10) & (I >= -4.0) & (I <= 4.0))
     return [(z.real, z.imag)
-            for z in _dedup_sorted(np.array(found, dtype=complex), 1e-7).tolist()]
+            for z in _dedup_sorted(I[keep] + 1j * om[keep], 1e-7).tolist()]

@@ -56,13 +56,6 @@ class StabilityVerdict:
     witness: tuple  # (omega, q_minus, q_plus) of the most unstable perturbation
 
 
-@dataclass(frozen=True)
-class PCSCurve:
-    """Sampled asymptotic growth curve gamma over (frequency, spatial mode)."""
-    samples: np.ndarray  # columns (omega, q_minus, gamma)
-    branch: str = ""
-
-
 def _branch_range(beta: float, C: float, tau: float) -> range:
     # pseudo-continuous roots near Im lambda in beta +- C need branches
     # around j ~ Omega*tau/(2*pi), plus 6 on either side

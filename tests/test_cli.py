@@ -9,6 +9,7 @@ from delaylattice.core import (FHNParams, LatticeSpec, Model, SLParams,
                                parse_config)
 from delaylattice.pattern import write_pgm
 from delaylattice.sl import sl_enumerate_plane_waves
+from test_fhn import HOPF_DEFAULT
 
 
 def write_config(path, doc):
@@ -158,6 +159,18 @@ def test_hopf_threshold(tmp_path, sl_config):
     assert cli.main(["hopf", "--config", sl_config, "--out", str(out)]) == 0
     alpha_h = float((out / "hopf.csv").read_text().splitlines()[1])
     assert abs(alpha_h + 2.0) < 0.1
+
+
+def test_hopf_points_of_fhn(tmp_path):
+    cfgp = write_config(tmp_path / "fhn.json", {
+        "model": "fhn", "M": 1, "N": 1, "C": 3.0,
+        "delay": {"homogeneous": 50.0}})
+    out = tmp_path / "r"
+    assert cli.main(["hopf", "--config", cfgp, "--out", str(out)]) == 0
+    got = np.loadtxt(out / "hopf.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert (out / "hopf.csv").read_text().startswith("I,omega\n")
+    assert got.shape == (len(HOPF_DEFAULT), 2)
+    assert np.max(np.abs(got - np.array(HOPF_DEFAULT))) <= 1e-10
 
 
 def test_simulate_artifacts(tmp_path):
@@ -343,6 +356,17 @@ def _two_by_two_eta(tmp_path):
     return etap
 
 
+def _simulate_with_delay_files(tmp_path, text):
+    """simulate on the 2x2 lattice with both delay maps read from a file
+    holding ``text``, or from a missing file when ``text`` is None."""
+    path = tmp_path / "delays.csv"
+    if text is not None:
+        path.write_text(text)
+    doc = {**OSCILLATING_SL, "delay": {"files": {"down": str(path),
+                                                 "right": str(path)}}}
+    return ["simulate", "--config", write_config(tmp_path / "files.json", doc)]
+
+
 @pytest.mark.parametrize("flag, argv", [
     # shifts 0 and 2.5 side by side need delays 1 - 2.5 on some edges
     ("--tau", lambda tmp: ["encode", "--image", str(_checkerboard_image(tmp)),
@@ -357,8 +381,13 @@ def _two_by_two_eta(tmp_path):
             "down": "down.csv", "right": "right.csv"}}})]),
     ("--config", lambda tmp: ["planewaves",
                               "--config", str(tmp / "missing.json")]),
+    ("delay.files", lambda tmp: _simulate_with_delay_files(tmp, None)),
+    # a 2x3 delay map on the 2x2 lattice
+    ("delay.files",
+     lambda tmp: _simulate_with_delay_files(tmp, "1,1,1\n1,1,1\n")),
 ], ids=["encode-shifts-exceed-tau", "encode-p6", "verify-eta-shape",
-        "planewaves-delay-files", "missing-config"])
+        "planewaves-delay-files", "missing-config",
+        "simulate-delay-files-missing", "simulate-delay-files-shape"])
 def test_input_the_library_rejects_is_a_config_error(tmp_path, capsys, flag,
                                                      argv):
     argv = argv(tmp_path)

@@ -11,6 +11,7 @@ from delaylattice.fhn import (fhn_char_function, fhn_char_roots,
                               fhn_steady_states, fhn_strong_spectrum,
                               fhn_strong_spectrum_present, gate_rate,
                               stst_current, synaptic_gate)
+from delaylattice.roots import find_roots_quasipoly
 
 HOMOG = WaveVector(0.0, 0.0)
 
@@ -243,10 +244,11 @@ def test_hybrid_dispersion_decoupled_mode():
 def test_exact_roots_approach_hybrid_curve():
     params = FHNParams(I=-0.8)
     st = fhn_steady_states(params, 3.0)[0]
+    lin = fhn_linearization(st, params, 3.0)
     dists = []
     for tau in (50.0, 200.0):
-        rs = fhn_char_roots(st, params, 3.0, tau, HOMOG,
-                            window=(-0.4, 0.05, 0.05, 2.0), grid=(60, 60))
+        rs = find_roots_quasipoly(fhn_char_function(lin, tau, HOMOG),
+                                  (-0.4, 0.05, 0.05, 2.0), grid=(60, 60))
         roots = rs.roots
         assert len(roots) > 3
         g = fhn_hybrid_dispersion(st, params, 3.0, roots.imag, 0.0)
@@ -265,8 +267,7 @@ def test_hopf_points_cross_validate():
         best = math.inf
         for st in states:
             rs = fhn_char_roots(st, p, 3.0, 20.0, HOMOG,
-                                window=(-0.2, 0.2, om - 0.5, om + 0.5),
-                                grid=(40, 40))
+                                window=(-0.2, 0.2, om - 0.5, om + 0.5))
             for lam in rs.roots:
                 best = min(best, abs(lam - 1j * om))
         assert best < 1e-6
@@ -327,14 +328,47 @@ HOPF_DEFAULT = [
 ]
 
 
-@pytest.mark.parametrize("kwargs, want", [
-    ({"n_seeds": (12, 12)}, HOPF_12X12), ({}, HOPF_DEFAULT)],
-    ids=["12x12", "default"])
-def test_pinned_hopf_points(kwargs, want):
-    points = fhn_hopf_points(FHNParams(), 3.0, 50.0, WaveVector(0, 0),
-                             **kwargs)
+# Hopf points at C=3, n_seeds=(16, 16) for a complex-coupled mode
+# k = (2pi/3, 0) at tau=50 and for the homogeneous mode at tau=0,
+# recorded with the per-seed scalar Newton loop
+HOPF_K_2PI_3 = [
+    (0.33057602549695964, 0.2752476402948908),
+    (0.553182118338838, 0.6211706887062806),
+    (0.5531982717004003, 0.14991624162094666),
+    (0.553695788788348, 0.5029604873070515),
+    (0.5574506896555533, 0.3844635256197605),
+    (0.5588458928846873, 0.26645524912693),
+    (0.6533910575688033, 0.7234757653894175),
+    (0.7148805838553207, 0.59031433670606),
+    (0.7494881244702837, 0.4596477996416359),
+    (0.7714910007787662, 0.3292274680336492),
+    (0.7843350407352254, 0.19670501523646755),
+]
+HOPF_TAU_0 = [
+    (0.3300742676552495, 0.2751127660542206),
+    (0.6265220847106249, 0.17037523287819317),
+]
+
+
+@pytest.mark.parametrize("tau, wv, kwargs, want", [
+    (50.0, HOMOG, {"n_seeds": (12, 12)}, HOPF_12X12),
+    (50.0, HOMOG, {}, HOPF_DEFAULT),
+    (50.0, WaveVector(2 * math.pi / 3, 0.0), {"n_seeds": (16, 16)},
+     HOPF_K_2PI_3),
+    (0.0, HOMOG, {"n_seeds": (16, 16)}, HOPF_TAU_0)],
+    ids=["12x12", "default", "k-2pi3-16x16", "tau0-16x16"])
+def test_pinned_hopf_points(tau, wv, kwargs, want):
+    points = fhn_hopf_points(FHNParams(), 3.0, tau, wv, **kwargs)
     assert len(points) == len(want)
     assert np.max(np.abs(np.array(points) - np.array(want))) <= 1e-10
+
+
+# recorded with the golden-section polish that the rescans replaced
+@pytest.mark.parametrize("params, want", [
+    (FHNParams(), 1.4647462663332835),
+    (FHNParams(b=0.5), 3.119660836605463)], ids=["default", "b0.5"])
+def test_pinned_saddle_node_C(params, want):
+    assert fhn_saddle_node_C(params) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_hopf_zero_delay_matches_ode():
