@@ -326,12 +326,14 @@ def cmd_simulate(args) -> int:
     if cfg.sim is None:
         raise ConfigError("sim", "simulate requires a sim section")
     delays = _load_delay_map(cfg)
+    with _input_of("sim.dt"):
+        dt = dde.step_size(cfg.sim.dt, delays.min_delay)
     run = _start(args, cfg)
     for path in (cfg.delay_files or {}).values():
         run.add_input(path)
     init = _default_initial_history(cfg)
     traj = dde.simulate(cfg.spec, delays, init, t_end=cfg.sim.t_end,
-                        dt=cfg.sim.dt, record_every=cfg.sim.record_every)
+                        dt=dt, record_every=cfg.sim.record_every)
     _write_trajectory(run, traj, cfg.spec)
     run.finish()
     return 0
@@ -364,10 +366,11 @@ def cmd_verify(args) -> int:
              f"must be finite and > 0, got {args.period}")
     _require_finite(args.t_discard, "--t-discard")
     rundir = Path(args.run)
-    with open(rundir / "frames.json") as fh:
-        header = json.load(fh)
-    frames = np.fromfile(rundir / "frames.f64", dtype="<f8").reshape(
-        header["n_frames"], header["M"], header["N"], header["d"])
+    with _input_of("--run"):
+        with open(rundir / "frames.json") as fh:
+            header = json.load(fh)
+        frames = np.fromfile(rundir / "frames.f64", dtype="<f8").reshape(
+            header["n_frames"], header["M"], header["N"], header["d"])
     traj = dde.Trajectory(times=np.array(header["times"]), snapshots=frames,
                           dt=header["dt"], record_every=header["record_every"])
     with _input_of("--eta"):

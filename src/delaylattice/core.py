@@ -316,8 +316,9 @@ def parse_config(text: str) -> RunConfig:
         sim = SimSettings(t_end=t_end, dt=dt, record_every=record_every)
 
     seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed", f"expected an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed",
+                          f"expected a non-negative integer, got {seed!r}")
 
     spec = LatticeSpec(rows=rows, cols=cols, model=model, params=params, coupling=C)
     return RunConfig(spec=spec, tau=tau, delay_files=delay_files, sim=sim, seed=seed)

@@ -313,6 +313,17 @@ def _coupling_reader(ring: np.ndarray, delays: DelayMap, dt: float, H: int,
     return read, tuple(out)
 
 
+def step_size(dt: Optional[float], min_delay: float) -> float:
+    """The RK4 step: min(DEFAULT_DT_CAP, min_delay/8) when ``dt`` is None,
+    else ``dt``, which must satisfy 0 < dt <= min_delay/4."""
+    if dt is None:
+        return min(DEFAULT_DT_CAP, min_delay / 8.0)
+    if not 0 < dt <= min_delay / 4.0:
+        raise ValueError(
+            f"dt={dt} invalid: need 0 < dt <= min_delay/4 = {min_delay / 4.0}")
+    return dt
+
+
 def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
              dt: Optional[float] = None, record_every: int = 1,
              store_full: bool = False) -> Trajectory:
@@ -328,12 +339,7 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
         raise ValueError("t_end must be > 0")
     if delays.down.shape != (spec.rows, spec.cols):
         raise ValueError("delay map shape does not match the lattice")
-    min_delay = delays.min_delay
-    if dt is None:
-        dt = min(DEFAULT_DT_CAP, min_delay / 8.0)
-    if dt <= 0 or dt > min_delay / 4.0:
-        raise ValueError(
-            f"dt={dt} invalid: need 0 < dt <= min_delay/4 = {min_delay / 4.0}")
+    dt = step_size(dt, delays.min_delay)
 
     M, N = spec.rows, spec.cols
     MN = M * N

@@ -138,6 +138,21 @@ def fhn_linearization(stst: FhnSteadyState, params: FHNParams,
     return LinearizationPair(A=A, B=B)
 
 
+def _coupling_factor(b13, k_minus, k_plus=0.0):
+    """2 b13 cos(k_minus) e^{i k_plus}: the delayed coupling of one mode,
+    the factor of e^{-lambda tau} in its characteristic function."""
+    return 2.0 * b13 * np.cos(k_minus) * np.exp(1j * k_plus)
+
+
+def _char_coeffs(A, coup, lam):
+    """The diagonal d_i = a_ii - lambda and the coefficients P and Q of the
+    characteristic function f = P(lambda) - Q(lambda) e^{-lambda tau},
+    P = d1 d2 d3 - a12 a21 d3 and Q = a31 d2 coup."""
+    d1, d2, d3 = A[..., 0, 0] - lam, A[..., 1, 1] - lam, A[..., 2, 2] - lam
+    P = d1 * d2 * d3 - A[..., 0, 1] * A[..., 1, 0] * d3
+    return d1, d2, d3, P, A[..., 2, 0] * d2 * coup
+
+
 def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
     """The scalar characteristic function det(-lambda*Id + A + 2B cos(k_minus)
     e^{i k_plus} e^{-lambda tau}) expanded using the rank-1 structure of B.
@@ -145,17 +160,15 @@ def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
     complex arrays; for a stacked linearization they broadcast against its
     leading shape."""
     A = lin.A
-    a11, a12 = A[..., 0, 0], A[..., 0, 1]
-    a21, a22 = A[..., 1, 0], A[..., 1, 1]
-    a31, a33 = A[..., 2, 0], A[..., 2, 2]
-    coup = 2.0 * lin.b13 * math.cos(wv.k_minus) * cmath.exp(1j * wv.k_plus)
+    a12a21, a31 = A[..., 0, 1] * A[..., 1, 0], A[..., 2, 0]
+    coup = _coupling_factor(lin.b13, wv.k_minus, wv.k_plus)
 
     def fdf(lam):
         lam = np.asarray(lam, dtype=complex)
         e = np.exp(-lam * tau)
-        d1, d2, d3 = a11 - lam, a22 - lam, a33 - lam
-        f = d1 * d2 * d3 - a12 * a21 * d3 - a31 * d2 * coup * e
-        df = (-d2 * d3 - d1 * d3 - d1 * d2 + a12 * a21
+        d1, d2, d3, P, Q = _char_coeffs(A, coup, lam)
+        f = P - Q * e
+        df = (-d2 * d3 - d1 * d3 - d1 * d2 + a12a21
               + a31 * coup * e * (1.0 + tau * d2))
         return f, df
 
@@ -172,9 +185,8 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
         # mode decoupled: the Jacobian's own eigenvalues
         Mat = lin.A
     elif tau == 0.0:
-        coup = 2.0 * lin.b13 * math.cos(wv.k_minus) * cmath.exp(1j * wv.k_plus)
         Mat = lin.A.astype(complex)
-        Mat[0, 2] += coup
+        Mat[0, 2] += _coupling_factor(lin.b13, wv.k_minus, wv.k_plus)
     else:
         return find_roots_quasipoly(fhn_char_function(lin, tau, wv), window)
     lam = np.linalg.eigvals(Mat)
@@ -190,15 +202,11 @@ def fhn_strong_spectrum(stst: FhnSteadyState, params: FHNParams, C: float):
     lambda0 = a33 is always real and <= -0.6. The strong (delay-surviving)
     unstable spectrum exists iff a11 > b*eps; the pair is complex iff
     a11 < 2*sqrt(eps) - b*eps."""
-    lin = fhn_linearization(stst, params, C)
-    a11 = lin.A[0, 0]
-    a33 = lin.A[2, 2]
-    b, eps = params.b, params.eps
-    disc = (a11 + b * eps) ** 2 - 4.0 * eps
-    root = cmath.sqrt(disc)
-    lam_p = 0.5 * (a11 - b * eps + root)
-    lam_m = 0.5 * (a11 - b * eps - root)
-    return float(a33), lam_p, lam_m
+    A = fhn_linearization(stst, params, C).A
+    # the roots of the delay-free part: a33, and those of d1 d2 - a12 a21
+    half_trace = 0.5 * (A[0, 0] + A[1, 1])
+    root = 0.5 * cmath.sqrt((A[0, 0] - A[1, 1]) ** 2 + 4.0 * A[0, 1] * A[1, 0])
+    return float(A[2, 2]), half_trace + root, half_trace - root
 
 
 def fhn_strong_spectrum_present(stst: FhnSteadyState, params: FHNParams,
@@ -210,25 +218,18 @@ def fhn_strong_spectrum_present(stst: FhnSteadyState, params: FHNParams,
 def fhn_hybrid_dispersion(stst: FhnSteadyState, params: FHNParams, C: float,
                           Omega, k_minus):
     """Hybrid dispersion relation gamma(Omega, k_minus) of the steady state
-    in the large-delay limit: gamma = -log|Y| with Y solving the linear
-    multiplier equation of the rank-1 coupling."""
+    in the large-delay limit: gamma = -log|Y|, where Y = P(i Omega)/Q(i Omega)
+    is the value of e^{-lambda tau} that makes f vanish at i Omega."""
     lin = fhn_linearization(stst, params, C)
-    A = lin.A
-    a11, a12 = A[0, 0], A[0, 1]
-    a21, a22 = A[1, 0], A[1, 1]
-    a31, a33 = A[2, 0], A[2, 2]
-    b13 = lin.b13
     Omega = np.asarray(Omega, dtype=float)
     k_minus = np.asarray(k_minus, dtype=float)
-    cos_km = np.cos(k_minus)
-    if np.any(np.abs(cos_km) < 1e-12):
+    if np.any(np.abs(np.cos(k_minus)) < 1e-12):
         raise ValueError("mode decoupled: cos(k_minus) = 0")
-    if a31 * b13 == 0.0:
+    if lin.A[2, 0] * lin.b13 == 0.0:
         raise ValueError("vanishing coupling entry a31*b13")
-    iw = 1j * Omega
-    Y = ((a33 - iw) / (2.0 * a31 * b13 * cos_km)
-         * (a11 - iw - a12 * a21 / (a22 - iw)))
-    gamma = -np.log(np.abs(Y))
+    _, _, _, P, Q = _char_coeffs(lin.A, _coupling_factor(lin.b13, k_minus),
+                                 1j * Omega)
+    gamma = -np.log(np.abs(P / Q))
     return gamma if gamma.ndim else float(gamma)
 
 

@@ -106,16 +106,6 @@ def sl_stst_pcs(params: SLParams, C: float, k_minus: float,
     return gamma if gamma.ndim else float(gamma)
 
 
-def sl_rightmost_eigenvalue(params: SLParams, C: float, tau: float,
-                            spec: LatticeSpec) -> float:
-    """Max Re(lambda) of the steady state over all lattice modes."""
-    best = -np.inf
-    for wv in enumerate_modes(spec):
-        rs = sl_stst_eigenvalues(params, C, tau, wv)
-        best = max(best, rs.max_real())
-    return best
-
-
 def sl_hopf_threshold(params: SLParams, C: float, tau: float,
                       spec: LatticeSpec) -> float:
     """The alpha at which the rightmost steady-state eigenvalue over all
@@ -128,9 +118,13 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
         # most unstable mode is k_plus = k_minus = 0
         return -C
     lo, hi = -C - max(2.0, C), -C + max(2.0, C)
+    modes = enumerate_modes(spec)
 
     def rightmost(alpha):
-        return sl_rightmost_eigenvalue(SLParams(alpha, params.beta), C, tau, spec)
+        """Max Re(lambda) of the steady state over all lattice modes."""
+        prm = SLParams(alpha, params.beta)
+        return max(sl_stst_eigenvalues(prm, C, tau, wv).max_real()
+                   for wv in modes)
 
     f_lo, f_hi = rightmost(lo), rightmost(hi)
     if not (f_lo < 0 < f_hi):
@@ -175,17 +169,26 @@ def sl_floquet_chi(wave: PlaneWave, lam, q_plus: float, q_minus: float,
     return val if val.ndim else complex(val)
 
 
-def _chi_and_deriv(wave: PlaneWave, C: float, tau: float,
-                   q_plus: float, q_minus: float):
-    """lambda -> (chi, d chi / d lambda) for one perturbation mode."""
+def _chi_coeffs(wave: PlaneWave, C: float, q_minus):
+    """Coefficients (P, c, G, Q, Rp, Rm) of the Floquet function of the
+    perturbation mode q_minus, a number or an array:
+    chi = lambda^2 + 2 P lambda + c - ((P + lambda) G - Q) e1 + Rp Rm e1^2
+    with e1 = exp(-lambda tau + i q_plus)."""
     a2, R, kt = wave.a2, wave.R, wave.k_tau
-    Rp = C * math.cos(wave.wv.k_minus + q_minus)
-    Rm = C * math.cos(wave.wv.k_minus - q_minus)
+    Rp = C * np.cos(wave.wv.k_minus + q_minus)
+    Rm = C * np.cos(wave.wv.k_minus - q_minus)
     P = a2 + R * math.cos(kt)
     G = Rp * cmath.exp(1j * kt) + Rm * cmath.exp(-1j * kt)
     Hd = Rp * cmath.exp(1j * kt) - Rm * cmath.exp(-1j * kt)
     const = R * R + 2.0 * R * a2 * math.cos(kt)
     Q = 1j * R * math.sin(kt) * Hd
+    return P, const, G, Q, Rp, Rm
+
+
+def _chi_and_deriv(wave: PlaneWave, C: float, tau: float,
+                   q_plus: float, q_minus: float):
+    """lambda -> (chi, d chi / d lambda) for one perturbation mode."""
+    P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C, q_minus)
 
     def fdf(lam):
         e1 = np.exp(-lam * tau + 1j * q_plus)
@@ -201,12 +204,11 @@ def _chi_and_deriv(wave: PlaneWave, C: float, tau: float,
 def sl_strong_spectrum(wave: PlaneWave, params: SLParams, C: float):
     """Delay-free strong spectrum of a plane wave and the amplitude
     threshold a_S below which at least one strong eigenvalue is unstable."""
-    alpha = params.alpha
-    a2, R = wave.a2, wave.R
-    disc = a2 * a2 + (a2 - alpha) ** 2 - R * R
-    root = cmath.sqrt(disc)
-    lam_p = alpha - 2.0 * a2 + root
-    lam_m = alpha - 2.0 * a2 - root
+    # the roots of chi's delay-free part lambda^2 + 2 P lambda + c
+    P, const = _chi_coeffs(wave, C, 0.0)[:2]
+    root = cmath.sqrt(P * P - const)
+    lam_p, lam_m = -P + root, -P - root
+    alpha, R = params.alpha, wave.R
     absR = abs(R)
     if alpha < -absR:
         a_s2 = 0.0
@@ -218,36 +220,23 @@ def sl_strong_spectrum(wave: PlaneWave, params: SLParams, C: float):
     return lam_p, lam_m, a_s
 
 
-def _pcs_coeffs(wave: PlaneWave, C: float, omega, q_minus):
-    a2, R, kt = wave.a2, wave.R, wave.k_tau
-    km = wave.wv.k_minus
-    omega = np.asarray(omega, dtype=float)
-    q_minus = np.asarray(q_minus, dtype=float)
-    S = C * C * np.cos(km + q_minus) * np.cos(km - q_minus)
-    A = C * ((R + a2 * math.cos(kt)) * math.cos(km) * np.cos(q_minus)
-             + omega * math.sin(kt) * math.sin(km) * np.sin(q_minus))
-    B = C * (-a2 * math.sin(kt) * math.sin(km) * np.sin(q_minus)
-             + omega * math.cos(kt) * math.cos(km) * np.cos(q_minus))
-    D = R * R - omega * omega + 2.0 * R * a2 * math.cos(kt)
-    E = 2.0 * omega * (a2 + R * math.cos(kt))
-    return S, A, B, D, E
-
-
 def sl_floquet_pcs_Y(wave: PlaneWave, C: float, omega, q_minus):
     """The two multiplier branches Y+-(omega, q_minus) of the asymptotic
-    Floquet spectrum (quadratic in Y; principal square root)."""
-    S, A, B, D, E = _pcs_coeffs(wave, C, omega, q_minus)
-    AB = A + 1j * B
-    zeta = A * A - B * B - S * D + 1j * (2.0 * A * B - S * E)
-    root = np.sqrt(zeta.astype(complex))
+    Floquet spectrum: the roots e1 of chi(i*omega), a quadratic
+    S e1^2 - 2 h e1 + p = 0 with S = Rp Rm, h = ((P + i omega) G - Q)/2 and
+    p the delay-free part of chi (principal square root)."""
+    iw = 1j * np.asarray(omega, dtype=float)
+    P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C,
+                                         np.asarray(q_minus, dtype=float))
+    S = Rp * Rm
+    h = 0.5 * ((P + iw) * G - Q)
+    p = iw * iw + 2.0 * P * iw + const
+    root = np.sqrt(h * h - S * p)
     with np.errstate(all="ignore"):
-        Yp = np.where(S != 0, (AB + root) / np.where(S == 0, 1.0, S),
-                      np.nan + 0j)
-        Ym = np.where(S != 0, (AB - root) / np.where(S == 0, 1.0, S),
-                      np.nan + 0j)
+        Yp, Ym = (h + root) / S, (h - root) / S
     # degenerate linear case S = 0: single multiplier
     if np.any(S == 0):
-        lin = (D + 1j * E) / (2.0 * AB)
+        lin = p / (2.0 * h)
         Yp = np.where(S == 0, lin, Yp)
         Ym = np.where(S == 0, lin, Ym)
     return Yp, Ym
@@ -277,28 +266,18 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
     alpha, beta = params.alpha, params.beta
     window = (-2.0, max(1.0, 2.0 * alpha), -(3.0 * abs(beta) + 3.0),
               3.0 * abs(beta) + 3.0)
-    modes = enumerate_modes(spec)
-    roots, excluded = [], []
-    for q in modes:
-        q_plus, q_minus = q.k_plus, q.k_minus
-        rs = find_roots_quasipoly(
-            _chi_and_deriv(wave, C, tau, q_plus, q_minus), window)
-        trivial_mode = (abs(math.sin(q_plus)) < 1e-12
-                        and abs(math.cos(q_plus) - 1.0) < 1e-12
-                        and abs(math.sin(q_minus)) < 1e-12)
-        roots.append(rs.roots)
-        excluded.append(trivial_mode
-                        & (np.abs(rs.roots) < TRIVIAL_EXCLUSION_RADIUS))
-    # the first maximum in mode-then-root order is the witness
-    lam = np.concatenate(roots)
-    counted = ~np.concatenate(excluded)
     max_growth = -np.inf
     witness = (0.0, 0.0, 0.0)
-    if counted.any():
-        i = int(np.argmax(np.where(counted, lam.real, -np.inf)))
-        q = modes[np.repeat(np.arange(len(modes)), [len(r) for r in roots])[i]]
-        max_growth = float(lam[i].real)
-        witness = (float(lam[i].imag), q.k_minus, q.k_plus)
+    for q in enumerate_modes(spec):
+        lam = find_roots_quasipoly(
+            _chi_and_deriv(wave, C, tau, q.k_plus, q.k_minus), window).roots
+        if (q.k1, q.k2) == (0, 0):
+            lam = lam[np.abs(lam) >= TRIVIAL_EXCLUSION_RADIUS]
+        # the first maximum in mode-then-root order is the witness
+        if lam.size and lam.real.max() > max_growth:
+            i = int(np.argmax(lam.real))
+            max_growth = float(lam[i].real)
+            witness = (float(lam[i].imag), q.k_minus, q.k_plus)
 
     if max_growth <= STABILITY_TOL:
         cls = StabilityClass.STABLE

@@ -367,6 +367,20 @@ def _simulate_with_delay_files(tmp_path, text):
     return ["simulate", "--config", write_config(tmp_path / "files.json", doc)]
 
 
+def _verify_damaged_run(tmp_path, damage):
+    """verify on the 8x8 run after ``damage`` has been done to its
+    directory."""
+    rundir = _eight_by_eight_run(tmp_path)
+    damage(rundir)
+    etap = tmp_path / "eta.csv"
+    np.savetxt(etap, np.zeros((8, 8)), delimiter=",")
+    return ["verify", "--run", str(rundir), "--eta", str(etap)]
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
 @pytest.mark.parametrize("flag, argv", [
     # shifts 0 and 2.5 side by side need delays 1 - 2.5 on some edges
     ("--tau", lambda tmp: ["encode", "--image", str(_checkerboard_image(tmp)),
@@ -385,9 +399,22 @@ def _simulate_with_delay_files(tmp_path, text):
     # a 2x3 delay map on the 2x2 lattice
     ("delay.files",
      lambda tmp: _simulate_with_delay_files(tmp, "1,1,1\n1,1,1\n")),
+    ("seed", lambda tmp: ["simulate", "--config", write_config(
+        tmp / "seed.json", {**OSCILLATING_SL, "seed": -1})]),
+    # dt = 0.5 exceeds min_delay/4 = 0.25
+    ("sim.dt", lambda tmp: ["simulate", "--config", write_config(
+        tmp / "dt.json", {"model": "fhn", "M": 2, "N": 2, "C": 3.0,
+                          "delay": {"homogeneous": 1.0},
+                          "sim": {"t_end": 2.0, "dt": 0.5}})]),
+    ("--run", lambda tmp: _verify_damaged_run(
+        tmp, lambda run: (run / "frames.json").unlink())),
+    ("--run", lambda tmp: _verify_damaged_run(
+        tmp, lambda run: _truncate(run / "frames.f64"))),
 ], ids=["encode-shifts-exceed-tau", "encode-p6", "verify-eta-shape",
         "planewaves-delay-files", "missing-config",
-        "simulate-delay-files-missing", "simulate-delay-files-shape"])
+        "simulate-delay-files-missing", "simulate-delay-files-shape",
+        "simulate-negative-seed", "simulate-dt-above-quarter-delay",
+        "verify-frames-json-missing", "verify-frames-f64-truncated"])
 def test_input_the_library_rejects_is_a_config_error(tmp_path, capsys, flag,
                                                      argv):
     argv = argv(tmp_path)

@@ -96,6 +96,14 @@ def test_parse_negative_coupling_names_field():
     assert exc.value.path == "C"
 
 
+def test_parse_negative_seed_names_field():
+    doc = {"model": "sl", "M": 2, "N": 2,
+           "params": {"alpha": 1.0, "beta": 1.0}, "C": 1.0, "seed": -1}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.path == "seed"
+
+
 def test_parse_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config(json.dumps({

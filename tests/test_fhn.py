@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -239,6 +240,36 @@ def test_hybrid_dispersion_decoupled_mode():
     st = fhn_steady_states(params, 3.0)[0]
     with pytest.raises(ValueError):
         fhn_hybrid_dispersion(st, params, 3.0, 0.5, math.pi / 2)
+
+
+def test_hybrid_dispersion_matches_hand_expansion():
+    # Y written out from the rank-1 coupling, the oracle of -log|P/Q|
+    om = np.linspace(-3.0, 3.0, 61) + 0.0131
+    km = np.linspace(-math.pi / 2, math.pi / 2, 62)[1:-1] + 1e-3
+    OM, KM = np.meshgrid(om, km, indexing="ij")
+    for I, C in ((-0.8, 3.0), (0.0, 3.0), (0.5, 6.0), (1.2, 1.0)):
+        params = FHNParams(I=I)
+        for st in fhn_steady_states(params, C):
+            lin = fhn_linearization(st, params, C)
+            A, iw = lin.A, 1j * OM
+            Y = ((A[2, 2] - iw) / (2.0 * A[2, 0] * lin.b13 * np.cos(KM))
+                 * (A[0, 0] - iw - A[0, 1] * A[1, 0] / (A[1, 1] - iw)))
+            got = np.exp(-fhn_hybrid_dispersion(st, params, C, OM, KM))
+            assert np.max(np.abs(got - np.abs(Y)) / np.abs(Y)) < 1e-12
+
+
+def test_strong_spectrum_matches_hand_expansion():
+    for I, C in ((-0.8, 3.0), (0.0, 3.0), (0.5, 6.0), (1.2, 1.0)):
+        params = FHNParams(I=I)
+        b, eps = params.b, params.eps
+        for st in fhn_steady_states(params, C):
+            a11 = fhn_linearization(st, params, C).A[0, 0]
+            # lambda+- = (a11 - b eps +- sqrt((a11 + b eps)^2 - 4 eps)) / 2
+            root = cmath.sqrt((a11 + b * eps) ** 2 - 4.0 * eps)
+            _, lam_p, lam_m = fhn_strong_spectrum(st, params, C)
+            for got, want in ((lam_p, 0.5 * (a11 - b * eps + root)),
+                              (lam_m, 0.5 * (a11 - b * eps - root))):
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_exact_roots_approach_hybrid_curve():

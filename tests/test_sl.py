@@ -337,6 +337,52 @@ def test_pcs_growth_symmetry():
 
 
 # ---------------------------------------------------------------------------
+# hand expansions of chi, kept as oracles of the values the package now
+# reads off chi's coefficients
+
+def _expanded_pcs_Y(wave, C, omega, q_minus):
+    """Y+- as roots of S Y^2 - 2 (A + iB) Y + (D + iE) = 0, with chi(i omega)
+    written out as five real arrays."""
+    a2, R, kt = wave.a2, wave.R, wave.k_tau
+    km = wave.wv.k_minus
+    S = C * C * np.cos(km + q_minus) * np.cos(km - q_minus)
+    A = C * ((R + a2 * math.cos(kt)) * math.cos(km) * np.cos(q_minus)
+             + omega * math.sin(kt) * math.sin(km) * np.sin(q_minus))
+    B = C * (-a2 * math.sin(kt) * math.sin(km) * np.sin(q_minus)
+             + omega * math.cos(kt) * math.cos(km) * np.cos(q_minus))
+    D = R * R - omega * omega + 2.0 * R * a2 * math.cos(kt)
+    E = 2.0 * omega * (a2 + R * math.cos(kt))
+    AB = A + 1j * B
+    root = np.sqrt(A * A - B * B - S * D + 1j * (2.0 * A * B - S * E))
+    return (AB + root) / S, (AB - root) / S
+
+
+def test_pcs_Y_matches_hand_expansion():
+    # grids offset from the branch cut of the principal square root
+    om = np.linspace(-3.0, 3.0, 61) + 0.0131
+    qm = np.linspace(-math.pi, math.pi, 60, endpoint=False) + 0.0177
+    OM, QM = np.meshgrid(om, qm, indexing="ij")
+    for alpha, C in ((3.0, 2.0), (0.5, 2.0), (1.5, 0.7)):
+        waves, _ = _sample_waves(10, seed=5, alpha=alpha, C=C)
+        for w in waves:
+            for got, want in zip(sl_floquet_pcs_Y(w, C, OM, QM),
+                                 _expanded_pcs_Y(w, C, OM, QM)):
+                assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+def test_strong_spectrum_matches_hand_expansion():
+    for alpha in (3.0, 0.5, -0.2):
+        waves, spec = _sample_waves(20, seed=9, alpha=alpha)
+        for w in waves:
+            # lambda+- = alpha - 2a^2 +- sqrt(a^4 + (a^2 - alpha)^2 - R^2)
+            root = cmath.sqrt(w.a2 ** 2 + (w.a2 - alpha) ** 2 - w.R ** 2)
+            lam_p, lam_m, _ = sl_strong_spectrum(w, spec.params, 2.0)
+            for got, want in ((lam_p, alpha - 2.0 * w.a2 + root),
+                              (lam_m, alpha - 2.0 * w.a2 - root)):
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# ---------------------------------------------------------------------------
 # neutral curve, alpha0, Hessian
 
 def test_neutral_amplitude_eckhaus_closed_form():
