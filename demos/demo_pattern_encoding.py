@@ -8,7 +8,7 @@ tau - eta[m,n] + eta[neighbor]. Stability is preserved exactly, so any
 grayscale image (gray -> eta) becomes a stable attractor whose relative
 spike times reproduce the image.
 
-Run:  python3 demos/demo_pattern_encoding.py   (about two minutes: most of
+Run:  python3 demos/demo_pattern_encoding.py   (under a minute: most of
 the time goes into converging the reference orbit)
 """
 

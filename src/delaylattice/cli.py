@@ -8,6 +8,7 @@ simulate, encode, verify.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,12 +35,14 @@ def _sha256(path: Path) -> str:
 class _Run:
     """The output directory of one command. Every artifact is written
     through it, hashed from the bytes as they are written, and listed in
-    the manifest that `finish` writes."""
+    the manifest that `finish` writes. A command opens it after its last
+    computation, so a failed command leaves no directory; ``t_start`` is
+    when the command started, for the manifest's wall time."""
 
-    def __init__(self, outdir: Path):
+    def __init__(self, outdir: Path, t_start: float):
         self.outdir = outdir
         outdir.mkdir(parents=True, exist_ok=True)
-        self.t_start = time.time()
+        self.t_start = t_start
         self.inputs = {}
         self.outputs = {}
 
@@ -107,7 +110,7 @@ def _read_config(args) -> core.RunConfig:
 
 def _start(args, cfg: core.RunConfig) -> _Run:
     """Open the output directory of a checked config, and echo it."""
-    run = _Run(Path(args.out))
+    run = _Run(Path(args.out), args.t_start)
     run.add_input(args.config)
     run.write_json("resolved_config.json", cfg.to_dict())
     return run
@@ -125,10 +128,13 @@ def _require_finite(value: float, flag: str):
 @contextmanager
 def _input_of(flag: str):
     """The ValueError with which the library rejects what ``flag`` gave,
-    or the OSError of reading it, becomes a config error of that flag."""
+    the OSError of reading it, or the KeyError or TypeError of decoding a
+    malformed file becomes a config error of that flag."""
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except KeyError as exc:
+        raise ConfigError(flag, f"missing key {exc}") from exc
+    except (ValueError, OSError, TypeError) as exc:
         raise ConfigError(flag, str(exc)) from exc
 
 
@@ -161,7 +167,6 @@ def _load_delay_map(cfg: core.RunConfig) -> core.DelayMap:
 def cmd_spectrum_stst(args) -> int:
     cfg = _read_config(args)
     tau = _require_tau(cfg)
-    run = _start(args, cfg)
     rows = []
     if cfg.spec.model is Model.STUART_LANDAU:
         for wv in core.enumerate_modes(cfg.spec):
@@ -180,6 +185,7 @@ def cmd_spectrum_stst(args) -> int:
                     rows.append((wv.k1, wv.k2, 0.0, 0.0, lam.real, lam.imag,
                                  b"stst%d" % i))
     rows.sort(key=lambda r: tuple(r[:6]))
+    run = _start(args, cfg)
     run.write_csv("eigenvalues.csv",
                   ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"],
                   [rows])
@@ -196,17 +202,19 @@ def cmd_dispersion(args) -> int:
     # stay off the decoupled modes cos(k_minus) = 0
     kms = np.linspace(-math.pi / 2, math.pi / 2, n + 2)[1:-1]
     prm, C = cfg.spec.params, cfg.spec.coupling
-    if cfg.spec.model is Model.STUART_LANDAU:
-        run = _start(args, cfg)
-        surface = [sl.sl_stst_pcs(prm, C, km, omegas) for km in kms]
-    else:
+    if cfg.spec.model is not Model.STUART_LANDAU:
         states = fhn.fhn_steady_states(prm, C)
         i = args.state_index
         _require(0 <= i < len(states), "--state-index",
                  f"{i} is not one of the {len(states)} rest states")
-        run = _start(args, cfg)
-        surface = [fhn.fhn_hybrid_dispersion(states[i], prm, C, omegas, km)
-                   for km in kms]
+    # C = 0 decouples every mode
+    with _input_of("C"):
+        if cfg.spec.model is Model.STUART_LANDAU:
+            surface = [sl.sl_stst_pcs(prm, C, km, omegas) for km in kms]
+        else:
+            surface = [fhn.fhn_hybrid_dispersion(states[i], prm, C, omegas,
+                                                 km) for km in kms]
+    run = _start(args, cfg)
     run.write_csv("dispersion.csv", ["omega", "k_minus", "gamma"],
                   [np.column_stack([omegas, np.full(n, km), g])
                    for km, g in zip(kms, surface)])
@@ -219,10 +227,10 @@ def cmd_planewaves(args) -> int:
     tau = _require_tau(cfg)
     if cfg.spec.model is not Model.STUART_LANDAU:
         raise ConfigError("model", "planewaves requires the sl model")
-    run = _start(args, cfg)
     waves = sl.sl_enumerate_plane_waves(cfg.spec.params, cfg.spec.coupling,
                                         tau, cfg.spec)
     rows = [(w.wv.k1, w.wv.k2, w.a, w.Omega, w.k_tau, w.R) for w in waves]
+    run = _start(args, cfg)
     run.write_csv("planewaves.csv", ["k1", "k2", "a", "omega", "k_tau", "R"],
                   [rows])
     run.finish()
@@ -236,7 +244,6 @@ def cmd_floquet(args) -> int:
     tau = _require_tau(cfg)
     if cfg.spec.model is not Model.STUART_LANDAU:
         raise ConfigError("model", "floquet requires the sl model")
-    run = _start(args, cfg)
     waves = sl.sl_enumerate_plane_waves(cfg.spec.params, cfg.spec.coupling,
                                         tau, cfg.spec)
     if args.max_waves:
@@ -248,6 +255,7 @@ def cmd_floquet(args) -> int:
         omega, qm, qp = verdict.witness
         rows.append((w.wv.k1, w.wv.k2, qp + qm, qp - qm,
                      verdict.max_growth, omega, verdict.cls.value.encode()))
+    run = _start(args, cfg)
     run.write_csv("floquet.csv",
                   ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"],
                   [rows])
@@ -260,16 +268,17 @@ def cmd_hopf(args) -> int:
     _require_finite(args.k2, "--k2")
     cfg = _read_config(args)
     tau = _require_tau(cfg)
-    run = _start(args, cfg)
     if cfg.spec.model is Model.STUART_LANDAU:
-        alpha_h = sl.sl_hopf_threshold(cfg.spec.params, cfg.spec.coupling,
-                                       tau, cfg.spec)
-        run.write_csv("hopf.csv", ["alpha_H"], [[(alpha_h,)]])
+        header = ["alpha_H"]
+        rows = [(sl.sl_hopf_threshold(cfg.spec.params, cfg.spec.coupling,
+                                      tau, cfg.spec),)]
     else:
+        header = ["I", "omega"]
         wv = core.WaveVector(args.k1, args.k2)
-        points = fhn.fhn_hopf_points(cfg.spec.params, cfg.spec.coupling,
-                                     tau, wv)
-        run.write_csv("hopf.csv", ["I", "omega"], [points])
+        rows = fhn.fhn_hopf_points(cfg.spec.params, cfg.spec.coupling,
+                                   tau, wv)
+    run = _start(args, cfg)
+    run.write_csv("hopf.csv", header, [rows])
     run.finish()
     return 0
 
@@ -328,31 +337,29 @@ def cmd_simulate(args) -> int:
     delays = _load_delay_map(cfg)
     with _input_of("sim.dt"):
         dt = dde.step_size(cfg.sim.dt, delays.min_delay)
-    run = _start(args, cfg)
-    for path in (cfg.delay_files or {}).values():
-        run.add_input(path)
     init = _default_initial_history(cfg)
     traj = dde.simulate(cfg.spec, delays, init, t_end=cfg.sim.t_end,
                         dt=dt, record_every=cfg.sim.record_every)
+    run = _start(args, cfg)
+    for path in (cfg.delay_files or {}).values():
+        run.add_input(path)
     _write_trajectory(run, traj, cfg.spec)
     run.finish()
     return 0
 
 
 def cmd_encode(args) -> int:
-    for value, flag in ((args.tau, "--tau"), (args.eta_min, "--eta-min"),
-                        (args.eta_max, "--eta-max")):
-        _require_finite(value, flag)
-    _require(args.tau > 0, "--tau", f"must be > 0, got {args.tau}")
-    _require(args.eta_min <= args.eta_max, "--eta-min",
-             f"{args.eta_min} exceeds --eta-max {args.eta_max}")
+    _require_finite(args.eta_min, "--eta-min")
+    _require_finite(args.eta_max, "--eta-max")
     with _input_of("--image"):
         img = pattern.read_pgm(args.image)
-    eta = pattern.eta_from_image(img, args.eta_min, args.eta_max)
-    # every delay is positive only if the image's shifts stay below tau
+    with _input_of("--eta-min"):
+        eta = pattern.eta_from_image(img, args.eta_min, args.eta_max)
+    # every delay is positive and finite only if tau is, and the image's
+    # shifts stay below it
     with _input_of("--tau"):
         delays = pattern.delays_from_timeshifts(eta, args.tau)
-    run = _Run(Path(args.out))
+    run = _Run(Path(args.out), args.t_start)
     run.add_input(args.image)
     run.write_csv("delays_down.csv", None, [delays.down])
     run.write_csv("delays_right.csv", None, [delays.right])
@@ -371,23 +378,24 @@ def cmd_verify(args) -> int:
             header = json.load(fh)
         frames = np.fromfile(rundir / "frames.f64", dtype="<f8").reshape(
             header["n_frames"], header["M"], header["N"], header["d"])
-    traj = dde.Trajectory(times=np.array(header["times"]), snapshots=frames,
-                          dt=header["dt"], record_every=header["record_every"])
+        traj = dde.Trajectory(
+            times=np.array(header["times"]), snapshots=frames,
+            dt=header["dt"], record_every=header["record_every"])
     with _input_of("--eta"):
         eta = pattern.ShiftField(np.loadtxt(args.eta, delimiter=",", ndmin=2))
     _require(eta.eta.shape == traj.shape, "--eta",
              f"shift field is {eta.eta.shape[0]}x{eta.eta.shape[1]}, "
              f"the run is {traj.shape[0]}x{traj.shape[1]}")
-    run = _Run(Path(args.out))
-    for name in ("frames.f64", "frames.json"):
-        run.add_input(rundir / name)
-    run.add_input(args.eta)
     if args.period is not None:
         T = args.period
     else:
         T, _ = dde.estimate_period(traj, t_discard=args.t_discard)
     report = pattern.verify_pattern(traj, eta, T, t_discard=args.t_discard)
-    run.write("fidelity.json", [(report.to_json() + "\n").encode()])
+    run = _Run(Path(args.out), args.t_start)
+    for name in ("frames.f64", "frames.json"):
+        run.add_input(rundir / name)
+    run.add_input(args.eta)
+    run.write_json("fidelity.json", dataclasses.asdict(report))
     run.finish()
     return 0
 
@@ -465,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.t_start = time.time()
     try:
         return args.func(args)
     except ConfigError as exc:

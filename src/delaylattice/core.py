@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from typing import Optional, Union
 
@@ -130,13 +130,18 @@ class DelayMap:
             raise ValueError("down/right must be M x N matrices of equal shape")
         if not (np.all(np.isfinite(down)) and np.all(np.isfinite(right))):
             raise ValueError("delays must be finite")
-        if np.any(down <= 0) or np.any(right <= 0):
-            raise ValueError("all delays must be strictly positive")
+        n_bad = np.count_nonzero(down <= 0) + np.count_nonzero(right <= 0)
+        if n_bad:
+            # the count and the first few edges: a large image can have 10^5
+            shown = [f"{name}[{m},{n}]={mat[m, n]:.6g}"
+                     for name, mat in (("down", down), ("right", right))
+                     for m, n in np.argwhere(mat <= 0)[:5]][:5]
+            more = ", ..." if n_bad > 5 else ""
+            raise ValueError(f"nonpositive delays on {n_bad} edges: "
+                             + ", ".join(shown) + more)
 
     @staticmethod
     def homogeneous(rows: int, cols: int, tau: float) -> "DelayMap":
-        if tau <= 0:
-            raise ValueError("tau must be > 0")
         full = np.full((rows, cols), float(tau))
         return DelayMap(full, full.copy())
 
@@ -174,16 +179,11 @@ class RunConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        p = self.spec.params
-        if isinstance(p, SLParams):
-            params = {"alpha": p.alpha, "beta": p.beta}
-        else:
-            params = {"I": p.I, "a": p.a, "b": p.b, "eps": p.eps, "v_r": p.v_r}
         out = {
             "model": self.spec.model.value,
             "M": self.spec.rows,
             "N": self.spec.cols,
-            "params": params,
+            "params": asdict(self.spec.params),
             "C": self.spec.coupling,
             "seed": self.seed,
         }
@@ -192,18 +192,12 @@ class RunConfig:
         elif self.delay_files is not None:
             out["delay"] = {"files": dict(self.delay_files)}
         if self.sim is not None:
-            out["sim"] = {
-                "t_end": self.sim.t_end,
-                "record_every": self.sim.record_every,
-            }
-            if self.sim.dt is not None:
-                out["sim"]["dt"] = self.sim.dt
+            out["sim"] = {key: value for key, value in asdict(self.sim).items()
+                          if value is not None}
         return out
 
 
 _TOP_KEYS = {"model", "M", "N", "params", "C", "delay", "sim", "seed"}
-_SL_PARAM_KEYS = {"alpha", "beta"}
-_FHN_PARAM_KEYS = {"I", "a", "b", "eps", "v_r"}
 
 
 def _require(doc: dict, key: str, path: str):
@@ -257,25 +251,19 @@ def parse_config(text: str) -> RunConfig:
     raw_params = doc.get("params", {})
     if not isinstance(raw_params, dict):
         raise ConfigError("params", "must be an object")
-    if model is Model.STUART_LANDAU:
-        for key in raw_params:
-            if key not in _SL_PARAM_KEYS:
-                raise ConfigError(f"params.{key}", "unknown key")
-        alpha = _as_number(_require(raw_params, "alpha", "params."), "params.alpha")
-        beta = _as_number(_require(raw_params, "beta", "params."), "params.beta")
-        params: ModelParams = SLParams(alpha=alpha, beta=beta)
-    else:
-        for key in raw_params:
-            if key not in _FHN_PARAM_KEYS:
-                raise ConfigError(f"params.{key}", "unknown key")
-        defaults = FHNParams()
-        params = FHNParams(
-            I=_as_number(raw_params.get("I", defaults.I), "params.I"),
-            a=_as_number(raw_params.get("a", defaults.a), "params.a"),
-            b=_as_number(raw_params.get("b", defaults.b), "params.b"),
-            eps=_as_number(raw_params.get("eps", defaults.eps), "params.eps"),
-            v_r=_as_number(raw_params.get("v_r", defaults.v_r), "params.v_r"),
-        )
+    # the parameter dataclass declares the names; a field without a
+    # default is required
+    cls = SLParams if model is Model.STUART_LANDAU else FHNParams
+    names = [f.name for f in fields(cls)]
+    for key in raw_params:
+        if key not in names:
+            raise ConfigError(f"params.{key}", "unknown key")
+    values = {}
+    for f in fields(cls):
+        if f.name in raw_params or f.default is MISSING:
+            value = _require(raw_params, f.name, "params.")
+            values[f.name] = _as_number(value, f"params.{f.name}")
+    params: ModelParams = cls(**values)
 
     tau = None
     delay_files = None

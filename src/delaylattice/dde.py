@@ -256,14 +256,12 @@ def _to_snapshot(y: np.ndarray, model: Model) -> np.ndarray:
 
 
 def _from_snapshot(arr, model: Model) -> np.ndarray:
-    """A history sample as an (..., d) array: complex z for Stuart-Landau
-    (given complex, or as (re, im) components), (v, w, s) for FHN."""
-    arr = np.asarray(arr)
+    """A history sample as an (..., d) array: complex z for Stuart-Landau,
+    where a real sample is a complex one with zero imaginary part, and
+    (v, w, s) for FHN."""
     if model is Model.STUART_LANDAU:
-        if not np.iscomplexobj(arr):
-            arr = arr[..., 0] + 1j * arr[..., 1]
-        return arr[..., None]
-    return arr
+        return np.asarray(arr, dtype=complex)[..., None]
+    return np.asarray(arr)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,8 @@ def sl_stst_pcs(params: SLParams, C: float, k_minus: float,
     R2 = (C * math.cos(k_minus)) ** 2
     # cos(pi/2) rounds to ~6e-17, so compare with a tolerance
     if R2 < 1e-24:
-        raise ValueError("mode decoupled: cos(k_minus) = 0 gives gamma = -inf")
+        raise ValueError("C*cos(k_minus) vanishes: the mode is decoupled, "
+                         "gamma = -inf")
     Omega = np.asarray(Omega, dtype=float)
     gamma = -0.5 * np.log((params.alpha ** 2 + (params.beta - Omega) ** 2) / R2)
     return gamma if gamma.ndim else float(gamma)

@@ -7,7 +7,7 @@ import pytest
 from delaylattice import cli, dde
 from delaylattice.core import (FHNParams, LatticeSpec, Model, SLParams,
                                parse_config)
-from delaylattice.pattern import write_pgm
+from delaylattice.pattern import FidelityReport, write_pgm
 from delaylattice.sl import sl_enumerate_plane_waves
 from test_fhn import HOPF_DEFAULT
 
@@ -229,7 +229,7 @@ def test_snapshots_csv_special_values(tmp_path):
     traj = dde.Trajectory(times=np.array([0.0, 0.1]), snapshots=snaps,
                           dt=0.1, record_every=1)
     spec = LatticeSpec(2, 1, Model.FITZHUGH_NAGUMO, FHNParams(), 1.0)
-    cli._write_trajectory(cli._Run(tmp_path), traj, spec)
+    cli._write_trajectory(cli._Run(tmp_path, 0.0), traj, spec)
     assert (tmp_path / "snapshots.csv").read_bytes() == \
         _row_formatted_snapshots(traj.times, snaps, ["v", "w", "s"])
 
@@ -381,6 +381,26 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:-8])
 
 
+def _rewrite_frames_json(edit):
+    """A damage that replaces frames.json by ``edit`` of its contents."""
+    def damage(rundir):
+        path = rundir / "frames.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return damage
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _dispersion_at_zero_coupling(tmp_path, model):
+    doc = {**OSCILLATING_SL, "C": 0.0}
+    if model == "fhn":
+        doc.update(model="fhn", params={"I": 0.0})
+    return ["dispersion", "--config", write_config(tmp_path / "c0.json", doc),
+            "--grid", "4"]
+
+
 @pytest.mark.parametrize("flag, argv", [
     # shifts 0 and 2.5 side by side need delays 1 - 2.5 on some edges
     ("--tau", lambda tmp: ["encode", "--image", str(_checkerboard_image(tmp)),
@@ -410,11 +430,23 @@ def _truncate(path):
         tmp, lambda run: (run / "frames.json").unlink())),
     ("--run", lambda tmp: _verify_damaged_run(
         tmp, lambda run: _truncate(run / "frames.f64"))),
+    ("--run", lambda tmp: _verify_damaged_run(
+        tmp, _rewrite_frames_json(lambda doc: {}))),
+    ("--run", lambda tmp: _verify_damaged_run(
+        tmp, _rewrite_frames_json(lambda doc: []))),
+    ("--run", lambda tmp: _verify_damaged_run(
+        tmp, _rewrite_frames_json(_without("times")))),
+    # C = 0 is a valid config, but it decouples every mode
+    ("C", lambda tmp: _dispersion_at_zero_coupling(tmp, "sl")),
+    ("C", lambda tmp: _dispersion_at_zero_coupling(tmp, "fhn")),
 ], ids=["encode-shifts-exceed-tau", "encode-p6", "verify-eta-shape",
         "planewaves-delay-files", "missing-config",
         "simulate-delay-files-missing", "simulate-delay-files-shape",
         "simulate-negative-seed", "simulate-dt-above-quarter-delay",
-        "verify-frames-json-missing", "verify-frames-f64-truncated"])
+        "verify-frames-json-missing", "verify-frames-f64-truncated",
+        "verify-frames-json-empty", "verify-frames-json-list",
+        "verify-frames-json-without-times", "dispersion-sl-C-zero",
+        "dispersion-fhn-C-zero"])
 def test_input_the_library_rejects_is_a_config_error(tmp_path, capsys, flag,
                                                      argv):
     argv = argv(tmp_path)
@@ -425,6 +457,18 @@ def test_input_the_library_rejects_is_a_config_error(tmp_path, capsys, flag,
     assert err.startswith(f"config error: {flag}: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: {}, "missing key 'n_frames'"),
+    (_without("times"), "missing key 'times'"),
+], ids=["empty", "without-times"])
+def test_malformed_frames_json_names_the_missing_key(tmp_path, capsys, edit,
+                                                     message):
+    argv = _verify_damaged_run(tmp_path, _rewrite_frames_json(edit))
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"config error: --run: {message}\n"
 
 
 def test_missing_delay_exit_code(tmp_path):
@@ -443,8 +487,9 @@ def test_numerical_failure_exit_code(tmp_path, sl_config, monkeypatch):
         raise SimulationError("synthetic failure")
 
     monkeypatch.setattr(cli.sl, "sl_hopf_threshold", boom)
-    assert cli.main(["hopf", "--config", sl_config,
-                     "--out", str(tmp_path / "r")]) == 2
+    out = tmp_path / "r"
+    assert cli.main(["hopf", "--config", sl_config, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_encode_and_verify_pipeline(tmp_path):
@@ -473,6 +518,20 @@ def test_encode_and_verify_pipeline(tmp_path):
     assert report["missing_nodes"] == []
 
 
+def test_verify_writes_the_fidelity_report(tmp_path, monkeypatch):
+    rundir = _eight_by_eight_run(tmp_path)
+    etap = tmp_path / "eta.csv"
+    np.savetxt(etap, np.zeros((8, 8)), delimiter=",")
+    report = FidelityReport(correlation=0.5, max_dev=0.25,
+                            missing_nodes=[(0, 1)])
+    monkeypatch.setattr(cli.pattern, "verify_pattern", lambda *a, **k: report)
+    out = tmp_path / "ver"
+    assert cli.main(["verify", "--run", str(rundir), "--eta", str(etap),
+                     "--period", "1.0", "--out", str(out)]) == 0
+    assert json.loads((out / "fidelity.json").read_text()) == {
+        "correlation": 0.5, "max_dev": 0.25, "missing_nodes": [[0, 1]]}
+
+
 def test_verify_with_too_few_spikes_is_a_numerical_failure(tmp_path, capsys):
     # 5 time units hold fewer than the 3 events the period estimate needs
     cfgp = write_config(tmp_path / "sim.json", {
@@ -486,6 +545,8 @@ def test_verify_with_too_few_spikes_is_a_numerical_failure(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfgp, "--out", str(rundir)]) == 0
     etap = tmp_path / "eta.csv"
     np.savetxt(etap, np.zeros((2, 2)), delimiter=",")
+    out = tmp_path / "ver"
     assert cli.main(["verify", "--run", str(rundir), "--eta", str(etap),
-                     "--out", str(tmp_path / "ver")]) == 2
+                     "--out", str(out)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()

@@ -46,6 +46,21 @@ def test_uncoupled_sl_limit_cycle():
     assert np.max(np.abs(np.abs(z) - np.abs(z_prev))) / dt_rec < 1e-8
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (1, 1)],
+                         ids=["2x2", "3x2", "1x1"])
+def test_real_sl_history_is_a_complex_one_with_zero_imaginary_part(shape):
+    # a real sample was once read as (re, im) pairs: at tau = 0.65 and
+    # dt = 0.05 a history block holds 2 times, so on the 2x2 lattice the
+    # run silently started from [[0.1, 0.3], [0.1, 0.3]]
+    spec = sl_spec(*shape, 1.0, 1.0, 0.5)
+    dm = DelayMap.homogeneous(*shape, 0.65)
+    real = np.arange(1, 1 + math.prod(shape)).reshape(shape) / 10
+    runs = [simulate(spec, dm, ConstantHistory(init), t_end=2.0, dt=0.05)
+            for init in (real, real + 0j)]
+    assert np.array_equal(runs[0].snapshots[0, ..., 0], real)
+    assert np.array_equal(runs[0].snapshots, runs[1].snapshots)
+
+
 def test_equilibrium_stays_constant_sl():
     spec = sl_spec(3, 3, -2.5, 0.5, 2.0)
     dm = DelayMap.homogeneous(3, 3, 20.0)

@@ -4,9 +4,9 @@ import pytest
 from delaylattice.core import DelayMap, LatticeSpec, Model, SLParams
 from delaylattice.dde import (ConstantHistory, ShiftedReplayHistory,
                               Trajectory, simulate)
-from delaylattice.pattern import (FidelityReport, ShiftField,
-                                  delays_from_timeshifts, eta_from_image,
-                                  read_pgm, verify_pattern, write_pgm)
+from delaylattice.pattern import (ShiftField, delays_from_timeshifts,
+                                  eta_from_image, read_pgm, verify_pattern,
+                                  write_pgm)
 
 
 def test_zero_shift_gives_homogeneous_delays():
@@ -185,15 +185,6 @@ def test_verify_pattern_detects_mismatch():
     wrong = 50.0 - rng.uniform(0.0, 3.0, size=(3, 3))
     rep = verify_pattern(_spike_traj(wrong), ShiftField(eta), T)
     assert rep.max_dev > 0.1
-
-
-def test_fidelity_report_json():
-    import json
-    rep = FidelityReport(correlation=0.5, max_dev=0.25,
-                         missing_nodes=[(0, 1)])
-    doc = json.loads(rep.to_json())
-    assert doc == {"correlation": 0.5, "max_dev": 0.25,
-                   "missing_nodes": [[0, 1]]}
 
 
 def test_sl_shifted_replay_is_exact():

@@ -101,6 +101,11 @@ def test_stst_pcs_decoupled_mode():
         sl_stst_pcs(SLParams(-2.0, 0.5), 2.0, math.pi / 2, 0.5)
 
 
+def test_stst_pcs_at_zero_coupling_says_the_coupling_vanishes():
+    with pytest.raises(ValueError, match=r"C\*cos\(k_minus\) vanishes"):
+        sl_stst_pcs(SLParams(-2.0, 0.5), 0.0, 0.3, 0.5)
+
+
 def test_hopf_threshold_zero_delay():
     spec = make_spec(3, 3, -2.0, 0.5, 2.0)
     assert sl_hopf_threshold(spec.params, 2.0, 0.0, spec) == -2.0
