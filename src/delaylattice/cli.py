@@ -376,6 +376,9 @@ def cmd_verify(args) -> int:
     with _input_of("--run"):
         with open(rundir / "frames.json") as fh:
             header = json.load(fh)
+        if not isinstance(header, dict):
+            raise ValueError("frames.json: expected a JSON object, got "
+                             + type(header).__name__)
         frames = np.fromfile(rundir / "frames.f64", dtype="<f8").reshape(
             header["n_frames"], header["M"], header["N"], header["d"])
         traj = dde.Trajectory(

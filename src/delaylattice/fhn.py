@@ -21,11 +21,13 @@ from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
 _MINUS_FIVE, _ONE, _HALF = np.array(-5.0), np.array(1.0), np.array(0.5)
 
 
-def gate_rate(v, out=None):
+def gate_rate(v, out=None, tmp=None):
     """Synaptic activation rate alpha(v) = 1/2 * [1 + exp(-5(v-1))]^-1,
-    written into ``out`` when one is given."""
-    e = np.exp(np.multiply(_MINUS_FIVE, np.subtract(v, _ONE, out), out), out)
-    return np.divide(_HALF, np.add(_ONE, e, out), out)
+    written into ``out`` when one is given. The chain alternates between
+    ``out`` and the scratch row ``tmp``, so no step writes over its own
+    input; without buffers each step allocates, with the same arithmetic."""
+    e = np.exp(np.multiply(_MINUS_FIVE, np.subtract(v, _ONE, out), tmp), out)
+    return np.divide(_HALF, np.add(_ONE, e, tmp), out)
 
 
 def gate_rate_deriv(v):

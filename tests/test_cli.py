@@ -471,6 +471,20 @@ def test_malformed_frames_json_names_the_missing_key(tmp_path, capsys, edit,
     assert capsys.readouterr().err == f"config error: --run: {message}\n"
 
 
+@pytest.mark.parametrize("doc, kind", [([], "list"), (3, "int")],
+                         ids=["list", "number"])
+def test_frames_json_that_is_not_an_object_names_the_file(tmp_path, capsys,
+                                                          doc, kind):
+    argv = _verify_damaged_run(tmp_path, _rewrite_frames_json(lambda _: doc))
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --run: frames.json: expected a JSON object, "
+        f"got {kind}\n")
+    assert not out.exists()
+
+
 def test_missing_delay_exit_code(tmp_path):
     cfgp = write_config(tmp_path / "nodelay.json", {
         "model": "sl", "M": 2, "N": 2,

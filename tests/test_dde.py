@@ -9,8 +9,9 @@ from delaylattice.core import (DelayMap, FHNParams, LatticeSpec, Model,
                                SLParams)
 from delaylattice.dde import (ConstantHistory, FunctionHistory,
                               InsufficientDataError, ShiftedReplayHistory,
-                              Trajectory, detect_spikes, estimate_orbit_period,
-                              estimate_period, plane_wave_history, simulate)
+                              Trajectory, _make_rhs, detect_spikes,
+                              estimate_orbit_period, estimate_period,
+                              plane_wave_history, simulate)
 from delaylattice.fhn import fhn_steady_states
 from delaylattice.sl import sl_enumerate_plane_waves
 
@@ -373,14 +374,14 @@ def test_nonfinite_state_aborts():
 # ---------------------------------------------------------------------------
 # the integrator's output, pinned bit for bit
 
-def _pinned_fhn(store_full=False):
+def _pinned_fhn(store_full=False, dt=0.05):
     rng = np.random.default_rng(7)
     spec = fhn_spec(4, 5, 0.5, 1.0)
     dm = DelayMap(rng.uniform(2.0, 5.0, (4, 5)), rng.uniform(2.0, 5.0, (4, 5)))
     init = ConstantHistory(rng.uniform(-1.5, 1.5, (4, 5, 3)) * [1, 1, 0.2]
                            + [0, 0, 0.3])
-    return simulate(spec, dm, init, t_end=60.0, dt=0.05, record_every=40,
-                    store_full=store_full)
+    return simulate(spec, dm, init, t_end=60.0, dt=dt,
+                    record_every=round(2.0 / dt), store_full=store_full)
 
 
 def _pinned_sl(store_full=False):
@@ -413,15 +414,58 @@ def _pinned_fhn_replay(store_full=False):
 # sha256 of the final snapshot (little-endian float64) of each run, recorded
 # with the three-component ring and per-edge gathers the single-channel ring
 # replaced (fhn-replay: with the history read one time at a time); its
-# arithmetic must stay the same operation for operation
+# arithmetic must stay the same operation for operation. The FHN digests were
+# re-recorded when the rhs began to cube v by two multiplies instead of
+# np.power, which rounds twice where pow rounds once; POW_CUBE_FINAL keeps
+# their final snapshots from before that change.
 PINNED = {
     "fhn": (_pinned_fhn,
-            "e5e9e0cab7c50f66383b06687b518b559efeda9ffa52fe409445a2ff1f2e6203"),
+            "f91edb565543a5a0bde4681e9ff149db77e73919861c1ed70d5c49c07deffed9"),
     "sl": (_pinned_sl,
            "d05b9a73c46ba0f3af1dce8c1daa4389e280da522acf8d8a6d29549a829d2976"),
     "fhn-replay": (
         _pinned_fhn_replay,
-        "f63211c355dcd75ed40272f62ae4b12e9d69e427b160f79dad13632b05718492"),
+        "f45a8424c6b947fa37a2525e1e5b2c6ca434400b40bcd029ffddaa01f9254302"),
+}
+
+# the final snapshots, node by node as (v, w, s), with v**3 from np.power
+POW_CUBE_FINAL = {
+    "fhn": [
+        1.4324327331950195, 1.263802907513929, 0.4334426090696369,
+        1.4169498722681053, 1.281363594385607, 0.4319485351779826,
+        1.2934224751913155, 1.4440510996868479, 0.4143591530967381,
+        1.2462206966718985, 1.4910769382734257, 0.4055407337180574,
+        1.3817117055190948, 1.3334727435801916, 0.4278246885867194,
+        1.7348319483582506, 0.674404132950503, 0.445877935914742,
+        1.7318096551112208, 0.6542062334315037, 0.4406243695396135,
+        -1.0997350492804618, 0.4243177648172477, 0.000716683930229437,
+        0.7283324325628089, 1.5692276655099324, 0.2406713840728168,
+        1.3992266719696755, 1.30247041844989, 0.4300933040611555,
+        1.4888228946731903, 1.1366193611108155, 0.4373440329841917,
+        -0.5639096047765337, 0.28281723859140956, 0.0003349556305048594,
+        -1.924810760331863, 0.9064089299856171, 0.014350878300530641,
+        0.9807324223454704, 1.5518916193937293, 0.342528523195363,
+        1.488548659019788, 1.1744319513214025, 0.43836689540067325,
+        1.3289533399010474, 1.4020330069171616, 0.4196754834541786,
+        0.726554772300258, 1.5644818195998207, 0.23929915143658217,
+        1.0797728877635122, 1.544203167779052, 0.37113924853952346,
+        1.2877239722145988, 1.4468843109772451, 0.4137536170748416,
+        1.439198877252832, 1.247563411372459, 0.433599954351573,
+    ],
+    "fhn-replay": [
+        -0.8898300631641519, -0.24563467626229576, 3.972446316610979e-05,
+        -0.9855814248947959, -0.24155388296833108, 2.6060832286623553e-05,
+        -0.9359157949112688, -0.24491268811805275, 3.2493428043709746e-05,
+        -0.9063422912451911, -0.2456106233232346, 3.698302126280595e-05,
+        -0.916972885212343, -0.24546074171807936, 3.530867998507123e-05,
+        -0.8815683016137521, -0.24555691683618003, 4.116259813750491e-05,
+        -0.8916140613173174, -0.24564380475546085, 3.94198228418291e-05,
+        -0.8810399707138871, -0.2455499954511021, 4.1256110305347585e-05,
+        -1.0234935925350603, -0.23683835956558663, 2.1983543120515026e-05,
+        -0.9625254597239628, -0.24348126909578402, 2.8883707794214648e-05,
+        -0.9550113991337607, -0.24396810248798637, 2.986368475288e-05,
+        -1.0180138411459758, -0.23764647181522702, 2.2531786873410443e-05,
+    ],
 }
 
 
@@ -431,10 +475,46 @@ def test_pinned_final_snapshot(case):
     traj = run()
     final = np.ascontiguousarray(traj.snapshots[-1], dtype="<f8")
     assert hashlib.sha256(final.tobytes()).hexdigest() == digest
+    if case in POW_CUBE_FINAL:
+        assert np.abs(final.ravel() - POW_CUBE_FINAL[case]).max() <= 1e-12
     # the dense store rides along without touching the coupling reads
     full = run(store_full=True)
     assert np.array_equal(full.snapshots, traj.snapshots)
     assert np.array_equal(full.times, traj.times)
+
+
+def test_cube_rounding_is_far_below_the_step_error():
+    # the move of the pinned FHN run away from its np.power cube is a
+    # millionth of what halving dt changes at the same record times
+    traj, half = _pinned_fhn(), _pinned_fhn(dt=0.025)
+    np.testing.assert_allclose(half.times, traj.times, rtol=0, atol=1e-12)
+    gap = np.abs(half.snapshots[-1] - traj.snapshots[-1]).max()
+    move = np.abs(traj.snapshots[-1].ravel() - POW_CUBE_FINAL["fhn"]).max()
+    assert move < 1e-6 * gap
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (12, 16), (32, 32)],
+                         ids=["1", "192", "1024"])
+def test_fhn_rhs_matches_the_model_equations(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    p = FHNParams(*rng.uniform([-1.0, 0.5, 0.5, 0.05, 1.5],
+                               [1.0, 0.9, 1.0, 0.1, 2.5]))
+    C = rng.uniform(0.5, 5.0)
+    spec = LatticeSpec(rows=shape[0], cols=shape[1],
+                       model=Model.FITZHUGH_NAGUMO, params=p, coupling=C)
+    v, w, s, x = rng.uniform([[-2.5], [-1.0], [0.0], [0.0]],
+                             [[2.5], [2.0], [1.0], [2.0]],
+                             (4, shape[0] * shape[1]))
+    y = np.array([v, w, s])
+    out = np.empty_like(y)
+    _make_rhs(spec)(y, x, out)
+    alpha = 0.5 / (1.0 + np.exp(-5.0 * (v - 1.0)))
+    want = [v - v**3 / 3.0 - w + p.I + C / 2.0 * (p.v_r - v) * x,
+            p.eps * (v + p.a - p.b * w),
+            alpha * (1.0 - s) - 0.6 * s]
+    for got, ref in zip(out, want):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(y, [v, w, s])
 
 
 def test_simulate_peak_memory():

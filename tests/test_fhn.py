@@ -19,6 +19,15 @@ HOMOG = WaveVector(0.0, 0.0)
 
 def test_gate_rate_midpoint():
     assert gate_rate(1.0) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_gate_rate_into_buffers_matches_and_keeps_its_input():
+    v = np.random.default_rng(5).uniform(-3.0, 4.0, 1024)
+    v0 = v.copy()
+    out, tmp = np.empty((2, v.size))
+    assert gate_rate(v, out, tmp) is out
+    assert np.array_equal(out, gate_rate(v))
+    assert np.array_equal(v, v0)
     assert synaptic_gate(1.0) == pytest.approx(0.25 / 0.85, abs=1e-15)
 
 
