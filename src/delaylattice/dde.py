@@ -4,19 +4,18 @@ Delayed neighbor values are read through cubic Hermite interpolation of
 (value, derivative) samples at uniform step dt, which keeps the scheme 4th
 order for smooth history. Per-edge heterogeneous delays are supported.
 
-The coupling reads one channel of the neighbor state: z for Stuart-Landau,
-the synaptic gate s for FitzHugh-Nagumo. Only that channel is kept in the
-history ring, shaped (D, 2, M*N) with D = H + 4 slots for H =
-ceil(max_delay/dt) + 2: slot (n + H) % D holds the channel and its
-derivative at time n*dt, node-major. Since delays are constant in time, the flat ring
-index and the Hermite weight of every read (2 edges x 4 reads x M*N nodes)
-are precomputed for the stage offsets c = 0, 1/2, 1; each step then makes
-one wrapped ``take`` and a weighted sum for both stages it needs.
-``store_full`` keeps the full (state, derivative) samples of the whole run
-beside the ring, for ``DenseOutput``. A history answers ``state(t)`` and
+The samples live in one store shaped (S, 2, c, M, N): slot, value or
+derivative, component, node; slot (n + H) % S holds time n*dt, for
+H = ceil(max_delay/dt) + 2. By default it is a ring of S = H + 4 slots of
+the one channel the coupling reads (z for Stuart-Landau, the gate s for
+FitzHugh-Nagumo); with ``store_full`` it holds every component of every
+step instead, S = H + n_steps + 1, and is the run's ``DenseOutput``. As
+delays are constant, the flat index and Hermite weight of every read are
+precomputed for the RK4 stage offsets 1/2 and 1; each step makes one
+wrapped ``take`` and a weighted sum. A history answers ``state(t)`` and
 ``deriv(t)`` for times t of any shape, with that shape prepended to the
-sample's; ``simulate`` reads it in at least ``HISTORY_SPLIT`` blocks of at
-most about ``HISTORY_BLOCK`` node-times.
+sample's; ``simulate`` reads it in at least ``HISTORY_SPLIT`` blocks of
+at most about ``HISTORY_BLOCK`` node-times.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ class ShiftedReplayHistory:
     def __init__(self, dense: "DenseOutput", t_align: float, eta: np.ndarray):
         self._dense, self._t0 = dense, t_align
         self._eta, self._node = np.asarray(eta, dtype=float), None
-        if dense.states.shape[1:3] == (1, 1):
+        if dense.samples.shape[-2:] == (1, 1):
             self._eta, node = np.unique(self._eta, return_inverse=True)
             self._node = node.reshape(np.shape(eta))
 
@@ -118,69 +117,77 @@ def plane_wave_history(wave, spec: LatticeSpec) -> FunctionHistory:
 # ---------------------------------------------------------------------------
 # dense output and trajectories
 
-def _hermite_weights(th, dt: float):
+def _grid_split(p):
+    """Step k and fraction th of grid positions p = t/dt, for every read
+    and the step count. A position just below or a hair above a grid point
+    is on it: th = 0, an exact read."""
+    k = np.floor(p + 1e-12).astype(int)
+    th = p - k
+    return k, np.where(th < 1e-9, 0.0, th)
+
+
+def _hermite_weights(th, dt: float, deriv: bool = False):
     """Weights of y0, f0, y1, f1 in the cubic Hermite interpolant through
-    (y0, f0) and (y1, f1) one step dt apart, at fraction th of the step."""
+    (y0, f0) and (y1, f1) one step dt apart, at fraction th of the step;
+    with ``deriv`` the weights of its time derivative."""
     t2 = th * th
+    if deriv:
+        d00 = (6 * t2 - 6 * th) / dt
+        return d00, 3 * t2 - 4 * th + 1, -d00, 3 * t2 - 2 * th
     t3 = t2 * th
     return (2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * dt,
             -2 * t3 + 3 * t2, (t3 - t2) * dt)
 
 
-def _hermite(th, y0, f0, y1, f1, dt: float, deriv: bool = False):
-    """Cubic Hermite interpolant at fraction th of the step; with ``deriv``
-    its time derivative."""
-    if deriv:
-        t2 = th * th
-        d00 = (6 * t2 - 6 * th) / dt
-        return (d00 * y0 + (3 * t2 - 4 * th + 1) * f0 - d00 * y1
-                + (3 * t2 - 2 * th) * f1)
-    w0, w1, w2, w3 = _hermite_weights(th, dt)
-    return w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1
+def _read_index(k, at, stride: int):
+    """Flat store index of y0, f0, y1, f1 (stacked first) for step k: slot k
+    starts at 2*k*stride, its derivative half at stride after, and ``at``
+    adds the component and node."""
+    r = np.arange(4).reshape((4,) + (1,) * np.ndim(k))
+    return (2 * k + r) * stride + at
 
 
 class DenseOutput:
-    """Cubic Hermite interpolant over uniformly stepped (state, deriv)
-    samples. Evaluations outside the stored range raise."""
+    """Cubic Hermite interpolant over the (S, 2, c, M, N) sample store of a
+    whole run, from time t0 in steps of dt. A one-component store (the
+    complex z of Stuart-Landau) is read without the component axis.
+    Evaluations outside the stored range raise."""
 
-    def __init__(self, t0: float, dt: float, states: np.ndarray,
-                 derivs: np.ndarray):
+    def __init__(self, t0: float, dt: float, samples: np.ndarray):
         self.t0 = t0
         self.dt = dt
-        self.states = states
-        self.derivs = derivs
+        self.samples = samples
 
     @property
     def t_end(self) -> float:
-        return self.t0 + (len(self.states) - 1) * self.dt
+        return self.t0 + (len(self.samples) - 1) * self.dt
 
     def eval_shifted(self, times: np.ndarray, deriv: bool = False):
         """Vectorized per-node lookup: times is an (..., M, N) array and
         node (m, n) is evaluated at times[..., m, n]. A stored (1, 1)
         lattice is broadcast over the requested shape."""
         times = np.asarray(times, dtype=float)
-        p = (times - self.t0) / self.dt
-        k = np.floor(p + 1e-12).astype(int)
-        last = len(self.states) - 1
-        k = np.where((k == last) & (p - k < 1e-9), k - 1, k)
-        if np.any(k < 0) or np.any(k + 1 > last):
+        S, _, c, M, N = self.samples.shape
+        k, th = _grid_split((times - self.t0) / self.dt)
+        end = (k == S - 1) & (th == 0)   # the last sample ends the last step
+        k, th = k - end, np.where(end, 1.0, th)
+        if np.any(k < 0) or np.any(k + 1 >= S):
             raise SimulationError(
                 f"dense output lookup outside [{self.t0}, {self.t_end}]")
-        th = p - k
-        th = np.where(th < 1e-9, 0.0, th)
-        S, M, N = self.states.shape[:3]
-        if (M, N) == times.shape[-2:]:   # flat index of sample k at (m, n)
-            k = k * (M * N) + np.arange(M * N).reshape(M, N)
-        elif (M, N) != (1, 1):
+        if (M, N) == times.shape[-2:]:
+            node = np.arange(M * N).reshape(M, N)
+        elif (M, N) == (1, 1):
+            node = 0
+        else:
             raise SimulationError(
                 f"cannot broadcast stored lattice {(M, N)} to {times.shape}")
-        states, derivs = (a.reshape((S * M * N,) + a.shape[3:])
-                          for a in (self.states, self.derivs))
-        y0, y1 = states.take(k, axis=0), states.take(k + M * N, axis=0)
-        f0, f1 = derivs.take(k, axis=0), derivs.take(k + M * N, axis=0)
-        if y0.ndim == times.ndim + 1:   # component axis on real-valued models
-            th = th[..., None]
-        return _hermite(th, y0, f0, y1, f1, self.dt, deriv)
+        # gathered component-major, so every loop runs along the nodes
+        comp = np.arange(c).reshape((c,) + (1,) * k.ndim) * (M * N)
+        y0, f0, y1, f1 = self.samples.reshape(-1).take(
+            _read_index(k[None], comp + node, c * M * N))
+        w0, w1, w2, w3 = _hermite_weights(th, self.dt, deriv)
+        out = w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1
+        return out[0] if c == 1 else np.moveaxis(out, 0, -1)
 
 
 @dataclass
@@ -267,48 +274,43 @@ def _from_snapshot(arr, model: Model) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the integrator
 
-def _coupling_reader(ring: np.ndarray, delays: DelayMap, dt: float, H: int,
-                     offsets: tuple):
-    """(read, rows): read(phase) writes into the M*N arrays ``rows`` the
-    delayed up + left neighbor sums of the coupled channel at the RK4 stage
-    offsets c of step n, given the ring phase n % D.
+def _coupling_reader(store: np.ndarray, channel: int, delays: DelayMap,
+                     dt: float, H: int):
+    """(read, x_half, x_one): read(phase) writes into the M*N arrays x_half
+    and x_one the delayed up + left neighbor sums of component ``channel``
+    at the RK4 stage offsets 1/2 and 1 of step n, given the store phase
+    n % S; phase S - 1 (step -1) gives x_one at t = 0.
 
-    The flat ring index and the Hermite weight of every read are
-    precomputed, shaped (stage, read y0 f0 y1 f1, edge up/left, node): a
+    The flat store index and the Hermite weight of every read are
+    precomputed, shaped (read y0 f0 y1 f1, stage, edge up/left, node): a
     read at time j*dt sits in slot j + H at step 0, and step n shifts it by
-    n*2*M*N modulo the ring size, which ``take`` wraps. Each sum is
+    n slots modulo the store size, which ``take`` wraps. Each sum is
     w0 y0 + w1 f0 + w2 y1 + w3 f1 per edge, added left to right as in
-    ``_hermite``, then up + left."""
-    MN = ring.shape[2]
+    ``DenseOutput``, then up + left."""
+    c = store.shape[2]
+    MN = delays.down.size
     node = np.arange(MN).reshape(delays.down.shape)
     src = np.stack([np.roll(node, 1, axis=0),
                     np.roll(node, 1, axis=1)]).reshape(2, MN)
     tau = np.stack([delays.down, delays.right]).reshape(2, MN)
-    idx = np.empty((len(offsets), 4, 2, MN), dtype=np.intp)
-    wts = np.empty(idx.shape)
-    for i, c in enumerate(offsets):
-        p = c - tau / dt
-        base = np.floor(p + 1e-12).astype(int)
-        th = p - base
-        # snap grid-aligned lookups for exact reads
-        wts[i] = _hermite_weights(np.where(th < 1e-9, 0.0, th), dt)
-        for r in range(4):   # y0, f0 at base; y1, f1 at base + 1
-            idx[i, r] = (base + H + r // 2) * 2 * MN + (r % 2) * MN + src
-    flat = ring.reshape(-1)
-    at = np.empty_like(idx)   # idx + shift < 2 * ring size: one wrap at most
-    g, gw = np.empty((2,) + idx.shape, dtype=ring.dtype)
-    y0, f0, y1, f1 = (gw[:, r] for r in range(4))
-    e, e2 = np.empty((2,) + y0.shape, dtype=ring.dtype)
-    out = np.empty((len(offsets), MN), dtype=ring.dtype)
+    base, th = _grid_split(np.array([0.5, 1.0])[:, None, None] - tau / dt)
+    idx = _read_index(base + H, channel * MN + src, c * MN)
+    wts = np.array(_hermite_weights(th, dt))
+    flat = store.reshape(-1)
+    at = np.empty_like(idx)   # idx + shift < 2 * store size: one wrap at most
+    g, gw = np.empty((2,) + idx.shape, dtype=store.dtype)
+    y0, f0, y1, f1 = gw
+    e, e2 = np.empty((2,) + y0.shape, dtype=store.dtype)
+    out = np.empty((2, MN), dtype=store.dtype)
     add, mul = np.add, np.multiply
 
     def read(phase: int) -> None:
-        flat.take(add(idx, phase * 2 * MN, at), out=g, mode="wrap")
+        flat.take(add(idx, phase * 2 * c * MN, at), out=g, mode="wrap")
         mul(g, wts, gw)
         add(add(add(y0, f0, e), y1, e2), f1, e)
         add(e[:, 0], e[:, 1], out)
 
-    return read, tuple(out)
+    return read, out[0], out[1]
 
 
 def step_size(dt: Optional[float], min_delay: float) -> float:
@@ -333,8 +335,10 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     with ``store_full`` the trajectory carries a dense interpolant over the
     whole run including the history interval.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end={t_end} invalid: need a finite t_end > 0")
+    if record_every < 1:
+        raise ValueError(f"record_every={record_every} invalid: need >= 1")
     if delays.down.shape != (spec.rows, spec.cols):
         raise ValueError("delay map shape does not match the lattice")
     dt = step_size(dt, delays.min_delay)
@@ -342,47 +346,41 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     M, N = spec.rows, spec.cols
     MN = M * N
     model = spec.model
-    sl = model is Model.STUART_LANDAU
-    dtype, d, ch = (complex, 1, 0) if sl else (float, 3, 2)
-    n_steps = int(math.ceil(t_end / dt - 1e-9))
+    dtype, d, ch = ((complex, 1, 0) if model is Model.STUART_LANDAU
+                    else (float, 3, 2))
+    k_end, th_end = _grid_split(t_end / dt)
+    n_steps = int(k_end) + int(th_end > 0)
     H = int(math.ceil(delays.max_delay / dt)) + 2
-    D = H + 4
 
-    # ring of the coupled channel: slot (n + H) % D holds its value and
-    # derivative at time n*dt
-    ring = np.zeros((D, 2, MN), dtype=dtype)
-    read_start, (x_start,) = _coupling_reader(ring, delays, dt, H, (0.0,))
-    read_step, (x_half, x_one) = _coupling_reader(ring, delays, dt, H,
-                                                  (0.5, 1.0))
+    # the sample store: slot (n + H) % S holds time n*dt; the coupled
+    # channel in a ring, or every component of the whole run
+    S, chans = ((H + n_steps + 1, slice(None)) if store_full
+                else (H + 4, slice(ch, ch + 1)))
+    store = np.zeros((S, 2, d if store_full else 1, M, N), dtype=dtype)
+    read, x_half, x_one = _coupling_reader(
+        store, ch if store_full else 0, delays, dt, H)
+    slots = store.reshape(S, 2, -1, MN)
 
-    if store_full:
-        full = np.zeros((2, H + n_steps + 1, M, N, d), dtype=dtype)
-
-    # kernel states, rows and (M, N, d) views; y, k1 adjacent: one ring write
+    # kernel states, rows and an (M, N, d) view; y, k1 adjacent: one write
     bufs = np.empty((7, d, MN), dtype=dtype)
     y, k1, yt, k2, k3, k4, u = bufs
     Y, K1, YT, K2, K3, K4 = (tuple(b) for b in bufs[:6])
-    y_lat, k1_lat = y_k1_lat = bufs[:2].transpose(0, 2, 1).reshape(2, M, N, d)
+    y_lat = y.T.reshape(M, N, d)
 
     # prefill [-H*dt, 0] in blocks; the derivative at t = 0 comes from rhs
-    ring4 = ring.reshape(D, 2, M, N)
     block = max(1, min(HISTORY_BLOCK // MN,
                        math.ceil((H + 1) / HISTORY_SPLIT)))
-    for i, (read, end) in enumerate(((init.state, 1), (init.deriv, 0))):
+    for i, (hist, end) in enumerate(((init.state, 1), (init.deriv, 0))):
         for lo in range(-H, end, block):
             hi = min(lo + block, end)
-            sample = _from_snapshot(read(np.arange(lo, hi) * dt), model)
-            ring4[lo + H:hi + H, i] = sample[..., ch]
-            if store_full:
-                full[i, lo + H:hi + H] = sample
+            sample = _from_snapshot(hist(np.arange(lo, hi) * dt), model)
+            store[lo + H:hi + H, i] = np.moveaxis(sample[..., chans], -1, 1)
         if end:   # the state block ends with the t = 0 sample
             y_lat[...] = sample[-1]
     rhs = _make_rhs(spec)
-    read_start(0)
-    rhs(Y, x_start, K1)
-    ring[H, 1] = K1[ch]
-    if store_full:
-        full[1, H] = k1_lat
+    read(S - 1)
+    rhs(Y, x_one, K1)
+    slots[H, 1] = k1[chans]
 
     n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
     rec_times = np.empty(n_rec)
@@ -394,7 +392,7 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     h2, h6, h1, two = (np.array(c) for c in (0.5 * dt, dt / 6.0, dt, 2.0))
     add, mul = np.add, np.multiply
     for n in range(n_steps):
-        read_step(n % D)
+        read(n % S)
         add(y, mul(h2, k1, u), yt)
         rhs(YT, x_half, K2)
         add(y, mul(h2, k2, u), yt)
@@ -407,9 +405,7 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
         add(k2, k4, yt)
         add(y, mul(h6, yt, u), y)
         rhs(Y, x_one, K1)   # derivative at t_{n+1}; reused as next k1
-        ring[(n + 1 + H) % D] = bufs[:2, ch]
-        if store_full:
-            full[:, n + 1 + H] = y_k1_lat
+        slots[(n + 1 + H) % S] = bufs[:2, chans]
 
         if (n + 1) % 64 == 0:
             finite = np.isfinite(np.abs(y)).all(axis=0)
@@ -422,11 +418,7 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
             rec_times[i_rec] = (n + 1) * dt
             rec_snaps[i_rec] = _to_snapshot(y_lat, model)
 
-    dense = None
-    if store_full:
-        if sl:
-            full = full[..., 0]
-        dense = DenseOutput(t0=-H * dt, dt=dt, states=full[0], derivs=full[1])
+    dense = DenseOutput(-H * dt, dt, store) if store_full else None
     return Trajectory(times=rec_times, snapshots=rec_snaps,
                       dt=dt, record_every=record_every, dense=dense)
 
@@ -438,7 +430,8 @@ def detect_spikes(traj: Trajectory, component: int = 0,
                   threshold: float = 0.0,
                   refractory: float = SPIKE_REFRACTORY) -> list:
     """Per-node upward threshold crossings, linearly interpolated between
-    recorded samples. Returns nested lists spikes[m][n] of event times."""
+    recorded samples. Returns nested lists spikes[m][n] of event times;
+    with the default arguments also caches them as ``traj.spikes``."""
     t = traj.times
     M, N = traj.shape
     x = np.moveaxis(traj.snapshots[..., component], 0, -1)   # (M, N, time)
@@ -451,7 +444,8 @@ def detect_spikes(traj: Trajectory, component: int = 0,
     runs = iter(np.split(times, ends[:-1]))
     out = [[_refractory_filter(next(runs), refractory) for _ in range(N)]
            for _ in range(M)]
-    traj.spikes = out
+    if (component, threshold, refractory) == (0, 0.0, SPIKE_REFRACTORY):
+        traj.spikes = out
     return out
 
 

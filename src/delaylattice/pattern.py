@@ -69,17 +69,21 @@ def read_pgm(path) -> np.ndarray:
     width, height, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
+    if width < 1 or height < 1:
+        raise ValueError(f"PGM size {width}x{height} holds no pixel")
     if magic == b"P5":
         raster = data[i + 1:i + 1 + width * height]
         if len(raster) < width * height:
             raise ValueError("truncated P5 raster")
         img = np.frombuffer(raster, dtype=np.uint8, count=width * height)
     else:
-        values = data[i:].split()
+        values = [int(v) for v in data[i:].split()[:width * height]]
         if len(values) < width * height:
             raise ValueError("truncated P2 raster")
-        img = np.array([int(v) for v in values[:width * height]],
-                       dtype=np.uint8)
+        # numpy may wrap an out-of-range int into uint8 without a word
+        if not 0 <= min(values) <= max(values) <= maxval:
+            raise ValueError(f"P2 sample outside 0..{maxval}")
+        img = np.array(values, dtype=np.uint8)
     return img.reshape(height, width)
 
 

@@ -335,10 +335,11 @@ def _checkerboard_image(tmp_path):
     return imgp
 
 
-def _p6_image(tmp_path):
-    imgp = tmp_path / "color.ppm"
-    imgp.write_bytes(b"P6\n8 8\n255\n" + bytes(3 * 64))
-    return imgp
+def _encode(tmp_path, data: bytes):
+    """argv of ``encode`` on an image file holding ``data``."""
+    imgp = tmp_path / "bad.pgm"
+    imgp.write_bytes(data)
+    return ["encode", "--image", str(imgp), "--tau", "10", "--eta-max", "0.5"]
 
 
 def _eight_by_eight_run(tmp_path):
@@ -405,8 +406,11 @@ def _dispersion_at_zero_coupling(tmp_path, model):
     # shifts 0 and 2.5 side by side need delays 1 - 2.5 on some edges
     ("--tau", lambda tmp: ["encode", "--image", str(_checkerboard_image(tmp)),
                            "--tau", "1", "--eta-max", "2.5"]),
-    ("--image", lambda tmp: ["encode", "--image", str(_p6_image(tmp)),
-                             "--tau", "10", "--eta-max", "0.5"]),
+    # a color image, samples 8 bits cannot hold, a header with no pixel
+    ("--image", lambda tmp: _encode(tmp, b"P6\n8 8\n255\n" + bytes(3 * 64))),
+    ("--image", lambda tmp: _encode(tmp, b"P2\n2 1\n255\n0 300\n")),
+    ("--image", lambda tmp: _encode(tmp, b"P2\n2 1\n255\n-3 0\n")),
+    ("--image", lambda tmp: _encode(tmp, b"P2\n0 2\n255\n")),
     ("--eta", lambda tmp: ["verify", "--run", str(_eight_by_eight_run(tmp)),
                            "--eta", str(_two_by_two_eta(tmp))]),
     # a per-edge delay map where the command needs one homogeneous delay
@@ -439,7 +443,9 @@ def _dispersion_at_zero_coupling(tmp_path, model):
     # C = 0 is a valid config, but it decouples every mode
     ("C", lambda tmp: _dispersion_at_zero_coupling(tmp, "sl")),
     ("C", lambda tmp: _dispersion_at_zero_coupling(tmp, "fhn")),
-], ids=["encode-shifts-exceed-tau", "encode-p6", "verify-eta-shape",
+], ids=["encode-shifts-exceed-tau", "encode-p6", "encode-p2-sample-300",
+        "encode-p2-sample-negative", "encode-pgm-zero-width",
+        "verify-eta-shape",
         "planewaves-delay-files", "missing-config",
         "simulate-delay-files-missing", "simulate-delay-files-shape",
         "simulate-negative-seed", "simulate-dt-above-quarter-delay",

@@ -202,6 +202,35 @@ def test_estimate_orbit_period_two_pulse():
     assert estimate_orbit_period(traj, t_discard=0.0) == pytest.approx(8.0)
 
 
+def test_detect_spikes_with_other_arguments_leaves_the_cache_alone():
+    # gate events cached as traj.spikes were once read as component-0 zero
+    # crossings: the orbit period came out 51.302633, the first event 1.009
+    spec = fhn_spec(1, 1, 0.0, 3.0)
+    traj = simulate(spec, DelayMap.homogeneous(1, 1, 50.0),
+                    ConstantHistory(np.array([[[2.0, 0.0, 0.0]]])),
+                    t_end=320.0, dt=0.05, record_every=2)
+    gate = detect_spikes(traj, component=2, threshold=0.3)
+    assert gate[0][0][0] == pytest.approx(1.009, abs=1e-3)
+    assert traj.spikes is None
+    assert estimate_orbit_period(traj, 100.0) == pytest.approx(51.302747,
+                                                               abs=1e-6)
+    cached = traj.spikes
+    assert cached[0][0][0] == pytest.approx(50.885, abs=1e-3)
+    detect_spikes(traj, component=2, threshold=0.3)
+    assert traj.spikes is cached
+
+
+@pytest.mark.parametrize("key, value", [
+    ("record_every", 0), ("record_every", -1), ("t_end", 0.0),
+    ("t_end", math.nan), ("t_end", math.inf)])
+def test_run_length_outside_its_range_is_rejected(key, value):
+    # record_every 0 once divided by zero, -1 made negative dimensions
+    run = {"t_end": 1.0, "record_every": 1, key: value}
+    with pytest.raises(ValueError, match=key):
+        simulate(sl_spec(2, 2, 1.0, 1.0, 0.0), DelayMap.homogeneous(2, 2, 1.0),
+                 ConstantHistory(np.zeros((2, 2), complex)), dt=0.1, **run)
+
+
 def test_determinism():
     spec = sl_spec(3, 3, 1.0, 0.5, 1.0)
     dm = DelayMap.homogeneous(3, 3, 5.0)
@@ -481,6 +510,27 @@ def test_pinned_final_snapshot(case):
     full = run(store_full=True)
     assert np.array_equal(full.snapshots, traj.snapshots)
     assert np.array_equal(full.times, traj.times)
+
+
+@pytest.mark.parametrize("case", ["fhn", "sl"])
+def test_grid_aligned_dense_reads_are_the_stored_samples(case):
+    traj = PINNED[case][0](store_full=True)
+    M, N = traj.shape
+    for t, snap in zip(traj.times, traj.snapshots):
+        got = traj.dense.eval_shifted(np.full((M, N), t))
+        if case == "sl":
+            got = np.stack([got.real, got.imag], axis=-1)
+        assert np.array_equal(got, snap), t
+
+
+def test_grid_aligned_reads_of_a_one_node_store_broadcast_exactly():
+    traj = simulate(fhn_spec(1, 1, 0.5, 1.0), DelayMap.homogeneous(1, 1, 2.0),
+                    ConstantHistory(np.array([[[1.5, 0.5, 0.3]]])),
+                    t_end=10.0, dt=0.05, store_full=True)
+    times = np.multiply.outer(traj.times, np.ones((2, 3)))
+    got = traj.dense.eval_shifted(times)
+    assert got.shape == (len(traj.times), 2, 3, 3)
+    assert np.array_equal(got, np.broadcast_to(traj.snapshots, got.shape))
 
 
 def test_cube_rounding_is_far_below_the_step_error():
