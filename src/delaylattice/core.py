@@ -21,6 +21,12 @@ TWO_PI = 2.0 * math.pi
 MODE_TOL = 1e-12
 
 
+def check_delay(tau: float) -> None:
+    """The one rule for a delay argument: finite and >= 0."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+
+
 class Model(Enum):
     STUART_LANDAU = "sl"
     FITZHUGH_NAGUMO = "fhn"

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FHNParams, WaveVector
+from .core import FHNParams, WaveVector, check_delay
 from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
                     find_roots_quasipoly)
 
@@ -161,6 +161,7 @@ def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
     Returns one callable lambda -> (f(lambda), f'(lambda)) that accepts
     complex arrays; for a stacked linearization they broadcast against its
     leading shape."""
+    check_delay(tau)
     A = lin.A
     a12a21, a31 = A[..., 0, 1] * A[..., 1, 0], A[..., 2, 0]
     coup = _coupling_factor(lin.b13, wv.k_minus, wv.k_plus)
@@ -182,6 +183,7 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
                    window: tuple = (-2.0, 1.0, -4.0, 4.0)) -> RootSet:
     """Characteristic roots of the steady state for one Fourier mode,
     inside the given complex window."""
+    check_delay(tau)
     lin = fhn_linearization(stst, params, C)
     if C == 0.0 or abs(math.cos(wv.k_minus)) < 1e-12 or lin.b13 == 0.0:
         # mode decoupled: the Jacobian's own eigenvalues

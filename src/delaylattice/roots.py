@@ -10,9 +10,12 @@ from typing import Callable
 
 import numpy as np
 
+from .core import check_delay
+
 DEDUP_RADIUS = 1e-8
 RESIDUAL_TOL = 1e-10
 KEPLER_RESIDUAL_TOL = 1e-12
+SWEEP_BLOCK = 2 ** 13        # seeds per block of a stacked Newton sweep, at most
 
 
 @dataclass
@@ -60,6 +63,19 @@ def find_roots_quasipoly(fdf: Callable, window: tuple,
     kept before it, so a chain of roots 0.9e-8 apart keeps every other one.
     An empty result is not an error.
     """
+    return find_roots_stacked(lambda z, k: fdf(z), 1, window, grid)[0]
+
+
+def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple,
+                       grid: tuple = (40, 40)) -> list[RootSet]:
+    """``find_roots_quasipoly`` for ``n_sets`` functions at once, all on
+    one window and one seed grid: ``fdf(z, k)`` returns ``(f_k(z),
+    f_k'(z))`` elementwise, where the integer array ``k`` gives the set of
+    each point of ``z``. Each set gets the root set that a sweep of its
+    function alone gives, bit for bit.
+
+    The sets run in blocks of whole sets of at most ``SWEEP_BLOCK`` seeds
+    (at least one set), which bounds the work arrays."""
     re_min, re_max, im_min, im_max = window
     nx, ny = grid
     if not (re_max > re_min and im_max > im_min):
@@ -69,47 +85,57 @@ def find_roots_quasipoly(fdf: Callable, window: tuple,
 
     re = np.linspace(re_min, re_max, nx)
     im = np.linspace(im_min, im_max, ny)
-    z = (re[:, None] + 1j * im[None, :]).ravel()
-
-    # the seeds still iterating: their indices into z and their values
-    idx = np.arange(z.size)
-    za = z.copy()
+    seeds = (re[:, None] + 1j * im[None, :]).ravel()
     # limit huge steps to keep seeds from shooting off
     cap = 0.5 * max(re_max - re_min, im_max - im_min)
-    for _ in range(80):
-        if not idx.size:
-            break
-        fz, dfz = fdf(za)
-        with np.errstate(all="ignore"):
-            step = fz / dfz
-        step = np.where(np.isfinite(step), step, 0.0)
-        mag = np.abs(step)
-        big = mag > cap
-        if big.any():
-            step[big] *= cap / mag[big]
-        za = za - step
-        done = np.abs(step) <= 1e-14 * (1.0 + np.abs(za))
-        z[idx[done]] = za[done]
-        going = ~done
-        idx, za = idx[going], za[going]
-    z[idx] = za
-    converged = np.ones(z.shape, dtype=bool)
-    converged[idx] = False
+    per_block = max(1, SWEEP_BLOCK // seeds.size)
+    out = []
+    for first in range(0, n_sets, per_block):
+        sets = np.arange(first, min(first + per_block, n_sets))
+        z = np.tile(seeds, sets.size)
+        k = np.repeat(sets, seeds.size)
+        # the seeds still iterating: their indices into z, values and sets
+        idx, za, ka = np.arange(z.size), z.copy(), k
+        # |f| at the seeds, which the first iteration evaluates
+        f_seeds = None
+        for _ in range(80):
+            if not idx.size:
+                break
+            fz, dfz = fdf(za, ka)
+            if f_seeds is None:
+                f_seeds = np.abs(fz)
+            with np.errstate(all="ignore"):
+                step = fz / dfz
+            step = np.where(np.isfinite(step), step, 0.0)
+            mag = np.abs(step)
+            big = mag > cap
+            if big.any():
+                step[big] *= cap / mag[big]
+            za = za - step
+            done = np.abs(step) <= 1e-14 * (1.0 + np.abs(za))
+            z[idx[done]] = za[done]
+            going = ~done
+            idx, za, ka = idx[going], za[going], ka[going]
+        converged = np.ones(z.shape, dtype=bool)
+        converged[idx] = False
 
-    # keep converged roots in the window with small residual
-    scale = max(1.0, float(np.nanmedian(np.abs(fdf(
-        (re[:, None] + 1j * im[None, :]).ravel())[0]))))
-    fz = fdf(z)[0]
-    # residual alone is not enough: quasi-polynomials are exponentially
-    # flat along dense spectrum curves, so demand Newton convergence too
-    ok = converged
-    ok &= (np.abs(fz) <= RESIDUAL_TOL * scale)
-    ok &= (z.real >= re_min - 1e-9) & (z.real <= re_max + 1e-9)
-    ok &= (z.imag >= im_min - 1e-9) & (z.imag <= im_max + 1e-9)
-    ok &= np.isfinite(z)
-    roots = _dedup_sorted(z[ok])
-    return RootSet(roots=roots, tolerance=RESIDUAL_TOL * scale, window=window,
-                   seeds=z.size, converged=z.size - idx.size)
+        # keep converged roots in the window with small residual
+        scale = np.array([max(1.0, float(np.nanmedian(row)))
+                          for row in f_seeds.reshape(sets.size, -1)])
+        tol = RESIDUAL_TOL * scale
+        zc, kc = z[converged], k[converged]
+        # residual alone is not enough: quasi-polynomials are exponentially
+        # flat along dense spectrum curves, so demand Newton convergence too
+        ok = np.abs(fdf(zc, kc)[0]) <= tol[kc - first]
+        ok &= (zc.real >= re_min - 1e-9) & (zc.real <= re_max + 1e-9)
+        ok &= (zc.imag >= im_min - 1e-9) & (zc.imag <= im_max + 1e-9)
+        ok &= np.isfinite(zc)
+        n_conv = np.bincount(kc - first, minlength=sets.size)
+        for j in range(sets.size):
+            out.append(RootSet(roots=_dedup_sorted(zc[ok & (kc == first + j)]),
+                               tolerance=float(tol[j]), window=window,
+                               seeds=seeds.size, converged=int(n_conv[j])))
+    return out
 
 
 def bisect_sign_changes(g: Callable, x: np.ndarray, gx: np.ndarray) -> np.ndarray:
@@ -165,8 +191,7 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
     sign of g at both ends can still be missed when the minimum of |g|
     between them is not small enough to be a candidate.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    check_delay(tau)
     R = float(R)
     if R == 0.0:
         return np.array([beta])

@@ -16,9 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TWO_PI, LatticeSpec, SLParams, WaveVector, enumerate_modes
+from .core import (TWO_PI, LatticeSpec, SLParams, WaveVector, check_delay,
+                   enumerate_modes)
 from .lambertw import MAX_BRANCH, lambert_w_log
-from .roots import RootSet, find_roots_quasipoly, solve_cubic_real, solve_kepler
+# find_roots_quasipoly is not called here; perfbench/tracing.py looks it
+# up through this module
+from .roots import (RootSet, find_roots_quasipoly, find_roots_stacked,
+                    solve_cubic_real, solve_kepler)
 
 TRIVIAL_EXCLUSION_RADIUS = 1e-6
 STABILITY_TOL = 1e-6
@@ -54,6 +58,10 @@ class StabilityVerdict:
     cls: StabilityClass
     max_growth: float
     witness: tuple  # (omega, q_minus, q_plus) of the most unstable perturbation
+    # the Newton sweep's work, summed over the perturbation modes
+    seeds: int = 0
+    converged: int = 0
+    kept: int = 0
 
 
 def _branch_range(beta: float, C: float, tau: float) -> range:
@@ -72,7 +80,8 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     with R = C*cos(k_minus). When the delayed term vanishes (R = 0) the
     single instantaneous eigenvalue alpha + i*beta is returned.
     """
-    if tau <= 0:
+    check_delay(tau)
+    if tau == 0:
         raise ValueError("tau must be > 0")
     alpha, beta = params.alpha, params.beta
     mu = complex(alpha, beta)
@@ -112,8 +121,7 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
     """The alpha at which the rightmost steady-state eigenvalue over all
     modes crosses zero, by bisection on alpha in -C +- max(2, C) to a
     bracket width of 1e-6."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    check_delay(tau)
     if tau == 0.0:
         # instantaneous eigenvalue alpha + C cos(k_minus) e^{i k_plus};
         # most unstable mode is k_plus = k_minus = 0
@@ -121,23 +129,32 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
     lo, hi = -C - max(2.0, C), -C + max(2.0, C)
     modes = enumerate_modes(spec)
 
-    def rightmost(alpha):
-        """Max Re(lambda) of the steady state over all lattice modes."""
-        prm = SLParams(alpha, params.beta)
-        return max(sl_stst_eigenvalues(prm, C, tau, wv).max_real()
-                   for wv in modes)
+    def growth(alpha, wv):
+        return sl_stst_eigenvalues(SLParams(alpha, params.beta), C, tau,
+                                   wv).max_real()
 
-    f_lo, f_hi = rightmost(lo), rightmost(hi)
+    def rightmost(alpha):
+        """Max Re(lambda) of the steady state over all lattice modes, and
+        the first mode that attains it."""
+        g = [growth(alpha, wv) for wv in modes]
+        i = max(range(len(modes)), key=g.__getitem__)
+        return g[i], i
+
+    (f_lo, _), (f_hi, last) = rightmost(lo), rightmost(hi)
     if not (f_lo < 0 < f_hi):
         raise ArithmeticError(
             f"no sign change of the rightmost eigenvalue on alpha in "
             f"[{lo}, {hi}]: f({lo})={f_lo:.3g}, f({hi})={f_hi:.3g}")
+    # a midpoint is unstable as soon as one mode is: try the mode that was
+    # unstable last time first, then the others in order
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if rightmost(mid) < 0:
+        order = [last] + [i for i in range(len(modes)) if i != last]
+        hit = next((i for i in order if growth(mid, modes[i]) >= 0), None)
+        if hit is None:
             lo = mid
         else:
-            hi = mid
+            hi, last = mid, hit
     return 0.5 * (lo + hi)
 
 
@@ -146,8 +163,7 @@ def sl_enumerate_plane_waves(params: SLParams, C: float, tau: float,
     """All plane waves of the lattice: one per Kepler root with positive
     squared amplitude. Zero-amplitude solutions (the Hopf points) are
     dropped. Output is sorted by mode index, then frequency."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    check_delay(tau)
     alpha, beta = params.alpha, params.beta
     waves = []
     for wv in enumerate_modes(spec):
@@ -166,7 +182,7 @@ def sl_floquet_chi(wave: PlaneWave, lam, q_plus: float, q_minus: float,
     """Exact Floquet characteristic function chi(lambda; q_minus, q_plus)
     of a plane wave. Accepts scalar or array lambda."""
     val, _ = _chi_and_deriv(wave, C, tau, q_plus, q_minus)(
-        np.asarray(lam, dtype=complex))
+        np.asarray(lam, dtype=complex), 0)
     return val if val.ndim else complex(val)
 
 
@@ -186,17 +202,26 @@ def _chi_coeffs(wave: PlaneWave, C: float, q_minus):
     return P, const, G, Q, Rp, Rm
 
 
-def _chi_and_deriv(wave: PlaneWave, C: float, tau: float,
-                   q_plus: float, q_minus: float):
-    """lambda -> (chi, d chi / d lambda) for one perturbation mode."""
+def _chi_and_deriv(wave: PlaneWave, C: float, tau: float, q_plus, q_minus):
+    """(lambda, k) -> (chi, d chi / d lambda) of the perturbation modes
+    (q_plus[k], q_minus[k]), elementwise; q_plus and q_minus are numbers
+    or arrays of one length."""
+    check_delay(tau)
+    q_plus, q_minus = np.atleast_1d(q_plus), np.atleast_1d(q_minus)
     P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C, q_minus)
+    # complex tables: a real one times a complex array is much slower;
+    # each product keeps the grouping of the one-mode formula
+    iqp = 1j * q_plus
+    S = (Rp * Rm).astype(complex)
+    T = (2.0 * tau * Rp * Rm).astype(complex)
 
-    def fdf(lam):
-        e1 = np.exp(-lam * tau + 1j * q_plus)
-        lin = (P + lam) * G - Q
-        chi = lam * lam + 2.0 * P * lam + const + Rp * Rm * e1 * e1 - lin * e1
-        dchi = (2.0 * lam + 2.0 * P - 2.0 * tau * Rp * Rm * e1 * e1
-                - G * e1 + tau * lin * e1)
+    def fdf(lam, k):
+        e1 = np.exp(-lam * tau + iqp[k])
+        G_k = G[k]
+        lin = (P + lam) * G_k - Q[k]
+        chi = lam * lam + 2.0 * P * lam + const + S[k] * e1 * e1 - lin * e1
+        dchi = (2.0 * lam + 2.0 * P - T[k] * e1 * e1
+                - G_k * e1 + tau * lin * e1)
         return chi, dchi
 
     return fdf
@@ -259,19 +284,23 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
                      spec: LatticeSpec) -> StabilityVerdict:
     """Stability verdict of a plane wave from the exact quasi-polynomial.
 
-    For each perturbation mode (q_plus, q_minus) of the lattice, Newton
-    sweeps locate the characteristic roots in the window
+    One stacked Newton sweep over the perturbation modes (q_plus, q_minus)
+    of the lattice locates the characteristic roots of each in the window
     Re in [-2, max(1, 2*alpha)], Im in [-(3|beta|+3), 3|beta|+3]. The
     verdict follows from the maximal real part, excluding the trivial root
-    at (lambda=0, q=0)."""
+    at (lambda=0, q=0), and reports the sweep's seeds, converged seeds and
+    kept roots, summed over the modes."""
     alpha, beta = params.alpha, params.beta
     window = (-2.0, max(1.0, 2.0 * alpha), -(3.0 * abs(beta) + 3.0),
               3.0 * abs(beta) + 3.0)
+    modes = enumerate_modes(spec)
+    sets = find_roots_stacked(
+        _chi_and_deriv(wave, C, tau, [q.k_plus for q in modes],
+                       [q.k_minus for q in modes]), len(modes), window)
     max_growth = -np.inf
     witness = (0.0, 0.0, 0.0)
-    for q in enumerate_modes(spec):
-        lam = find_roots_quasipoly(
-            _chi_and_deriv(wave, C, tau, q.k_plus, q.k_minus), window).roots
+    for q, rs in zip(modes, sets):
+        lam = rs.roots
         if (q.k1, q.k2) == (0, 0):
             lam = lam[np.abs(lam) >= TRIVIAL_EXCLUSION_RADIUS]
         # the first maximum in mode-then-root order is the witness
@@ -290,7 +319,10 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
             cls = StabilityClass.UNIFORM_UNSTABLE
         else:
             cls = StabilityClass.MODULATIONAL_UNSTABLE
-    return StabilityVerdict(cls=cls, max_growth=max_growth, witness=witness)
+    return StabilityVerdict(cls=cls, max_growth=max_growth, witness=witness,
+                            seeds=sum(rs.seeds for rs in sets),
+                            converged=sum(rs.converged for rs in sets),
+                            kept=sum(len(rs) for rs in sets))
 
 
 def sl_neutral_amplitude(alpha: float, C: float, k_minus: float) -> np.ndarray:

@@ -167,6 +167,19 @@ def test_char_roots_stable_regime_all_modes():
         assert rs.max_real() < 0.0
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -5.0])
+def test_char_roots_and_hopf_points_reject_bad_delay(tau):
+    # NaN gave 0 roots and -5 gave 3, each without a word
+    params = FHNParams(I=0.0)
+    st = fhn_steady_states(params, 3.0)[0]
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        fhn_char_roots(st, params, 3.0, tau, HOMOG)
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        fhn_char_function(fhn_linearization(st, params, 3.0), tau, HOMOG)
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        fhn_hopf_points(params, 3.0, tau, HOMOG, n_seeds=(4, 4))
+
+
 def test_strong_spectrum_formulas():
     params = FHNParams(I=0.0)
     st = fhn_steady_states(params, 3.0)[0]

@@ -9,8 +9,9 @@ from scipy.special import lambertw
 
 from delaylattice import core, fhn, sl
 from delaylattice.core import FHNParams, LatticeSpec, Model, SLParams
-from delaylattice.roots import (DEDUP_RADIUS, _dedup_sorted,
+from delaylattice.roots import (DEDUP_RADIUS, SWEEP_BLOCK, _dedup_sorted,
                                 bisect_sign_changes, find_roots_quasipoly,
+                                find_roots_stacked,
                                 newton_polish, solve_cubic_real, solve_kepler)
 
 
@@ -113,20 +114,21 @@ def _root_digest(root_sets) -> str:
 
 def _floquet_root_sets(monkeypatch, wave_index):
     """Per-mode root sets of the Floquet verdict of one plane wave of the
-    5x5 torus at alpha=3, beta=0.5, C=2, tau=20."""
+    5x5 torus at alpha=3, beta=0.5, C=2, tau=20, as its one stacked sweep
+    returns them."""
     spec = LatticeSpec(5, 5, Model.STUART_LANDAU, SLParams(3.0, 0.5), 2.0)
     waves = sl.sl_enumerate_plane_waves(spec.params, spec.coupling, 20.0, spec)
-    sets = []
+    sweeps = []
 
     def record(*args, **kwargs):
-        sets.append(find_roots_quasipoly(*args, **kwargs))
-        return sets[-1]
+        sweeps.append(find_roots_stacked(*args, **kwargs))
+        return sweeps[-1]
 
-    monkeypatch.setattr(sl, "find_roots_quasipoly", record)
+    monkeypatch.setattr(sl, "find_roots_stacked", record)
     sl.sl_floquet_exact(waves[wave_index], spec.params, spec.coupling, 20.0,
                         spec=spec)
-    assert len(sets) == 25
-    return sets
+    assert len(sweeps) == 1 and len(sweeps[0]) == 25
+    return sweeps[0]
 
 
 def _fhn_root_sets():
@@ -154,6 +156,42 @@ PINNED_ROOTS = {
 def test_pinned_sweep_roots(monkeypatch, case):
     run, digest = PINNED_ROOTS[case]
     assert _root_digest(run(monkeypatch)) == digest
+
+
+def _stacked_and_single_sets(rows, cols, wave_index):
+    """The root sets of one stacked sweep over every perturbation mode of a
+    plane wave of the rows x cols torus (alpha=3, beta=0.5, C=2, tau=20),
+    and those of one one-set sweep per mode."""
+    spec = LatticeSpec(rows, cols, Model.STUART_LANDAU, SLParams(3.0, 0.5),
+                       2.0)
+    wave = sl.sl_enumerate_plane_waves(spec.params, 2.0, 20.0,
+                                       spec)[wave_index]
+    modes = core.enumerate_modes(spec)
+    window = (-2.0, 6.0, -4.5, 4.5)
+    stacked = find_roots_stacked(
+        sl._chi_and_deriv(wave, 2.0, 20.0, [q.k_plus for q in modes],
+                          [q.k_minus for q in modes]), len(modes), window)
+    single = []
+    for q in modes:
+        fdf = sl._chi_and_deriv(wave, 2.0, 20.0, q.k_plus, q.k_minus)
+        single.append(find_roots_quasipoly(lambda z: fdf(z, 0), window))
+    return stacked, single
+
+
+@pytest.mark.parametrize("rows, cols, wave_index", [
+    (1, 1, 0),      # the trivial mode alone
+    (3, 4, 5),      # 12 sets: more than one block of whole sets
+    (5, 5, 395),
+])
+def test_stacked_sweep_equals_one_sweep_per_set(rows, cols, wave_index):
+    stacked, single = _stacked_and_single_sets(rows, cols, wave_index)
+    assert len(stacked) == len(single) == rows * cols
+    for got, want in zip(stacked, single):
+        assert got.roots.tobytes() == want.roots.tobytes()
+        assert (got.tolerance, got.seeds, got.converged) == (
+            want.tolerance, want.seeds, want.converged)
+    if rows * cols > 1:
+        assert rows * cols * stacked[0].seeds > SWEEP_BLOCK
 
 
 def test_sl_mode_factor_matches_lambert_w():
@@ -222,6 +260,14 @@ def test_kepler_finds_close_pair_inside_one_sample_step():
     assert len(roots) == 27
     for want in (2.49354925200654, 2.4990815306023055):
         assert np.min(np.abs(roots - want)) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -5.0])
+def test_kepler_rejects_bad_delay(tau):
+    # NaN ended in "cannot convert float NaN to integer", inf in a
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        solve_kepler(0.5, 2.0, 0.3, tau)
 
 
 def test_kepler_invariant_under_kplus_shift():

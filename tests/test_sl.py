@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from delaylattice.core import LatticeSpec, Model, SLParams, WaveVector
+from delaylattice import sl
+from delaylattice.core import (LatticeSpec, Model, SLParams, WaveVector,
+                              enumerate_modes)
 from delaylattice.sl import (_chi_and_deriv, hessian_negative_definite,
                              plane_wave_invariant_residuals, sl_alpha0,
                              sl_enumerate_plane_waves, sl_floquet_chi,
-                             sl_floquet_pcs, sl_floquet_pcs_Y,
+                             sl_floquet_exact, sl_floquet_pcs,
+                             sl_floquet_pcs_Y,
                              sl_hessian_at_trivial, sl_hopf_threshold,
                              sl_neutral_amplitude, sl_stst_eigenvalues,
                              sl_stst_pcs, sl_strong_spectrum)
@@ -117,6 +120,43 @@ def test_hopf_threshold_matches_asymptote():
     assert abs(alpha_h + 2.0) < 0.1
 
 
+def _full_maximum_hopf_bisection(params, C, tau, spec):
+    """The bisection that takes the maximum over every mode at every
+    midpoint: the reference for the early stop."""
+    modes = enumerate_modes(spec)
+
+    def rightmost(alpha):
+        return max(sl_stst_eigenvalues(SLParams(alpha, params.beta), C, tau,
+                                       wv).max_real() for wv in modes)
+
+    lo, hi = -C - max(2.0, C), -C + max(2.0, C)
+    assert rightmost(lo) < 0 < rightmost(hi)
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if rightmost(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_hopf_threshold_stops_at_first_unstable_mode(monkeypatch):
+    spec = make_spec(6, 6, -2.5, 0.5, 2.0)
+    want = _full_maximum_hopf_bisection(spec.params, 2.0, 200.0, spec)
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return sl_stst_eigenvalues(*args)
+
+    monkeypatch.setattr(sl, "sl_stst_eigenvalues", count)
+    got = sl_hopf_threshold(spec.params, 2.0, 200.0, spec)
+    assert got == want == -1.9999985694885254
+    # 2 end points and the stable midpoints over all 36 modes, the
+    # unstable ones mostly at their first try
+    assert len(calls) < 300
+
+
 def test_large_delay_roots_approach_pcs_curve():
     params = SLParams(-2.0, 0.5)
     dists = []
@@ -222,8 +262,8 @@ def test_chi_derivative_matches_central_difference():
         qp, qm = rng.uniform(0, 2 * math.pi, 2)
         fdf = _chi_and_deriv(w, 2.0, 20.0, qp, qm)
         lam = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-3, 3, 6)
-        _, dchi = fdf(lam)
-        central = (fdf(lam + h)[0] - fdf(lam - h)[0]) / (2 * h)
+        _, dchi = fdf(lam, 0)
+        central = (fdf(lam + h, 0)[0] - fdf(lam - h, 0)[0]) / (2 * h)
         assert np.all(np.abs(dchi - central) <= 1e-6 * np.abs(dchi))
 
 
@@ -240,6 +280,53 @@ def test_chi_conjugation_symmetry():
                              2.0, 20.0).conjugate()
         rhs = sl_floquet_chi(w, lam, qp, qm, 2.0, 20.0)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+def test_floquet_verdict_reports_its_sweep_counts():
+    # wave 100 of the 5x5 torus: 25 modes of 40x40 seeds; the converged
+    # and kept counts are those of the one-mode-at-a-time sweeps
+    spec = make_spec(5, 5, 3.0, 0.5, 2.0)
+    wave = sl_enumerate_plane_waves(spec.params, 2.0, 20.0, spec)[100]
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert (v.seeds, v.converged, v.kept) == (40000, 38578, 1276)
+    assert v.max_growth == 0.48339366557540064
+
+
+# ---------------------------------------------------------------------------
+# delays: one rule, finite and >= 0
+
+def _one_wave():
+    spec = make_spec(1, 1, 3.0, 0.5, 2.0)
+    return sl_enumerate_plane_waves(spec.params, 2.0, 20.0, spec)[0], spec
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -5.0])
+def test_floquet_verdict_rejects_bad_delay(tau):
+    # NaN and inf gave STABLE with max_growth -inf; -5 gave a verdict
+    wave, spec = _one_wave()
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        sl_floquet_exact(wave, spec.params, 2.0, tau, spec)
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        sl_floquet_chi(wave, 0.1j, 0.0, 0.0, 2.0, tau)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -5.0])
+@pytest.mark.parametrize("call", ["stst", "hopf", "waves"])
+def test_steady_state_and_wave_analytics_reject_bad_delay(call, tau):
+    # NaN ended in "cannot convert float NaN to integer", inf in an
+    # OverflowError or a ZeroDivisionError
+    spec = make_spec(2, 2, -2.5, 0.5, 2.0)
+    run = {"stst": lambda: sl_stst_eigenvalues(spec.params, 2.0, tau, HOMOG),
+           "hopf": lambda: sl_hopf_threshold(spec.params, 2.0, tau, spec),
+           "waves": lambda: sl_enumerate_plane_waves(spec.params, 2.0, tau,
+                                                     spec)}[call]
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        run()
+
+
+def test_stst_eigenvalues_need_a_positive_delay():
+    with pytest.raises(ValueError, match="tau must be > 0"):
+        sl_stst_eigenvalues(SLParams(-2.5, 0.5), 2.0, 0.0, HOMOG)
 
 
 # ---------------------------------------------------------------------------
