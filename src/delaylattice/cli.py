@@ -32,65 +32,61 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-class _Run:
-    """The output directory of one command. Every artifact is written
-    through it, hashed from the bytes as they are written, and listed in
-    the manifest that `finish` writes. A command opens it after its last
-    computation, so a failed command leaves no directory; ``t_start`` is
-    when the command started, for the manifest's wall time."""
+def _json(doc):
+    """The chunks of a JSON artifact."""
+    yield (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
-    def __init__(self, outdir: Path, t_start: float):
-        self.outdir = outdir
-        outdir.mkdir(parents=True, exist_ok=True)
-        self.t_start = t_start
-        self.inputs = {}
-        self.outputs = {}
 
-    def add_input(self, path):
-        if path is not None:
-            p = Path(path)
-            self.inputs[str(p)] = _sha256(p)
+def _csv(header, blocks):
+    """The chunks of a CSV of the rows in `blocks` (2-D arrays or lists of
+    equal-length rows), under a `header` line unless it is None. One
+    row-format string serves every row: %s for label columns, given as
+    bytes, and %.17g for numbers."""
+    if header is not None:
+        yield (",".join(header) + "\n").encode()
+    rowfmt = None
+    for block in blocks:
+        cells = np.asarray(block, dtype=object)
+        if not len(cells):
+            continue
+        if rowfmt is None:
+            rowfmt = b",".join(b"%s" if isinstance(v, bytes)
+                               else b"%.17g" for v in cells[0]) + b"\n"
+        # formatting straight to bytes skips a str copy of each
+        # block, which fragmented the heap of long runs
+        yield (rowfmt * len(cells)) % tuple(cells.ravel().tolist())
 
-    def write(self, name: str, chunks):
-        """Write an iterable of bytes-like chunks to `name`."""
+
+def _emit(args, inputs, outputs) -> int:
+    """Write the artifacts of a finished command to ``--out``: each
+    ``name -> chunks`` of `outputs`, hashed from the bytes as they are
+    written, then ``manifest.json`` with those hashes, the hashes of the
+    `inputs` files and the wall time since the command started. Only this
+    function creates or writes the directory, and every command returns
+    through it after its last computation, so a failed command leaves no
+    directory."""
+    hashed_inputs = {str(Path(p)): _sha256(Path(p)) for p in inputs}
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    hashed_outputs = {}
+    for name, chunks in outputs.items():
         h = hashlib.sha256()
-        with open(self.outdir / name, "wb") as fh:
+        with open(outdir / name, "wb") as fh:
             for chunk in chunks:
                 h.update(chunk)
                 fh.write(chunk)
-        self.outputs[name] = h.hexdigest()
+        hashed_outputs[name] = h.hexdigest()
+    manifest = {"inputs": hashed_inputs, "outputs": hashed_outputs,
+                "wall_time": round(time.time() - args.t_start, 3)}
+    (outdir / "manifest.json").write_bytes(b"".join(_json(manifest)))
+    return 0
 
-    def write_json(self, name: str, doc):
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        self.write(name, [text.encode()])
 
-    def write_csv(self, name: str, header, blocks):
-        """CSV of the rows in `blocks` (2-D arrays or lists of equal-length
-        rows), under a `header` line unless it is None. One row-format
-        string serves every row: %s for label columns, given as bytes, and
-        %.17g for numbers."""
-        def chunks():
-            if header is not None:
-                yield (",".join(header) + "\n").encode()
-            rowfmt = None
-            for block in blocks:
-                cells = np.asarray(block, dtype=object)
-                if not len(cells):
-                    continue
-                if rowfmt is None:
-                    rowfmt = b",".join(b"%s" if isinstance(v, bytes)
-                                       else b"%.17g" for v in cells[0]) + b"\n"
-                # formatting straight to bytes skips a str copy of each
-                # block, which fragmented the heap of long runs
-                yield (rowfmt * len(cells)) % tuple(cells.ravel().tolist())
-        self.write(name, chunks())
-
-    def finish(self):
-        self.write_json("manifest.json", {
-            "inputs": self.inputs,
-            "outputs": dict(self.outputs),
-            "wall_time": round(time.time() - self.t_start, 3),
-        })
+def _config_artifacts(args, cfg: core.RunConfig, outputs):
+    """The inputs and outputs of a config command: the config file, and
+    its resolved form ahead of the command's own `outputs`."""
+    return [args.config], {"resolved_config.json": _json(cfg.to_dict()),
+                           **outputs}
 
 
 def _read_config(args) -> core.RunConfig:
@@ -106,14 +102,6 @@ def _read_config(args) -> core.RunConfig:
         doc["params"]["alpha"] = alpha
         cfg = core.parse_config(json.dumps(doc))
     return cfg
-
-
-def _start(args, cfg: core.RunConfig) -> _Run:
-    """Open the output directory of a checked config, and echo it."""
-    run = _Run(Path(args.out), args.t_start)
-    run.add_input(args.config)
-    run.write_json("resolved_config.json", cfg.to_dict())
-    return run
 
 
 def _require(ok: bool, flag: str, reason: str):
@@ -185,12 +173,8 @@ def cmd_spectrum_stst(args) -> int:
                     rows.append((wv.k1, wv.k2, 0.0, 0.0, lam.real, lam.imag,
                                  b"stst%d" % i))
     rows.sort(key=lambda r: tuple(r[:6]))
-    run = _start(args, cfg)
-    run.write_csv("eigenvalues.csv",
-                  ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"],
-                  [rows])
-    run.finish()
-    return 0
+    return _emit(args, *_config_artifacts(args, cfg, {"eigenvalues.csv": _csv(
+        ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"], [rows])}))
 
 
 def cmd_dispersion(args) -> int:
@@ -214,12 +198,10 @@ def cmd_dispersion(args) -> int:
         else:
             surface = [fhn.fhn_hybrid_dispersion(states[i], prm, C, omegas,
                                                  km) for km in kms]
-    run = _start(args, cfg)
-    run.write_csv("dispersion.csv", ["omega", "k_minus", "gamma"],
-                  [np.column_stack([omegas, np.full(n, km), g])
-                   for km, g in zip(kms, surface)])
-    run.finish()
-    return 0
+    return _emit(args, *_config_artifacts(args, cfg, {"dispersion.csv": _csv(
+        ["omega", "k_minus", "gamma"],
+        [np.column_stack([omegas, np.full(n, km), g])
+         for km, g in zip(kms, surface)])}))
 
 
 def cmd_planewaves(args) -> int:
@@ -230,11 +212,8 @@ def cmd_planewaves(args) -> int:
     waves = sl.sl_enumerate_plane_waves(cfg.spec.params, cfg.spec.coupling,
                                         tau, cfg.spec)
     rows = [(w.wv.k1, w.wv.k2, w.a, w.Omega, w.k_tau, w.R) for w in waves]
-    run = _start(args, cfg)
-    run.write_csv("planewaves.csv", ["k1", "k2", "a", "omega", "k_tau", "R"],
-                  [rows])
-    run.finish()
-    return 0
+    return _emit(args, *_config_artifacts(args, cfg, {"planewaves.csv": _csv(
+        ["k1", "k2", "a", "omega", "k_tau", "R"], [rows])}))
 
 
 def cmd_floquet(args) -> int:
@@ -255,12 +234,8 @@ def cmd_floquet(args) -> int:
         omega, qm, qp = verdict.witness
         rows.append((w.wv.k1, w.wv.k2, qp + qm, qp - qm,
                      verdict.max_growth, omega, verdict.cls.value.encode()))
-    run = _start(args, cfg)
-    run.write_csv("floquet.csv",
-                  ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"],
-                  [rows])
-    run.finish()
-    return 0
+    return _emit(args, *_config_artifacts(args, cfg, {"floquet.csv": _csv(
+        ["k1", "k2", "q1", "q2", "re_lambda", "im_lambda", "class"], [rows])}))
 
 
 def cmd_hopf(args) -> int:
@@ -277,10 +252,8 @@ def cmd_hopf(args) -> int:
         wv = core.WaveVector(args.k1, args.k2)
         rows = fhn.fhn_hopf_points(cfg.spec.params, cfg.spec.coupling,
                                    tau, wv)
-    run = _start(args, cfg)
-    run.write_csv("hopf.csv", header, [rows])
-    run.finish()
-    return 0
+    return _emit(args, *_config_artifacts(
+        args, cfg, {"hopf.csv": _csv(header, [rows])}))
 
 
 def _default_initial_history(cfg: core.RunConfig):
@@ -299,7 +272,9 @@ def _default_initial_history(cfg: core.RunConfig):
     return dde.ConstantHistory(base)
 
 
-def _write_trajectory(run: _Run, traj: dde.Trajectory, spec: core.LatticeSpec):
+def _trajectory_artifacts(traj: dde.Trajectory,
+                          spec: core.LatticeSpec) -> dict:
+    """The artifacts of a simulate run, its spikes detected."""
     M, N = traj.shape
     d = traj.snapshots.shape[-1]
     comp_names = ["re_z", "im_z"] if spec.model is Model.STUART_LANDAU \
@@ -314,20 +289,20 @@ def _write_trajectory(run: _Run, traj: dde.Trajectory, spec: core.LatticeSpec):
             block[..., 0] = t
             block[..., 3:] = snap
             yield block.reshape(-1, 3 + d)
-    run.write_csv("snapshots.csv", ["t", "m", "n"] + comp_names, frames())
 
-    run.write("frames.f64",
-              [np.ascontiguousarray(traj.snapshots, dtype="<f8")])
-    run.write_json("frames.json", {
-        "M": M, "N": N, "d": d, "dt": traj.dt,
-        "record_every": traj.record_every, "t0": float(traj.times[0]),
-        "n_frames": len(traj.times),
-        "times": [float(t) for t in traj.times]})
-
-    spikes = dde.detect_spikes(traj, component=0, threshold=0.0)
+    spikes = dde.detect_spikes(traj)
     rows = [(float(m), float(n), t)
             for m in range(M) for n in range(N) for t in spikes[m][n]]
-    run.write_csv("spikes.csv", ["m", "n", "t"], [rows])
+    return {
+        "snapshots.csv": _csv(["t", "m", "n"] + comp_names, frames()),
+        "frames.f64": [np.ascontiguousarray(traj.snapshots, dtype="<f8")],
+        "frames.json": _json({
+            "M": M, "N": N, "d": d, "dt": traj.dt,
+            "record_every": traj.record_every, "t0": float(traj.times[0]),
+            "n_frames": len(traj.times),
+            "times": [float(t) for t in traj.times]}),
+        "spikes.csv": _csv(["m", "n", "t"], [rows]),
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -340,12 +315,10 @@ def cmd_simulate(args) -> int:
     init = _default_initial_history(cfg)
     traj = dde.simulate(cfg.spec, delays, init, t_end=cfg.sim.t_end,
                         dt=dt, record_every=cfg.sim.record_every)
-    run = _start(args, cfg)
-    for path in (cfg.delay_files or {}).values():
-        run.add_input(path)
-    _write_trajectory(run, traj, cfg.spec)
-    run.finish()
-    return 0
+    inputs, outputs = _config_artifacts(args, cfg,
+                                        _trajectory_artifacts(traj, cfg.spec))
+    inputs += (cfg.delay_files or {}).values()
+    return _emit(args, inputs, outputs)
 
 
 def cmd_encode(args) -> int:
@@ -359,13 +332,10 @@ def cmd_encode(args) -> int:
     # shifts stay below it
     with _input_of("--tau"):
         delays = pattern.delays_from_timeshifts(eta, args.tau)
-    run = _Run(Path(args.out), args.t_start)
-    run.add_input(args.image)
-    run.write_csv("delays_down.csv", None, [delays.down])
-    run.write_csv("delays_right.csv", None, [delays.right])
-    run.write_csv("eta.csv", None, [eta.eta])
-    run.finish()
-    return 0
+    return _emit(args, [args.image], {
+        "delays_down.csv": _csv(None, [delays.down]),
+        "delays_right.csv": _csv(None, [delays.right]),
+        "eta.csv": _csv(None, [eta.eta])})
 
 
 def cmd_verify(args) -> int:
@@ -394,13 +364,9 @@ def cmd_verify(args) -> int:
     else:
         T, _ = dde.estimate_period(traj, t_discard=args.t_discard)
     report = pattern.verify_pattern(traj, eta, T, t_discard=args.t_discard)
-    run = _Run(Path(args.out), args.t_start)
-    for name in ("frames.f64", "frames.json"):
-        run.add_input(rundir / name)
-    run.add_input(args.eta)
-    run.write_json("fidelity.json", dataclasses.asdict(report))
-    run.finish()
-    return 0
+    inputs = [rundir / "frames.f64", rundir / "frames.json", args.eta]
+    return _emit(args, inputs,
+                 {"fidelity.json": _json(dataclasses.asdict(report))})
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from .core import DelayMap, FHNParams, LatticeSpec, Model, SLParams
 from .fhn import gate_rate
 
 DEFAULT_DT_CAP = 0.01
+SPIKE_COMPONENT = 0
+SPIKE_THRESHOLD = 0.0
 SPIKE_REFRACTORY = 1.0
 HISTORY_BLOCK = 2 ** 14      # node-times per history read, at most
 HISTORY_SPLIT = 8            # history reads per interval, at least
@@ -407,7 +409,7 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
         rhs(Y, x_one, K1)   # derivative at t_{n+1}; reused as next k1
         slots[(n + 1 + H) % S] = bufs[:2, chans]
 
-        if (n + 1) % 64 == 0:
+        if (n + 1) % 64 == 0 or n + 1 == n_steps:
             finite = np.isfinite(np.abs(y)).all(axis=0)
             if not finite.all():
                 node = divmod(int(np.flatnonzero(~finite)[0]), N)
@@ -426,36 +428,36 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
 # ---------------------------------------------------------------------------
 # observables
 
-def detect_spikes(traj: Trajectory, component: int = 0,
-                  threshold: float = 0.0,
-                  refractory: float = SPIKE_REFRACTORY) -> list:
-    """Per-node upward threshold crossings, linearly interpolated between
-    recorded samples. Returns nested lists spikes[m][n] of event times;
-    with the default arguments also caches them as ``traj.spikes``."""
+def detect_spikes(traj: Trajectory) -> list:
+    """Per-node upward crossings of ``SPIKE_THRESHOLD`` by component
+    ``SPIKE_COMPONENT``, linearly interpolated between recorded samples,
+    each at least ``SPIKE_REFRACTORY`` after the last one kept. Returns
+    nested lists spikes[m][n] of event times and caches them as
+    ``traj.spikes``."""
     t = traj.times
     M, N = traj.shape
-    x = np.moveaxis(traj.snapshots[..., component], 0, -1)   # (M, N, time)
+    x = np.moveaxis(traj.snapshots[..., SPIKE_COMPONENT], 0, -1)  # (M, N, t)
     # crossings of all nodes at once, ordered by node and then by time
-    m, n, k = np.nonzero((x[..., :-1] <= threshold) & (x[..., 1:] > threshold))
+    m, n, k = np.nonzero((x[..., :-1] <= SPIKE_THRESHOLD)
+                         & (x[..., 1:] > SPIKE_THRESHOLD))
     x0, x1 = x[m, n, k], x[m, n, k + 1]
-    frac = (threshold - x0) / (x1 - x0)
+    frac = (SPIKE_THRESHOLD - x0) / (x1 - x0)
     times = t[k] + frac * (t[k + 1] - t[k])
     ends = np.cumsum(np.bincount(m * N + n, minlength=M * N))
     runs = iter(np.split(times, ends[:-1]))
-    out = [[_refractory_filter(next(runs), refractory) for _ in range(N)]
-           for _ in range(M)]
-    if (component, threshold, refractory) == (0, 0.0, SPIKE_REFRACTORY):
-        traj.spikes = out
-    return out
+    traj.spikes = [[_refractory_filter(next(runs)) for _ in range(N)]
+                   for _ in range(M)]
+    return traj.spikes
 
 
-def _refractory_filter(events: np.ndarray, refractory: float) -> np.ndarray:
-    """Drop each event closer than ``refractory`` to the last one kept."""
-    if np.all(np.diff(events) >= refractory):
+def _refractory_filter(events: np.ndarray) -> np.ndarray:
+    """Drop each event closer than ``SPIKE_REFRACTORY`` to the last one
+    kept."""
+    if np.all(np.diff(events) >= SPIKE_REFRACTORY):
         return events
     kept = [events[0]]
     for ev in events[1:]:
-        if ev - kept[-1] >= refractory:
+        if ev - kept[-1] >= SPIKE_REFRACTORY:
             kept.append(ev)
     return np.array(kept)
 

@@ -197,7 +197,7 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
     re_min, re_max, im_min, im_max = window
     keep = ((lam.real >= re_min) & (lam.real <= re_max)
             & (lam.imag >= im_min) & (lam.imag <= im_max))
-    return RootSet(roots=lam[keep], tolerance=1e-10, window=window)
+    return RootSet(roots=lam[keep], tolerance=1e-10)
 
 
 def fhn_strong_spectrum(stst: FhnSteadyState, params: FHNParams, C: float):

@@ -20,12 +20,11 @@ SWEEP_BLOCK = 2 ** 13        # seeds per block of a stacked Newton sweep, at mos
 
 @dataclass
 class RootSet:
-    """Deduplicated roots inside a rectangular window of the complex plane.
-    A Newton sweep also reports its number of seeds and how many of them
-    converged; both are 0 where no sweep ran."""
+    """Deduplicated characteristic roots. A Newton sweep also reports its
+    number of seeds and how many of them converged; both are 0 where no
+    sweep ran."""
     roots: np.ndarray
     tolerance: float
-    window: tuple  # (re_min, re_max, im_min, im_max)
     seeds: int = 0
     converged: int = 0
 
@@ -133,7 +132,7 @@ def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple,
         n_conv = np.bincount(kc - first, minlength=sets.size)
         for j in range(sets.size):
             out.append(RootSet(roots=_dedup_sorted(zc[ok & (kc == first + j)]),
-                               tolerance=float(tol[j]), window=window,
+                               tolerance=float(tol[j]),
                                seeds=seeds.size, converged=int(n_conv[j])))
     return out
 

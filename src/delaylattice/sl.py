@@ -86,9 +86,8 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     alpha, beta = params.alpha, params.beta
     mu = complex(alpha, beta)
     R = C * math.cos(wv.k_minus)
-    window = (-np.inf, np.inf, -np.inf, np.inf)
     if R == 0.0:
-        return RootSet(roots=np.array([mu]), tolerance=1e-10, window=window)
+        return RootSet(roots=np.array([mu]), tolerance=1e-10)
     # work with log z: for strongly stable alpha the argument of W exceeds
     # the double-precision exponent range
     log_z = (math.log(tau * abs(R)) - alpha * tau
@@ -98,7 +97,7 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     # factor of the characteristic product for this mode
     resid = np.abs(-lam + mu + np.exp(log_z - w) / tau)
     roots = lam[resid <= 1e-10 * np.maximum(1.0, np.abs(lam))]
-    return RootSet(roots=roots, tolerance=1e-10, window=window)
+    return RootSet(roots=roots, tolerance=1e-10)
 
 
 def sl_stst_pcs(params: SLParams, C: float, k_minus: float,

@@ -190,6 +190,25 @@ def test_simulate_artifacts(tmp_path):
     assert (out / "spikes.csv").exists()
 
 
+def test_simulate_writes_nothing_before_its_spikes_exist(tmp_path,
+                                                         monkeypatch):
+    # snapshots.csv, frames.f64 and frames.json were once written before
+    # the spikes were detected
+    def boom(*a, **k):
+        raise ArithmeticError("synthetic failure")
+
+    monkeypatch.setattr(cli.dde, "detect_spikes", boom)
+    cfgp = write_config(tmp_path / "sim.json", {
+        "model": "sl", "M": 2, "N": 2,
+        "params": {"alpha": 1.0, "beta": 1.0},
+        "C": 0.5, "delay": {"homogeneous": 2.0},
+        "sim": {"t_end": 1.0, "dt": 0.01, "record_every": 10},
+    })
+    out = tmp_path / "r"
+    assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def _row_formatted_snapshots(times, snaps, names) -> bytes:
     """snapshots.csv as the per-row formatter writes it: one line per
     frame and node, every value as %.17g."""
@@ -229,8 +248,8 @@ def test_snapshots_csv_special_values(tmp_path):
     traj = dde.Trajectory(times=np.array([0.0, 0.1]), snapshots=snaps,
                           dt=0.1, record_every=1)
     spec = LatticeSpec(2, 1, Model.FITZHUGH_NAGUMO, FHNParams(), 1.0)
-    cli._write_trajectory(cli._Run(tmp_path, 0.0), traj, spec)
-    assert (tmp_path / "snapshots.csv").read_bytes() == \
+    artifacts = cli._trajectory_artifacts(traj, spec)
+    assert b"".join(artifacts["snapshots.csv"]) == \
         _row_formatted_snapshots(traj.times, snaps, ["v", "w", "s"])
 
 

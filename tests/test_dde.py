@@ -120,20 +120,21 @@ def test_detect_spikes_quiescent():
     assert all(len(spikes[m][n]) == 0 for m in range(2) for n in range(2))
 
 
-def _spikes_per_node(traj, component, threshold, refractory):
-    # reference: crossings and refractory filter one node at a time
+def _spikes_per_node(traj):
+    # reference: upward zero crossings of component 0 and the refractory
+    # filter of 1.0, one node at a time
     t = traj.times
     M, N = traj.shape
     out = []
     for m in range(M):
         row = []
         for n in range(N):
-            x = traj.snapshots[:, m, n, component]
-            idx = np.flatnonzero((x[:-1] <= threshold) & (x[1:] > threshold))
-            frac = (threshold - x[idx]) / (x[idx + 1] - x[idx])
+            x = traj.snapshots[:, m, n, 0]
+            idx = np.flatnonzero((x[:-1] <= 0.0) & (x[1:] > 0.0))
+            frac = (0.0 - x[idx]) / (x[idx + 1] - x[idx])
             events = []
             for ev in t[idx] + frac * (t[idx + 1] - t[idx]):
-                if not events or ev - events[-1] >= refractory:
+                if not events or ev - events[-1] >= 1.0:
                     events.append(ev)
             row.append(np.array(events))
         out.append(row)
@@ -148,16 +149,14 @@ def test_detect_spikes_matches_per_node_reference():
     snaps = (np.sin(times[:, None, None, None] * rng.uniform(0.5, 3, (1, 3, 4, 1))
                     + phase) + 0.3 * rng.standard_normal((400, 3, 4, 2)))
     snaps[:, 0, 0, 0] = -1.0   # a silent node
-    for component, refractory in ((0, 1.0), (1, 0.0)):
-        traj = Trajectory(times=times, snapshots=snaps, dt=0.1, record_every=1)
-        got = detect_spikes(traj, component=component, threshold=0.1,
-                            refractory=refractory)
-        want = _spikes_per_node(traj, component, 0.1, refractory)
-        if component == 0:
-            assert len(got[0][0]) == 0
-        for m in range(3):
-            for n in range(4):
-                assert np.array_equal(got[m][n], want[m][n])
+    traj = Trajectory(times=times, snapshots=snaps, dt=0.1, record_every=1)
+    got = detect_spikes(traj)
+    want = _spikes_per_node(traj)
+    assert traj.spikes is got
+    assert len(got[0][0]) == 0
+    for m in range(3):
+        for n in range(4):
+            assert np.array_equal(got[m][n], want[m][n])
 
 
 def test_estimate_period_sinusoid():
@@ -202,22 +201,17 @@ def test_estimate_orbit_period_two_pulse():
     assert estimate_orbit_period(traj, t_discard=0.0) == pytest.approx(8.0)
 
 
-def test_detect_spikes_with_other_arguments_leaves_the_cache_alone():
+def test_orbit_period_reads_the_cached_zero_crossings_of_component_0():
     # gate events cached as traj.spikes were once read as component-0 zero
     # crossings: the orbit period came out 51.302633, the first event 1.009
     spec = fhn_spec(1, 1, 0.0, 3.0)
     traj = simulate(spec, DelayMap.homogeneous(1, 1, 50.0),
                     ConstantHistory(np.array([[[2.0, 0.0, 0.0]]])),
                     t_end=320.0, dt=0.05, record_every=2)
-    gate = detect_spikes(traj, component=2, threshold=0.3)
-    assert gate[0][0][0] == pytest.approx(1.009, abs=1e-3)
     assert traj.spikes is None
     assert estimate_orbit_period(traj, 100.0) == pytest.approx(51.302747,
                                                                abs=1e-6)
-    cached = traj.spikes
-    assert cached[0][0][0] == pytest.approx(50.885, abs=1e-3)
-    detect_spikes(traj, component=2, threshold=0.3)
-    assert traj.spikes is cached
+    assert traj.spikes[0][0][0] == pytest.approx(50.885, abs=1e-3)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -398,6 +392,18 @@ def test_nonfinite_state_aborts():
     with pytest.raises(SimulationError), np.errstate(over="ignore",
                                                      invalid="ignore"):
         simulate(spec, dm, init, t_end=10.0, dt=0.1)
+
+
+@pytest.mark.parametrize("t_end", [0.5, 0.63])
+def test_blow_up_after_the_last_periodic_check_aborts(t_end):
+    # the finite check ran every 64 steps only: the state is NaN by step 50,
+    # and a run of 50 or 63 steps returned NaN snapshots without an error
+    from delaylattice.dde import SimulationError
+    init = ConstantHistory(np.full((2, 2), 1e150 + 0j))
+    with pytest.raises(SimulationError), np.errstate(over="ignore",
+                                                     invalid="ignore"):
+        simulate(sl_spec(2, 2, 1.0, 1.0, 0.5), DelayMap.homogeneous(2, 2, 1.0),
+                 init, t_end=t_end, dt=0.01)
 
 
 # ---------------------------------------------------------------------------
