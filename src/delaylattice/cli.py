@@ -67,7 +67,8 @@ def _emit(args, inputs, outputs) -> int:
     directory."""
     hashed_inputs = {str(Path(p)): _sha256(Path(p)) for p in inputs}
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _input_of("--out"):
+        outdir.mkdir(parents=True, exist_ok=True)
     hashed_outputs = {}
     for name, chunks in outputs.items():
         h = hashlib.sha256()
@@ -93,7 +94,7 @@ def _read_config(args) -> core.RunConfig:
     """The config, with the --alpha override where the command has one."""
     alpha = getattr(args, "alpha", None)
     if alpha is not None:
-        _require_finite(alpha, "--alpha")
+        core._as_number(alpha, "--alpha")
     with _input_of("--config"):
         text = Path(args.config).read_text()
     cfg = core.parse_config(text)
@@ -109,15 +110,11 @@ def _require(ok: bool, flag: str, reason: str):
         raise ConfigError(flag, reason)
 
 
-def _require_finite(value: float, flag: str):
-    _require(math.isfinite(value), flag, f"must be finite, got {value}")
-
-
 @contextmanager
 def _input_of(flag: str):
     """The ValueError with which the library rejects what ``flag`` gave,
-    the OSError of reading it, or the KeyError or TypeError of decoding a
-    malformed file becomes a config error of that flag."""
+    the OSError of reading or creating it, or the KeyError or TypeError of
+    decoding a malformed file becomes a config error of that flag."""
     try:
         yield
     except KeyError as exc:
@@ -180,7 +177,7 @@ def cmd_spectrum_stst(args) -> int:
 def cmd_dispersion(args) -> int:
     n = args.grid
     _require(n >= 1, "--grid", f"needs at least 1 point, got {n}")
-    _require_finite(args.omega_max, "--omega-max")
+    core._as_number(args.omega_max, "--omega-max")
     cfg = _read_config(args)
     omegas = np.linspace(-args.omega_max, args.omega_max, n)
     # stay off the decoupled modes cos(k_minus) = 0
@@ -239,8 +236,8 @@ def cmd_floquet(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    _require_finite(args.k1, "--k1")
-    _require_finite(args.k2, "--k2")
+    core._as_number(args.k1, "--k1")
+    core._as_number(args.k2, "--k2")
     cfg = _read_config(args)
     tau = _require_tau(cfg)
     if cfg.spec.model is Model.STUART_LANDAU:
@@ -265,6 +262,7 @@ def _default_initial_history(cfg: core.RunConfig):
                  + 1j * rng.standard_normal(base.shape))
         return dde.ConstantHistory(base + 1e-2 * noise)
     states = fhn.fhn_steady_states(spec.params, spec.coupling)
+    _require(bool(states), "params", "no rest state with v in [-5, 5]")
     stst = states[0]
     base = np.broadcast_to(np.array([stst.v, stst.w, stst.s]),
                            (spec.rows, spec.cols, 3)).copy()
@@ -322,8 +320,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    _require_finite(args.eta_min, "--eta-min")
-    _require_finite(args.eta_max, "--eta-max")
+    core._as_number(args.eta_min, "--eta-min")
+    core._as_number(args.eta_max, "--eta-max")
     with _input_of("--image"):
         img = pattern.read_pgm(args.image)
     with _input_of("--eta-min"):
@@ -341,7 +339,7 @@ def cmd_encode(args) -> int:
 def cmd_verify(args) -> int:
     _require(args.period is None or 0 < args.period < math.inf, "--period",
              f"must be finite and > 0, got {args.period}")
-    _require_finite(args.t_discard, "--t-discard")
+    core._as_number(args.t_discard, "--t-discard")
     rundir = Path(args.run)
     with _input_of("--run"):
         with open(rundir / "frames.json") as fh:

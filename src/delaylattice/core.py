@@ -215,9 +215,13 @@ def _require(doc: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:       # an int too large for a double, as 1e400 is
+        number = value = math.inf
+    if not math.isfinite(number):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_positive_int(value, path: str) -> int:
@@ -234,7 +238,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an int beyond Python's digit limit
         raise ConfigError("$", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("$", "top level must be an object")

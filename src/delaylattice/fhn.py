@@ -185,14 +185,15 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
     inside the given complex window."""
     check_delay(tau)
     lin = fhn_linearization(stst, params, C)
+    coup = _coupling_factor(lin.b13, wv.k_minus, wv.k_plus)
     if C == 0.0 or abs(math.cos(wv.k_minus)) < 1e-12 or lin.b13 == 0.0:
-        # mode decoupled: the Jacobian's own eigenvalues
-        Mat = lin.A
-    elif tau == 0.0:
-        Mat = lin.A.astype(complex)
-        Mat[0, 2] += _coupling_factor(lin.b13, wv.k_minus, wv.k_plus)
-    else:
+        # decoupled: A stays real, eigvals of its complex cast can differ
+        coup = 0.0
+    elif tau > 0.0:
         return find_roots_quasipoly(fhn_char_function(lin, tau, wv), window)
+    # no delayed term: the roots are the eigenvalues of A plus the coupling
+    Mat = lin.A.astype(np.result_type(lin.A, coup))
+    Mat[0, 2] += coup
     lam = np.linalg.eigvals(Mat)
     re_min, re_max, im_min, im_max = window
     keep = ((lam.real >= re_min) & (lam.real <= re_max)

@@ -153,34 +153,19 @@ def verify_pattern(traj: Trajectory, eta: ShiftField, T: float,
         raise ValueError("T must be > 0")
     if traj.spikes is None:
         detect_spikes(traj)
-    M, N = traj.shape
-    if eta.eta.shape != (M, N):
+    if eta.eta.shape != traj.shape:
         raise ValueError("shift field shape does not match the trajectory")
 
-    def first_spike(m, n):
-        ev = np.asarray(traj.spikes[m][n])
-        ev = ev[ev >= t_discard]
-        return float(ev[0]) if len(ev) else None
-
-    ref_spike = first_spike(0, 0)
-    missing = []
-    measured = []
-    expected = []
-    for m in range(M):
-        for n in range(N):
-            s = first_spike(m, n)
-            if s is None:
-                missing.append((m, n))
-                continue
-            if ref_spike is None:
-                continue
-            measured.append((s - ref_spike) % T)
-            expected.append((eta.eta[0, 0] - eta.eta[m, n]) % T)
-    if ref_spike is None or not measured:
+    # each node's first spike from t_discard on, NaN where it has none
+    first = np.array([[next((t for t in ev if t >= t_discard), math.nan)
+                       for ev in row] for row in traj.spikes], dtype=float)
+    silent = np.isnan(first)
+    missing = [tuple(mn) for mn in np.argwhere(silent).tolist()]
+    if silent[0, 0]:
         return FidelityReport(correlation=None, max_dev=math.inf,
                               missing_nodes=missing)
-    measured = np.array(measured)
-    expected = np.array(expected)
+    measured = (first[~silent] - first[0, 0]) % T
+    expected = (eta.eta[0, 0] - eta.eta[~silent]) % T
     dev = _circular_dist(measured - expected, T)
     corr = _circular_correlation(measured, expected, T)
     return FidelityReport(correlation=corr,

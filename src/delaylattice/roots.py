@@ -118,7 +118,8 @@ def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple,
         converged = np.ones(z.shape, dtype=bool)
         converged[idx] = False
 
-        # keep converged roots in the window with small residual
+        # keep converged roots in the window with small residual; the
+        # window test also drops any root with a NaN or infinite part
         scale = np.array([max(1.0, float(np.nanmedian(row)))
                           for row in f_seeds.reshape(sets.size, -1)])
         tol = RESIDUAL_TOL * scale
@@ -128,7 +129,6 @@ def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple,
         ok = np.abs(fdf(zc, kc)[0]) <= tol[kc - first]
         ok &= (zc.real >= re_min - 1e-9) & (zc.real <= re_max + 1e-9)
         ok &= (zc.imag >= im_min - 1e-9) & (zc.imag <= im_max + 1e-9)
-        ok &= np.isfinite(zc)
         n_conv = np.bincount(kc - first, minlength=sets.size)
         for j in range(sets.size):
             out.append(RootSet(roots=_dedup_sorted(zc[ok & (kc == first + j)]),

@@ -119,7 +119,8 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
                       spec: LatticeSpec) -> float:
     """The alpha at which the rightmost steady-state eigenvalue over all
     modes crosses zero, by bisection on alpha in -C +- max(2, C) to a
-    bracket width of 1e-6."""
+    bracket width of 1e-6. Each alpha, the two ends too, asks whether
+    some mode is unstable."""
     check_delay(tau)
     if tau == 0.0:
         # instantaneous eigenvalue alpha + C cos(k_minus) e^{i k_plus};
@@ -128,28 +129,22 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
     lo, hi = -C - max(2.0, C), -C + max(2.0, C)
     modes = enumerate_modes(spec)
 
-    def growth(alpha, wv):
-        return sl_stst_eigenvalues(SLParams(alpha, params.beta), C, tau,
-                                   wv).max_real()
+    def unstable_mode(alpha, first):
+        # the first mode with Re(lambda) >= 0, trying `first` before the rest
+        prm = SLParams(alpha, params.beta)
+        order = [first] + [i for i in range(len(modes)) if i != first]
+        return next((i for i in order if sl_stst_eigenvalues(
+            prm, C, tau, modes[i]).max_real() >= 0), None)
 
-    def rightmost(alpha):
-        """Max Re(lambda) of the steady state over all lattice modes, and
-        the first mode that attains it."""
-        g = [growth(alpha, wv) for wv in modes]
-        i = max(range(len(modes)), key=g.__getitem__)
-        return g[i], i
-
-    (f_lo, _), (f_hi, last) = rightmost(lo), rightmost(hi)
-    if not (f_lo < 0 < f_hi):
-        raise ArithmeticError(
-            f"no sign change of the rightmost eigenvalue on alpha in "
-            f"[{lo}, {hi}]: f({lo})={f_lo:.3g}, f({hi})={f_hi:.3g}")
-    # a midpoint is unstable as soon as one mode is: try the mode that was
-    # unstable last time first, then the others in order
+    last = unstable_mode(hi, 0)
+    if last is None or unstable_mode(lo, 0) is not None:
+        end = f"alpha={hi} stable" if last is None else f"alpha={lo} unstable"
+        raise ArithmeticError(f"no sign change of the rightmost eigenvalue "
+                              f"on alpha in [{lo}, {hi}]: {end}")
+    # try the mode that was unstable last time first
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        order = [last] + [i for i in range(len(modes)) if i != last]
-        hit = next((i for i in order if growth(mid, modes[i]) >= 0), None)
+        hit = unstable_mode(mid, last)
         if hit is None:
             lo = mid
         else:

@@ -321,8 +321,10 @@ def test_invalid_argument_is_a_config_error(tmp_path, sl_config, fhn_config,
      "delay.homogeneous"),
     ("planewaves", {}, ["--alpha", "nan"], "--alpha"),
     ("spectrum-stst", {}, ["--alpha", "inf"], "--alpha"),
+    # float() of the int overflows: once a numerical failure, exit 2
+    ("planewaves", {"C": 10 ** 400}, [], "C"),
 ], ids=["fhn-C-inf", "alpha-nan", "simulate-tau-nan", "stst-tau-nan",
-        "flag-alpha-nan", "flag-alpha-inf"])
+        "flag-alpha-nan", "flag-alpha-inf", "C-int-too-large"])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, doc,
                                              extra, flag):
     # json.dumps writes NaN and Infinity, and json.loads reads them back
@@ -333,6 +335,37 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, doc,
                     + extra) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {flag}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys,
+                                                     sl_config):
+    # an existing regular file as --out once ended in a FileExistsError
+    # traceback after the whole computation
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep")
+    capsys.readouterr()
+    assert cli.main(["hopf", "--config", sl_config, "--out", str(afile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ")
+    assert err.count("\n") == 1
+    assert afile.read_bytes() == b"keep"
+
+
+def test_fhn_simulate_without_rest_state_is_a_config_error(tmp_path, capsys):
+    # no rest state with v in [-5, 5] at I = 100: the default initial
+    # history once ended in an IndexError traceback
+    cfgp = write_config(tmp_path / "fhn.json", {
+        "model": "fhn", "M": 2, "N": 2, "params": {"I": 100.0}, "C": 1.0,
+        "delay": {"homogeneous": 5.0},
+        "sim": {"t_end": 1.0, "dt": 0.05, "record_every": 1},
+    })
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: params: ")
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -104,6 +104,24 @@ def test_parse_negative_seed_names_field():
     assert exc.value.path == "seed"
 
 
+def test_parse_integer_too_large_for_a_double_is_not_finite():
+    # float() of the int overflows; the CLI's C case is in test_cli.py
+    doc = {"model": "sl", "M": 2, "N": 2,
+           "params": {"alpha": 10 ** 400, "beta": 1.0}, "C": 1.0}
+    with pytest.raises(ConfigError, match="expected a finite number") as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.path == "params.alpha"
+
+
+def test_parse_integer_beyond_the_digit_limit_is_a_config_error():
+    # json.loads raises a plain ValueError past Python's limit of 4,300
+    # digits (Python 3.10.7 and later; an older one overflows the double)
+    text = ('{"model": "sl", "M": 2, "N": 2, "C": 1' + "0" * 5000
+            + ', "params": {"alpha": 1.0, "beta": 1.0}}')
+    with pytest.raises(ConfigError):
+        parse_config(text)
+
+
 def test_parse_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config(json.dumps({

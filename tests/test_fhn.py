@@ -139,6 +139,31 @@ def test_char_roots_decoupled_mode():
     assert np.allclose(np.sort_complex(got.roots), want, atol=1e-10)
 
 
+@pytest.mark.parametrize("C, tau, wv", [
+    (3.0, 0.0, WaveVector(2 * math.pi / 3, 0.0)),
+    (3.0, 0.0, HOMOG),
+    (3.0, 20.0, WaveVector(math.pi, 0.0)),   # k_minus = pi/2: decoupled
+    (0.0, 20.0, HOMOG),
+], ids=["tau0-coupled", "tau0-homogeneous", "decoupled", "uncoupled"])
+def test_char_roots_without_a_delayed_term_are_eigenvalues_bit_for_bit(
+        C, tau, wv):
+    # at tau = 0 the coupling 2 b13 cos(k_minus) e^{i k_plus} enters A at
+    # (0, 2); a decoupled mode keeps the real A
+    params = FHNParams(I=0.0)
+    st = fhn_steady_states(params, C)[0]
+    lin = fhn_linearization(st, params, C)
+    Mat = lin.A
+    if tau == 0.0:
+        Mat = lin.A.astype(complex)
+        Mat[0, 2] += (2.0 * lin.b13 * np.cos(wv.k_minus)
+                      * np.exp(1j * wv.k_plus))
+    want = np.linalg.eigvals(Mat)
+    got = fhn_char_roots(st, params, C, tau, wv, window=(-5, 5, -5, 5))
+    assert len(got) == 3
+    assert got.roots.dtype == want.dtype
+    assert got.roots.tobytes() == want.tobytes()
+
+
 def test_char_roots_satisfy_equation():
     params = FHNParams(I=-0.8)
     st = fhn_steady_states(params, 3.0)[0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,35 @@ def test_verify_pattern_missing_node():
     traj.spikes[1][1] = np.array([])
     rep = verify_pattern(traj, ShiftField(eta), 10.0)
     assert rep.missing_nodes == [(1, 1)]
+
+
+def test_verify_pattern_silent_reference_node():
+    eta = np.array([[0.0, 1.0], [2.0, 3.0]])
+    traj = _spike_traj(50.0 - eta)
+    traj.spikes[0][0] = np.array([])
+    traj.spikes[1][0] = np.array([])
+    rep = verify_pattern(traj, ShiftField(eta), 10.0)
+    assert rep.correlation is None
+    assert rep.max_dev == math.inf
+    assert rep.missing_nodes == [(0, 0), (1, 0)]
+
+
+def test_verify_pattern_ignores_spikes_before_t_discard():
+    rng = np.random.default_rng(9)
+    T = 10.0
+    eta = rng.uniform(0.0, 3.0, size=(3, 3))
+    traj = _spike_traj(50.0 - eta)
+    # a stray spike at a random time before t_discard = 30 on every node,
+    # and node (2, 1) spikes only then
+    for m in range(3):
+        for n in range(3):
+            traj.spikes[m][n] = np.concatenate(
+                [rng.uniform(0.0, 30.0, 1), traj.spikes[m][n]])
+    traj.spikes[2][1] = traj.spikes[2][1][:1]
+    rep = verify_pattern(traj, ShiftField(eta), T, t_discard=30.0)
+    assert rep.max_dev < 1e-12
+    assert rep.correlation == pytest.approx(1.0)
+    assert rep.missing_nodes == [(2, 1)]
 
 
 def test_verify_pattern_constant_field_has_no_correlation():

@@ -7,6 +7,7 @@ import pytest
 from delaylattice import sl
 from delaylattice.core import (LatticeSpec, Model, SLParams, WaveVector,
                               enumerate_modes)
+from delaylattice.roots import RootSet
 from delaylattice.sl import (_chi_and_deriv, hessian_negative_definite,
                              plane_wave_invariant_residuals, sl_alpha0,
                              sl_enumerate_plane_waves, sl_floquet_chi,
@@ -32,6 +33,19 @@ def test_stst_zero_coupling():
     rs = sl_stst_eigenvalues(SLParams(-2.0, 0.5), 0.0, 20.0, HOMOG)
     assert len(rs) == 1
     assert rs.roots[0] == pytest.approx(-2.0 + 0.5j, abs=1e-14)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: sl_stst_eigenvalues treats a mode as decoupled only "
+    "when R == 0.0 exactly; at k_minus = pi/2, R = C*6.1e-17 and the "
+    "Lambert-W branches run on; perfbench/reference.json stores the "
+    "129 roots of 6 such spectrum modes"))
+def test_stst_decoupled_mode_at_half_pi_has_one_eigenvalue():
+    # mode (pi, 0) of the 6x6 torus of the stability-sweep spectrum gives
+    # 129 roots, the rightmost at Re -0.18738548999825166
+    rs = sl_stst_eigenvalues(SLParams(-2.5, 0.5), 2.0, 200.0,
+                             WaveVector(math.pi, 0.0))
+    assert rs.roots.tolist() == [-2.5 + 0.5j]
 
 
 def test_stst_critical_case():
@@ -155,6 +169,18 @@ def test_hopf_threshold_stops_at_first_unstable_mode(monkeypatch):
     # 2 end points and the stable midpoints over all 36 modes, the
     # unstable ones mostly at their first try
     assert len(calls) < 300
+
+
+@pytest.mark.parametrize("growth, end", [(-1.0, "alpha=0.0 stable"),
+                                          (1.0, "alpha=-4.0 unstable")])
+def test_hopf_threshold_names_the_end_without_a_sign_change(monkeypatch,
+                                                            growth, end):
+    monkeypatch.setattr(sl, "sl_stst_eigenvalues", lambda *args: RootSet(
+        roots=np.array([complex(growth, 0.5)]), tolerance=1e-10))
+    spec = make_spec(2, 2, -2.5, 0.5, 2.0)
+    with pytest.raises(ArithmeticError, match=r"on alpha in \[-4.0, 0.0\]: "
+                       + end):
+        sl_hopf_threshold(spec.params, 2.0, 200.0, spec)
 
 
 def test_large_delay_roots_approach_pcs_curve():
