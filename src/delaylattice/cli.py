@@ -337,8 +337,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require(args.period is None or 0 < args.period < math.inf, "--period",
-             f"must be finite and > 0, got {args.period}")
     core._as_number(args.t_discard, "--t-discard")
     rundir = Path(args.run)
     with _input_of("--run"):
@@ -357,11 +355,11 @@ def cmd_verify(args) -> int:
     _require(eta.eta.shape == traj.shape, "--eta",
              f"shift field is {eta.eta.shape[0]}x{eta.eta.shape[1]}, "
              f"the run is {traj.shape[0]}x{traj.shape[1]}")
-    if args.period is not None:
-        T = args.period
-    else:
+    T = args.period
+    if T is None:
         T, _ = dde.estimate_period(traj, t_discard=args.t_discard)
-    report = pattern.verify_pattern(traj, eta, T, t_discard=args.t_discard)
+    with _input_of("--period"):
+        report = pattern.verify_pattern(traj, eta, T, t_discard=args.t_discard)
     inputs = [rundir / "frames.f64", rundir / "frames.json", args.eta]
     return _emit(args, inputs,
                  {"fidelity.json": _json(dataclasses.asdict(report))})

@@ -186,7 +186,7 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
     check_delay(tau)
     lin = fhn_linearization(stst, params, C)
     coup = _coupling_factor(lin.b13, wv.k_minus, wv.k_plus)
-    if C == 0.0 or abs(math.cos(wv.k_minus)) < 1e-12 or lin.b13 == 0.0:
+    if lin.b13 == 0.0 or abs(math.cos(wv.k_minus)) < 1e-12:
         # decoupled: A stays real, eigvals of its complex cast can differ
         coup = 0.0
     elif tau > 0.0:
@@ -228,10 +228,8 @@ def fhn_hybrid_dispersion(stst: FhnSteadyState, params: FHNParams, C: float,
     lin = fhn_linearization(stst, params, C)
     Omega = np.asarray(Omega, dtype=float)
     k_minus = np.asarray(k_minus, dtype=float)
-    if np.any(np.abs(np.cos(k_minus)) < 1e-12):
-        raise ValueError("mode decoupled: cos(k_minus) = 0")
-    if lin.A[2, 0] * lin.b13 == 0.0:
-        raise ValueError("vanishing coupling entry a31*b13")
+    if lin.A[2, 0] * lin.b13 == 0.0 or np.any(np.abs(np.cos(k_minus)) < 1e-12):
+        raise ValueError("mode decoupled: a31*b13*cos(k_minus) vanishes")
     _, _, _, P, Q = _char_coeffs(lin.A, _coupling_factor(lin.b13, k_minus),
                                  1j * Omega)
     gamma = -np.log(np.abs(P / Q))

@@ -10,6 +10,7 @@ node with larger eta spikes earlier by the same amount.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,35 +45,27 @@ def delays_from_timeshifts(eta: ShiftField, tau: float) -> DelayMap:
                     right=tau - e + np.roll(e, 1, axis=1))
 
 
+# magic, width, height and maxval, separated by whitespace or by comments
+# that end at a line end, then the one whitespace byte before the raster
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*[\r\n])*(P[25])"
+                         + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm(path) -> np.ndarray:
     """8-bit grayscale PGM (P2 ASCII or P5 binary) as a uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
-
-    tokens = []
-    i = 0
-    while i < len(data) and len(tokens) < 4:
-        if data[i:i + 1] == b"#":
-            while i < len(data) and data[i] not in b"\r\n":
-                i += 1
-        elif data[i] in b" \t\r\n":
-            i += 1
-        else:
-            j = i
-            while j < len(data) and data[j] not in b" \t\r\n#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
+    header = _PGM_HEADER.match(data)
+    if header is None:
         raise ValueError("not a P2/P5 PGM file")
-    magic = tokens[0]
-    width, height, maxval = (int(t) for t in tokens[1:4])
+    magic, i = header[1], header.end()
+    width, height, maxval = (int(t) for t in header.groups()[1:])
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
     if width < 1 or height < 1:
         raise ValueError(f"PGM size {width}x{height} holds no pixel")
     if magic == b"P5":
-        raster = data[i + 1:i + 1 + width * height]
+        raster = data[i:i + width * height]
         if len(raster) < width * height:
             raise ValueError("truncated P5 raster")
         img = np.frombuffer(raster, dtype=np.uint8, count=width * height)
@@ -149,8 +142,8 @@ def verify_pattern(traj: Trajectory, eta: ShiftField, T: float,
     offsets plus the maximum absolute circular deviation. Correlation is
     undefined (None) for a constant shift field.
     """
-    if T <= 0:
-        raise ValueError("T must be > 0")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T}")
     if traj.spikes is None:
         detect_spikes(traj)
     if eta.eta.shape != traj.shape:

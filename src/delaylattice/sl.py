@@ -242,9 +242,14 @@ def sl_strong_spectrum(wave: PlaneWave, params: SLParams, C: float):
 
 def sl_floquet_pcs_Y(wave: PlaneWave, C: float, omega, q_minus):
     """The two multiplier branches Y+-(omega, q_minus) of the asymptotic
-    Floquet spectrum: the roots e1 of chi(i*omega), a quadratic
-    S e1^2 - 2 h e1 + p = 0 with S = Rp Rm, h = ((P + i omega) G - Q)/2 and
-    p the delay-free part of chi (principal square root)."""
+    Floquet spectrum: the roots e1 = (h +- root)/S of chi(i*omega), a
+    quadratic S e1^2 - 2 h e1 + p = 0 with S = Rp Rm,
+    h = ((P + i omega) G - Q)/2, p the delay-free part of chi and root the
+    principal square root of h^2 - S p. The root of larger modulus comes
+    from this formula, the other from Vieta's Y+ Y- = p/S, so it keeps its
+    digits where h +- root cancels."""
+    if C == 0.0:
+        raise ValueError("C = 0: every mode is decoupled, gamma = -inf")
     iw = 1j * np.asarray(omega, dtype=float)
     P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C,
                                          np.asarray(q_minus, dtype=float))
@@ -252,14 +257,9 @@ def sl_floquet_pcs_Y(wave: PlaneWave, C: float, omega, q_minus):
     h = 0.5 * ((P + iw) * G - Q)
     p = iw * iw + 2.0 * P * iw + const
     root = np.sqrt(h * h - S * p)
-    with np.errstate(all="ignore"):
-        Yp, Ym = (h + root) / S, (h - root) / S
-    # degenerate linear case S = 0: single multiplier
-    if np.any(S == 0):
-        lin = p / (2.0 * h)
-        Yp = np.where(S == 0, lin, Yp)
-        Ym = np.where(S == 0, lin, Ym)
-    return Yp, Ym
+    plus = np.abs(h + root) >= np.abs(h - root)
+    big = np.where(plus, h + root, h - root)
+    return np.where(plus, big / S, p / big), np.where(plus, p / big, big / S)
 
 
 def sl_floquet_pcs(wave: PlaneWave, C: float, omega, q_minus):

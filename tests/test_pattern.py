@@ -110,6 +110,23 @@ def test_pgm_comments_and_errors(tmp_path):
         read_pgm(p)
 
 
+def test_pgm_comment_after_every_token_and_crlf_line_ends(tmp_path):
+    # raster bytes 10 and 35 are "\n" and "#": the header ends at the one
+    # whitespace byte after maxval
+    p = tmp_path / "c.pgm"
+    p.write_bytes(b"# made by hand\r\nP5# magic\r\n2 # width\r\n"
+                  b"# a line of its own\r\n1# height\r\n255\n\x0a\x23")
+    assert np.array_equal(read_pgm(p), np.array([[10, 35]], dtype=np.uint8))
+
+
+def test_pgm_rejects_a_comment_right_after_maxval(tmp_path):
+    # netpbm: exactly one whitespace byte separates maxval from the raster
+    p = tmp_path / "c.pgm"
+    p.write_bytes(b"P5\n2 1\n255#\x00\x01")
+    with pytest.raises(ValueError, match="P2/P5"):
+        read_pgm(p)
+
+
 def test_eta_from_image_endpoints():
     img = np.array([[0, 128, 255]], dtype=np.uint8)
     sf = eta_from_image(img, 0.0, 2.55)
@@ -155,6 +172,13 @@ def test_verify_pattern_perfect_match():
     assert rep.max_dev < 1e-12
     assert rep.correlation == pytest.approx(1.0)
     assert rep.missing_nodes == []
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf], ids=["nan", "inf"])
+def test_verify_pattern_rejects_a_period_that_is_not_finite(T):
+    eta = np.array([[0.0, 1.0], [2.0, 0.5]])
+    with pytest.raises(ValueError, match="T must be finite"):
+        verify_pattern(_spike_traj(50.0 - eta), ShiftField(eta), T)
 
 
 def test_verify_pattern_wraps_modulo_period():

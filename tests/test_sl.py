@@ -454,6 +454,40 @@ def test_pcs_growth_symmetry():
         assert gm_s == pytest.approx(gp, abs=1e-12)
 
 
+def test_pcs_small_root_keeps_its_digits_where_a_coupling_vanishes():
+    # 4x4 torus, mode (pi/2, 0), q_minus = pi/4: cos(k_minus + q_minus) is
+    # cos(pi/2) = 6e-17, so S = Rp Rm is rounding noise and h - root
+    # cancels. gamma_minus from a 50-digit evaluation of the same quadratic
+    spec = make_spec(4, 4, 3.0, 0.5, 2.0)
+    waves = sl_enumerate_plane_waves(spec.params, 2.0, 20.0, spec)
+    w = next(w for w in waves if (w.wv.k1, w.wv.k2) == (math.pi / 2, 0.0))
+    assert w.Omega == -0.8408444013287657
+    om, qm = np.array([0.0, 0.3, 1.0]), math.pi / 4
+    _, gm = sl_floquet_pcs(w, 2.0, om, qm)
+    want = [0.48019706606898371, 0.37796410553377202, -0.11831840175117947]
+    assert np.max(np.abs(gm - want)) < 1e-12
+    # S Y^2 - 2 h Y + p = 0, the coefficients written out as in
+    # _expanded_pcs_Y
+    a2, R, kt, km = w.a2, w.R, w.k_tau, w.wv.k_minus
+    S = 4.0 * math.cos(km + qm) * math.cos(km - qm)
+    h = 2.0 * ((R + a2 * math.cos(kt)) * math.cos(km) * math.cos(qm)
+               + om * math.sin(kt) * math.sin(km) * math.sin(qm)
+               + 1j * (-a2 * math.sin(kt) * math.sin(km) * math.sin(qm)
+                       + om * math.cos(kt) * math.cos(km) * math.cos(qm)))
+    p = (R * R - om * om + 2.0 * R * a2 * math.cos(kt)
+         + 2j * om * (a2 + R * math.cos(kt)))
+    for Y in sl_floquet_pcs_Y(w, 2.0, om, qm):
+        terms = np.abs([S * Y * Y, 2.0 * h * Y, p])
+        assert np.all(np.abs(S * Y * Y - 2.0 * h * Y + p)
+                      <= 1e-12 * terms.max(axis=0))
+
+
+def test_pcs_at_zero_coupling_is_decoupled():
+    waves, _ = _sample_waves(1, seed=3)
+    with pytest.raises(ValueError, match="decoupled"):
+        sl_floquet_pcs_Y(waves[0], 0.0, 0.5, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # hand expansions of chi, kept as oracles of the values the package now
 # reads off chi's coefficients
