@@ -17,9 +17,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# tolerance for comparing wavevector components modulo 2*pi
-MODE_TOL = 1e-12
-
 
 def check_delay(tau: float) -> None:
     """The one rule for a delay argument: finite and >= 0."""
@@ -69,8 +66,9 @@ class LatticeSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("lattice dimensions must be >= 1")
-        if self.coupling < 0:
-            raise ValueError("coupling C must be >= 0")
+        if not (math.isfinite(self.coupling) and self.coupling >= 0):
+            raise ValueError(f"coupling C must be finite and >= 0, "
+                             f"got {self.coupling}")
 
     @property
     def state_dim(self) -> int:
@@ -91,15 +89,6 @@ class WaveVector:
     @property
     def k_minus(self) -> float:
         return 0.5 * (self.k1 - self.k2)
-
-    @staticmethod
-    def from_rotated(k_plus: float, k_minus: float) -> "WaveVector":
-        return WaveVector(k_plus + k_minus, k_plus - k_minus)
-
-    def is_same_mode(self, other: "WaveVector", tol: float = MODE_TOL) -> bool:
-        d1 = (self.k1 - other.k1) % TWO_PI
-        d2 = (self.k2 - other.k2) % TWO_PI
-        return (min(d1, TWO_PI - d1) <= tol) and (min(d2, TWO_PI - d2) <= tol)
 
 
 def enumerate_modes(spec: LatticeSpec) -> list[WaveVector]:

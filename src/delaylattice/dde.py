@@ -453,10 +453,8 @@ def detect_spikes(traj: Trajectory) -> list:
 def _refractory_filter(events: np.ndarray) -> np.ndarray:
     """Drop each event closer than ``SPIKE_REFRACTORY`` to the last one
     kept."""
-    if np.all(np.diff(events) >= SPIKE_REFRACTORY):
-        return events
-    kept = [events[0]]
-    for ev in events[1:]:
+    kept = events[:1].tolist()
+    for ev in events[1:].tolist():
         if ev - kept[-1] >= SPIKE_REFRACTORY:
             kept.append(ev)
     return np.array(kept)

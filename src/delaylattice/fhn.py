@@ -8,7 +8,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,14 +49,11 @@ class FhnSteadyState:
 
 @dataclass(frozen=True)
 class LinearizationPair:
-    """Instantaneous Jacobian A and delayed-coupling matrix B (rank one,
-    single entry b13), each 3x3 or a stack of them of shape (..., 3, 3)."""
+    """Instantaneous Jacobian A, 3x3 or a stack of shape (..., 3, 3), and
+    the one nonzero entry b13 of the rank-one delayed-coupling matrix B,
+    a number or an array of the stack's leading shape."""
     A: np.ndarray
-    B: np.ndarray
-
-    @property
-    def b13(self):
-        return self.B[..., 0, 2]
+    b13: np.ndarray
 
 
 def _stst_residual(v, params: FHNParams, C: float):
@@ -101,11 +97,9 @@ def _gate_deriv_of_s(v):
     return 0.6 * gate_rate_deriv(v) / (al + 0.6) ** 2
 
 
-def fhn_saddle_node_C(params: Optional[FHNParams] = None) -> float:
+def fhn_saddle_node_C(params: FHNParams = FHNParams()) -> float:
     """Smallest coupling strength at which the rest-state equation first
     admits a fold (double root) in (v, I)."""
-    if params is None:
-        params = FHNParams()
     # C(v) = (v^2 - 1 + 1/b) / phi'(v) where phi(v) = (v_r - v) s(v);
     # the fold first appears at the minimum of C(v) over v with phi' > 0
     v = np.linspace(-3.0, 3.0, 60001)
@@ -124,8 +118,8 @@ def fhn_saddle_node_C(params: Optional[FHNParams] = None) -> float:
 
 def fhn_linearization(stst: FhnSteadyState, params: FHNParams,
                       C: float) -> LinearizationPair:
-    """A and B at a rest state whose v and s are numbers, or arrays of one
-    shape that give A and B of shape (..., 3, 3)."""
+    """A and b13 at a rest state whose v and s are numbers, or arrays of
+    one shape that give A of shape (..., 3, 3) and b13 of that shape."""
     v = np.asarray(stst.v, dtype=float)
     s = np.asarray(stst.s, dtype=float)
     A = np.zeros(v.shape + (3, 3))
@@ -135,9 +129,7 @@ def fhn_linearization(stst: FhnSteadyState, params: FHNParams,
     A[..., 1, 1] = -params.b * params.eps
     A[..., 2, 0] = gate_rate_deriv(v) * (1.0 - s)
     A[..., 2, 2] = -gate_rate(v) - 0.6
-    B = np.zeros(v.shape + (3, 3))
-    B[..., 0, 2] = 0.5 * C * (params.v_r - v)
-    return LinearizationPair(A=A, B=B)
+    return LinearizationPair(A=A, b13=0.5 * C * (params.v_r - v))
 
 
 def _coupling_factor(b13, k_minus, k_plus=0.0):

@@ -32,9 +32,7 @@ class RootSet:
         return len(self.roots)
 
     def max_real(self) -> float:
-        if len(self.roots) == 0:
-            return -np.inf
-        return float(np.max(self.roots.real))
+        return float(np.max(self.roots.real, initial=-np.inf))
 
 
 def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray:
@@ -200,9 +198,6 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
 
     def dg(om):
         return 1.0 + R * tau * np.cos(k_plus - om * tau)
-
-    if tau == 0.0:
-        return np.array([beta + R * math.sin(k_plus)])
 
     step = min(math.pi / (4.0 * (1.0 + abs(R) * tau)), 1e-2)
     lo = beta - abs(R) - step

@@ -229,10 +229,7 @@ def sl_strong_spectrum(wave: PlaneWave, params: SLParams, C: float):
     root = cmath.sqrt(P * P - const)
     lam_p, lam_m = -P + root, -P - root
     alpha, R = params.alpha, wave.R
-    absR = abs(R)
-    if alpha < -absR:
-        a_s2 = 0.0
-    elif alpha <= math.sqrt(2.0) * absR:
+    if alpha <= math.sqrt(2.0) * abs(R):
         a_s2 = alpha / 2.0
     else:
         a_s2 = 0.5 * (alpha + math.sqrt(alpha * alpha - 2.0 * R * R))

@@ -19,14 +19,12 @@ def test_single_node_mode():
     assert len(modes) == 1
     # (2pi, 2pi) is the same mode as (0, 0); canonical form is (0, 0)
     assert modes[0].k1 == 0.0 and modes[0].k2 == 0.0
-    assert modes[0].is_same_mode(WaveVector(2 * math.pi, 2 * math.pi))
 
 
 def test_three_by_three_modes():
     modes = enumerate_modes(SL33)
     assert len(modes) == 9
-    target = WaveVector(2 * math.pi / 3, 2 * math.pi / 3)
-    assert any(m.is_same_mode(target) for m in modes)
+    assert WaveVector(2 * math.pi / 3, 2 * math.pi / 3) in modes
 
 
 def test_modes_match_brute_force():
@@ -42,17 +40,9 @@ def test_modes_match_brute_force():
 
 
 def test_modes_are_distinct():
-    modes = enumerate_modes(SL33)
-    for i, a in enumerate(modes):
-        for b in modes[i + 1:]:
-            assert not a.is_same_mode(b)
-
-
-def test_rotated_roundtrip():
-    wv = WaveVector(1.234567, -0.987654)
-    back = WaveVector.from_rotated(wv.k_plus, wv.k_minus)
-    assert back.k1 == pytest.approx(wv.k1, abs=1e-15)
-    assert back.k2 == pytest.approx(wv.k2, abs=1e-15)
+    pairs = {(m.k1, m.k2) for m in enumerate_modes(SL33)}
+    assert len(pairs) == 9
+    assert all(0.0 <= k < 2 * math.pi for pair in pairs for k in pair)
 
 
 def test_delay_map_positivity():
@@ -94,6 +84,13 @@ def test_parse_negative_coupling_names_field():
             "params": {"alpha": 0.0, "beta": 0.0}, "C": -1.0,
         }))
     assert exc.value.path == "C"
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf, -1.0])
+def test_lattice_spec_rejects_a_coupling_that_is_not_finite_and_nonnegative(C):
+    with pytest.raises(ValueError, match=f"finite and >= 0, got {C}$"):
+        LatticeSpec(rows=1, cols=1, model=Model.STUART_LANDAU,
+                    params=SLParams(-2.0, 0.5), coupling=C)
 
 
 def test_parse_negative_seed_names_field():

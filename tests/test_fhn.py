@@ -6,9 +6,10 @@ import pytest
 from scipy.optimize import brentq
 
 from delaylattice.core import FHNParams, WaveVector
-from delaylattice.fhn import (fhn_char_function, fhn_char_roots,
-                              fhn_hopf_points, fhn_hybrid_dispersion,
-                              fhn_linearization, fhn_saddle_node_C,
+from delaylattice.fhn import (FhnSteadyState, fhn_char_function,
+                              fhn_char_roots, fhn_hopf_points,
+                              fhn_hybrid_dispersion, fhn_linearization,
+                              fhn_saddle_node_C,
                               fhn_steady_states, fhn_strong_spectrum,
                               fhn_strong_spectrum_present, gate_rate,
                               stst_current, synaptic_gate)
@@ -115,7 +116,14 @@ def test_linearization_entries():
     assert A[2, 2] == pytest.approx(-al - 0.6, abs=1e-14)
     assert A[2, 2] <= -0.6
     assert lin.b13 == pytest.approx(1.5 * (params.v_r - st.v), abs=1e-14)
-    assert np.count_nonzero(lin.B) == 1
+    # a stacked linearization of two rest states gives each its own b13
+    # (the current I does not enter the linearization)
+    rests = [st, fhn_steady_states(FHNParams(I=1.0), 3.0)[0]]
+    v, w, s = (np.array(x) for x in zip(*[(r.v, r.w, r.s) for r in rests]))
+    stack = fhn_linearization(FhnSteadyState(v=v, w=w, s=s), params, 3.0)
+    assert stack.b13[0] != stack.b13[1]
+    assert np.array_equal(stack.b13, [fhn_linearization(r, params, 3.0).b13
+                                      for r in rests])
 
 
 def test_char_roots_zero_coupling_are_jacobian_eigenvalues():

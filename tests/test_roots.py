@@ -227,10 +227,13 @@ def test_kepler_zero_coupling():
     assert np.array_equal(solve_kepler(0.5, 0.0, 1.0, 20.0), [0.5])
 
 
-def test_kepler_zero_delay():
-    got = solve_kepler(0.5, 2.0, 0.7, 0.0)
+@pytest.mark.parametrize("beta, R, k_plus", [(0.5, 2.0, 0.7),
+                                              (-1.0, -3.0, 12.0),
+                                              (0.2, 1e-6, -4.0)])
+def test_kepler_zero_delay(beta, R, k_plus):
+    got = solve_kepler(beta, R, k_plus, 0.0)
     assert len(got) == 1
-    assert got[0] == pytest.approx(0.5 + 2.0 * math.sin(0.7), abs=1e-14)
+    assert got[0] == pytest.approx(beta + R * math.sin(k_plus), abs=1e-14)
 
 
 def test_kepler_count_matches_dense_sampling():
