@@ -16,6 +16,7 @@ from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
                     find_roots_quasipoly)
 
 
+CHAR_ROOT_WINDOW = (-2.0, 1.0, -4.0, 4.0)  # Re min, Re max, Im min, Im max
 # 0-d arrays are cheaper ufunc operands than Python floats
 _MINUS_FIVE, _ONE, _HALF = np.array(-5.0), np.array(1.0), np.array(0.5)
 
@@ -171,10 +172,8 @@ def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
 
 
 def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
-                   tau: float, wv: WaveVector,
-                   window: tuple = (-2.0, 1.0, -4.0, 4.0)) -> RootSet:
-    """Characteristic roots of the steady state for one Fourier mode,
-    inside the given complex window."""
+                   tau: float, wv: WaveVector) -> RootSet:
+    """Steady-state characteristic roots of mode wv in ``CHAR_ROOT_WINDOW``."""
     check_delay(tau)
     lin = fhn_linearization(stst, params, C)
     coup = _coupling_factor(lin.b13, wv.k_minus, wv.k_plus)
@@ -182,12 +181,12 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
         # decoupled: A stays real, eigvals of its complex cast can differ
         coup = 0.0
     elif tau > 0.0:
-        return find_roots_quasipoly(fhn_char_function(lin, tau, wv), window)
+        return find_roots_quasipoly(fhn_char_function(lin, tau, wv), CHAR_ROOT_WINDOW)
     # no delayed term: the roots are the eigenvalues of A plus the coupling
     Mat = lin.A.astype(np.result_type(lin.A, coup))
     Mat[0, 2] += coup
     lam = np.linalg.eigvals(Mat)
-    re_min, re_max, im_min, im_max = window
+    re_min, re_max, im_min, im_max = CHAR_ROOT_WINDOW
     keep = ((lam.real >= re_min) & (lam.real <= re_max)
             & (lam.imag >= im_min) & (lam.imag <= im_max))
     return RootSet(roots=lam[keep], tolerance=1e-10)
@@ -229,14 +228,13 @@ def fhn_hybrid_dispersion(stst: FhnSteadyState, params: FHNParams, C: float,
 
 
 def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
-                    *, omega_range: tuple = (0.0, 3.0),
-                    n_seeds: tuple = (50, 50)) -> list[tuple]:
+                    *, n_seeds: tuple = (50, 50)) -> list[tuple]:
     """Hopf points (I, Omega) of the steady state for one Fourier mode,
     with I in [-4, 4].
 
     Solves F(v, Omega) = f(i*Omega) = 0 by a 2D Newton iteration over
     (v, Omega), run on all seeds at once from the grid of v in
-    [-2.5, 2.5] by Omega in ``omega_range``; the current I follows from the
+    [-2.5, 2.5] by Omega in [1e-3, 3]; the current I follows from the
     rest-state equation. dF/dOmega = i f'(i*Omega) is exact, dF/dv a
     central difference. A seed is dropped, without a report, when its
     Jacobian is singular, when it leaves |v| <= 10, |Omega| <= 50, or when
@@ -253,8 +251,7 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
         return val, 1j * dval
 
     v, om = (g.ravel() for g in np.meshgrid(
-        np.linspace(-2.5, 2.5, n_seeds[0]),
-        np.linspace(omega_range[0] + 1e-3, omega_range[1], n_seeds[1]),
+        np.linspace(-2.5, 2.5, n_seeds[0]), np.linspace(1e-3, 3.0, n_seeds[1]),
         indexing="ij"))
     live = np.arange(v.size)            # seeds still iterating
     converged = np.zeros(v.size, dtype=bool)

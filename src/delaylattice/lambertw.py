@@ -9,6 +9,8 @@ the subnormal range on the branches j != 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAX_BRANCH = 64
@@ -27,17 +29,20 @@ class LambertWError(ArithmeticError):
 def lambert_w_log(j, log_z: complex) -> np.ndarray:
     """W_j at z = exp(log_z) for an integer array of branches j.
 
-    Returns an array shaped like j; the branch is the standard one with
-    Im W_j near 2*pi*j for large |z|. Where z would overflow a double
-    (Re log_z > 500), or on the branches j != 0 where it underflows or
-    loses precision as a subnormal (Re log_z < -700), the defining relation
-    is solved in log form, w + Log w = log_z + 2*pi*i*j.
+    Returns an array shaped like j; the branch is the standard one of z for
+    any phase Im log_z, with Im W_j near 2*pi*j for large |z|. Where z would
+    overflow a double (Re log_z > 500), or on the branches j != 0 where it
+    underflows or loses precision as a subnormal (Re log_z < -700), the
+    relation w + Log w = log_z + 2*pi*i*j is solved, Im log_z in [-pi, pi].
     """
     j = np.asarray(j, dtype=int)
     if np.any(np.abs(j) > MAX_BRANCH):
         raise ValueError(f"branch index |j| <= {MAX_BRANCH} required, got {j}")
     from scipy.special import lambertw   # loaded late: slow to import
     log_z = complex(log_z)
+    if not math.isfinite(log_z.imag):
+        raise LambertWError(f"the phase of z = exp({log_z}) is not finite")
+    log_z = complex(log_z.real, math.remainder(log_z.imag, math.tau))
     if log_z.real > _OVERFLOW:
         return _log_form(j, log_z)
     direct = (j == 0) | (log_z.real >= _UNDERFLOW)

@@ -16,6 +16,7 @@ DEDUP_RADIUS = 1e-8
 RESIDUAL_TOL = 1e-10
 KEPLER_RESIDUAL_TOL = 1e-12
 SWEEP_BLOCK = 2 ** 13        # seeds per block of a stacked Newton sweep, at most
+SEED_GRID = (40, 40)         # Newton seeds along Re and Im of a sweep's window
 
 
 @dataclass
@@ -49,9 +50,8 @@ def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray
     return np.array(kept, dtype=roots.dtype)
 
 
-def find_roots_quasipoly(fdf: Callable, window: tuple,
-                         grid: tuple = (40, 40)) -> RootSet:
-    """Newton iteration from a rectangular grid of seeds over the window.
+def find_roots_quasipoly(fdf: Callable, window: tuple) -> RootSet:
+    """Newton iteration from the ``SEED_GRID`` of seeds over the window.
 
     ``fdf(z)`` returns the pair ``(f(z), f'(z))`` for a complex numpy array
     ``z``, elementwise. Converged roots are kept if they lie inside the
@@ -60,11 +60,10 @@ def find_roots_quasipoly(fdf: Callable, window: tuple,
     kept before it, so a chain of roots 0.9e-8 apart keeps every other one.
     An empty result is not an error.
     """
-    return find_roots_stacked(lambda z, k: fdf(z), 1, window, grid)[0]
+    return find_roots_stacked(lambda z, k: fdf(z), 1, window)[0]
 
 
-def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple,
-                       grid: tuple = (40, 40)) -> list[RootSet]:
+def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple) -> list[RootSet]:
     """``find_roots_quasipoly`` for ``n_sets`` functions at once, all on
     one window and one seed grid: ``fdf(z, k)`` returns ``(f_k(z),
     f_k'(z))`` elementwise, where the integer array ``k`` gives the set of
@@ -74,14 +73,11 @@ def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple,
     The sets run in blocks of whole sets of at most ``SWEEP_BLOCK`` seeds
     (at least one set), which bounds the work arrays."""
     re_min, re_max, im_min, im_max = window
-    nx, ny = grid
     if not (re_max > re_min and im_max > im_min):
         raise ValueError(f"degenerate window {window}")
-    if nx < 2 or ny < 2:
-        raise ValueError("grid must be at least 2 x 2")
 
-    re = np.linspace(re_min, re_max, nx)
-    im = np.linspace(im_min, im_max, ny)
+    re = np.linspace(re_min, re_max, SEED_GRID[0])
+    im = np.linspace(im_min, im_max, SEED_GRID[1])
     seeds = (re[:, None] + 1j * im[None, :]).ravel()
     # limit huge steps to keep seeds from shooting off
     cap = 0.5 * max(re_max - re_min, im_max - im_min)

@@ -132,8 +132,7 @@ def test_char_roots_zero_coupling_are_jacobian_eigenvalues():
     lin = fhn_linearization(st, params, 0.0)
     want = np.sort_complex(np.linalg.eigvals(lin.A))
     got = np.sort_complex(
-        fhn_char_roots(st, params, 0.0, 20.0, HOMOG,
-                       window=(-5, 5, -5, 5)).roots)
+        fhn_char_roots(st, params, 0.0, 20.0, HOMOG).roots)
     assert np.allclose(got, want, atol=1e-10)
 
 
@@ -142,7 +141,7 @@ def test_char_roots_decoupled_mode():
     st = fhn_steady_states(params, 3.0)[0]
     lin = fhn_linearization(st, params, 3.0)
     wv = WaveVector(math.pi, 0.0)  # k_minus = pi/2
-    got = fhn_char_roots(st, params, 3.0, 20.0, wv, window=(-5, 5, -5, 5))
+    got = fhn_char_roots(st, params, 3.0, 20.0, wv)
     want = np.sort_complex(np.linalg.eigvals(lin.A))
     assert np.allclose(np.sort_complex(got.roots), want, atol=1e-10)
 
@@ -166,7 +165,7 @@ def test_char_roots_without_a_delayed_term_are_eigenvalues_bit_for_bit(
         Mat[0, 2] += (2.0 * lin.b13 * np.cos(wv.k_minus)
                       * np.exp(1j * wv.k_plus))
     want = np.linalg.eigvals(Mat)
-    got = fhn_char_roots(st, params, C, tau, wv, window=(-5, 5, -5, 5))
+    got = fhn_char_roots(st, params, C, tau, wv)
     assert len(got) == 3
     assert got.roots.dtype == want.dtype
     assert got.roots.tobytes() == want.tobytes()
@@ -176,7 +175,7 @@ def test_char_roots_satisfy_equation():
     params = FHNParams(I=-0.8)
     st = fhn_steady_states(params, 3.0)[0]
     wv = WaveVector(2 * math.pi / 5, 4 * math.pi / 5)
-    rs = fhn_char_roots(st, params, 3.0, 20.0, wv, window=(-1.5, 0.5, -2, 2))
+    rs = fhn_char_roots(st, params, 3.0, 20.0, wv)
     assert len(rs) > 0
     lin = fhn_linearization(st, params, 3.0)
     # residual against the raw 3x3 determinant, coded independently
@@ -195,8 +194,7 @@ def test_char_roots_stable_regime_all_modes():
     spec = LatticeSpec(rows=3, cols=3, model=Model.FITZHUGH_NAGUMO,
                        params=params, coupling=3.0)
     for wv in enumerate_modes(spec):
-        rs = fhn_char_roots(st, params, 3.0, 20.0, wv,
-                            window=(-1.0, 0.5, -3, 3))
+        rs = fhn_char_roots(st, params, 3.0, 20.0, wv)
         assert rs.max_real() < 0.0
 
 
@@ -334,7 +332,7 @@ def test_exact_roots_approach_hybrid_curve():
     dists = []
     for tau in (50.0, 200.0):
         rs = find_roots_quasipoly(fhn_char_function(lin, tau, HOMOG),
-                                  (-0.4, 0.05, 0.05, 2.0), grid=(60, 60))
+                                  (-0.4, 0.05, 0.05, 2.0))
         roots = rs.roots
         assert len(roots) > 3
         g = fhn_hybrid_dispersion(st, params, 3.0, roots.imag, 0.0)
@@ -344,16 +342,14 @@ def test_exact_roots_approach_hybrid_curve():
 
 def test_hopf_points_cross_validate():
     params = FHNParams()
-    points = fhn_hopf_points(params, 3.0, 20.0, HOMOG,
-                             omega_range=(0.0, 1.5), n_seeds=(16, 16))
+    points = fhn_hopf_points(params, 3.0, 20.0, HOMOG, n_seeds=(16, 16))
     assert points
     for I, om in points[:4]:
         p = FHNParams(I=I)
         states = fhn_steady_states(p, 3.0)
         best = math.inf
         for st in states:
-            rs = fhn_char_roots(st, p, 3.0, 20.0, HOMOG,
-                                window=(-0.2, 0.2, om - 0.5, om + 0.5))
+            rs = fhn_char_roots(st, p, 3.0, 20.0, HOMOG)
             for lam in rs.roots:
                 best = min(best, abs(lam - 1j * om))
         assert best < 1e-6
@@ -362,14 +358,11 @@ def test_hopf_points_cross_validate():
 def test_hopf_reappearance():
     params = FHNParams()
     tau = 20.0
-    points = fhn_hopf_points(params, 3.0, tau, HOMOG,
-                             omega_range=(0.2, 1.5), n_seeds=(12, 12))
+    points = fhn_hopf_points(params, 3.0, tau, HOMOG, n_seeds=(12, 12))
     assert points
     I0, om0 = points[0]
     tau2 = tau + 2.0 * math.pi / om0
-    points2 = fhn_hopf_points(params, 3.0, tau2, HOMOG,
-                              omega_range=(max(om0 - 0.2, 1e-3), om0 + 0.2),
-                              n_seeds=(12, 12))
+    points2 = fhn_hopf_points(params, 3.0, tau2, HOMOG, n_seeds=(12, 12))
     assert any(abs(I - I0) < 1e-6 and abs(om - om0) < 1e-6
                for I, om in points2)
 
@@ -459,8 +452,7 @@ def test_pinned_saddle_node_C(params, want):
 
 def test_hopf_zero_delay_matches_ode():
     params = FHNParams()
-    points = fhn_hopf_points(params, 3.0, 0.0, HOMOG,
-                             omega_range=(0.0, 1.5), n_seeds=(16, 16))
+    points = fhn_hopf_points(params, 3.0, 0.0, HOMOG, n_seeds=(16, 16))
     for I, om in points:
         p = FHNParams(I=I)
         for st in fhn_steady_states(p, 3.0):

@@ -156,6 +156,31 @@ def test_log_form_agrees_with_direct_form():
         assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
 
 
+def test_log_form_is_continuous_where_it_takes_over():
+    # both paths must label the branches as the standard ones of z: a log
+    # form that took the unreduced phase, branch j + round(Im log z / 2 pi),
+    # jumps by 502 across Re log z = 500 at Im log z = -500
+    j = np.array([-1, 0, 1])
+    below = lambert_w_log(j, complex(500.0 - 1e-9, -500.0))
+    above = lambert_w_log(j, complex(500.0 + 1e-9, -500.0))
+    assert np.all(np.abs(above - below) < 1e-8)
+
+
+@pytest.mark.parametrize("re", [600.0, -800.0], ids=["overflow", "underflow"])
+def test_log_form_branches_ignore_whole_turns_of_the_phase(re):
+    # z = exp(log_z) is unchanged by log_z + 20*pi*i, so each W_j must be too
+    j = np.array([-3, -1, 0, 1, 2])
+    w = lambert_w_log(j, complex(re, 1.0))
+    turned = lambert_w_log(j, complex(re, 1.0) + 20j * np.pi)
+    assert np.all(np.abs(turned - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+
+
+@pytest.mark.parametrize("im", [np.inf, -np.inf, np.nan])
+def test_non_finite_phase_rejected(im):
+    with pytest.raises(LambertWError):
+        lambert_w_log(np.array([-1, 0, 1]), complex(1.0, im))
+
+
 def test_log_form_beyond_double_overflow():
     # z = exp(800) overflows a double; the log form must still solve
     # w + log w = log z to high accuracy on several branches

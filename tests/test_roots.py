@@ -16,8 +16,7 @@ from delaylattice.roots import (DEDUP_RADIUS, SWEEP_BLOCK, _dedup_sorted,
 
 
 def test_quadratic_roots():
-    rs = find_roots_quasipoly(lambda z: (z * z + 1.0, 2.0 * z), (-2, 2, -2, 2),
-                              grid=(10, 10))
+    rs = find_roots_quasipoly(lambda z: (z * z + 1.0, 2.0 * z), (-2, 2, -2, 2))
     assert len(rs) == 2
     assert np.allclose(sorted(rs.roots, key=lambda r: r.imag), [-1j, 1j],
                        atol=1e-10)
@@ -25,14 +24,14 @@ def test_quadratic_roots():
 
 def test_linear_root():
     rs = find_roots_quasipoly(lambda z: (-z + (-2.5 + 0.5j), -np.ones_like(z)),
-                              (-4, 1, -2, 2), grid=(5, 5))
+                              (-4, 1, -2, 2))
     assert len(rs) == 1
     assert abs(rs.roots[0] - (-2.5 + 0.5j)) < 1e-12
 
 
 def test_empty_result_is_not_error():
     rs = find_roots_quasipoly(lambda z: (np.exp(z) + 10.0, np.exp(z)),
-                              (-1, 1, -1, 1), grid=(8, 8))
+                              (-1, 1, -1, 1))
     assert len(rs) == 0
     assert rs.max_real() == -np.inf
 
@@ -43,9 +42,8 @@ def test_degenerate_window_rejected():
 
 
 def test_sweep_reports_seeds_and_converged():
-    rs = find_roots_quasipoly(lambda z: (z * z + 1.0, 2.0 * z), (-2, 2, -2, 2),
-                              grid=(10, 10))
-    assert rs.seeds == 100
+    rs = find_roots_quasipoly(lambda z: (z * z + 1.0, 2.0 * z), (-2, 2, -2, 2))
+    assert rs.seeds == 40 * 40
     assert len(rs) <= rs.converged <= rs.seeds
 
 
@@ -204,7 +202,7 @@ def test_sl_mode_factor_matches_lambert_w():
         e = C * np.exp(-lam * tau)
         return -lam + mu + e, -1.0 - tau * e
 
-    rs = find_roots_quasipoly(fdf, (-0.5, 0.2, -1.0, 2.0), grid=(60, 60))
+    rs = find_roots_quasipoly(fdf, (-0.5, 0.2, -1.0, 2.0))
     assert len(rs) > 3
     z = tau * C * cmath.exp(-mu * tau)
     lw = mu + lambertw(z, np.arange(-30, 31)) / tau
@@ -217,7 +215,7 @@ def test_conjugate_closure_of_real_quasipoly():
         e = 0.5 * np.exp(-lam)
         return lam * lam + 0.3 * lam + 2.0 + e, 2.0 * lam + 0.3 - e
 
-    rs = find_roots_quasipoly(fdf, (-2, 1, -4, 4), grid=(30, 30))
+    rs = find_roots_quasipoly(fdf, (-2, 1, -4, 4))
     assert len(rs) >= 2
     for lam in rs.roots:
         assert min(abs(lam.conjugate() - r) for r in rs.roots) < 1e-8

@@ -48,6 +48,16 @@ def test_stst_decoupled_mode_at_half_pi_has_one_eigenvalue():
     assert rs.roots.tolist() == [-2.5 + 0.5j]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: MAX_BRANCH = 64 caps the Lambert-W branches, so at "
+    "tau = 1000 only 129 of the 636 roots of the pseudo-continuous band "
+    "|Im lambda - beta| <= |R| come back (ROADMAP item 14)"))
+def test_stst_returns_the_whole_band_at_long_delay():
+    # the band holds about 2|R| tau / (2 pi) roots, one per branch
+    rs = sl_stst_eigenvalues(SLParams(-2.5, 0.5), 2.0, 1000.0, HOMOG)
+    assert np.count_nonzero(np.abs(rs.roots.imag - 0.5) <= 2.0) == 636
+
+
 def test_stst_critical_case():
     # alpha = -C is the critical point in the large-delay limit
     rs = sl_stst_eigenvalues(SLParams(-2.0, 0.5), 2.0, 20.0, HOMOG)
@@ -169,6 +179,16 @@ def test_hopf_threshold_stops_at_first_unstable_mode(monkeypatch):
     # 2 end points and the stable midpoints over all 36 modes, the
     # unstable ones mostly at their first try
     assert len(calls) < 300
+
+
+def test_hopf_threshold_at_long_delay_keeps_branch_zero():
+    # at tau = 1000, Im log z = -beta tau = -500: branches labelled by the
+    # unreduced phase miss W_0, which holds the rightmost root, and give
+    # the threshold -1.9978556632995605
+    rs = sl_stst_eigenvalues(SLParams(-2.5, 0.5), 2.0, 1000.0, HOMOG)
+    assert rs.max_real() == pytest.approx(-2.23054888875307e-4, rel=1e-9)
+    spec = make_spec(6, 6, -2.5, 0.5, 2.0)
+    assert sl_hopf_threshold(spec.params, 2.0, 1000.0, spec) == -1.9999995231628418
 
 
 @pytest.mark.parametrize("growth, end", [(-1.0, "alpha=0.0 stable"),
