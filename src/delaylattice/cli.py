@@ -64,22 +64,32 @@ def _emit(args, inputs, outputs) -> int:
     `inputs` files and the wall time since the command started. Only this
     function creates or writes the directory, and every command returns
     through it after its last computation, so a failed command leaves no
-    directory."""
+    directory; a failed write, a config error, removes what it made."""
     hashed_inputs = {str(Path(p)): _sha256(Path(p)) for p in inputs}
     outdir = Path(args.out)
+    made, written, hashed_outputs = not outdir.exists(), [], {}
+
+    def manifest():   # read after every other output is written
+        yield from _json({"inputs": hashed_inputs, "outputs": hashed_outputs,
+                          "wall_time": round(time.time() - args.t_start, 3)})
+
     with _input_of("--out"):
         outdir.mkdir(parents=True, exist_ok=True)
-    hashed_outputs = {}
-    for name, chunks in outputs.items():
-        h = hashlib.sha256()
-        with open(outdir / name, "wb") as fh:
-            for chunk in chunks:
-                h.update(chunk)
-                fh.write(chunk)
-        hashed_outputs[name] = h.hexdigest()
-    manifest = {"inputs": hashed_inputs, "outputs": hashed_outputs,
-                "wall_time": round(time.time() - args.t_start, 3)}
-    (outdir / "manifest.json").write_bytes(b"".join(_json(manifest)))
+    try:
+        for name, chunks in {**outputs, "manifest.json": manifest()}.items():
+            h = hashlib.sha256()
+            with open(outdir / name, "wb") as fh:
+                written.append(outdir / name)
+                for chunk in chunks:
+                    h.update(chunk)
+                    fh.write(chunk)
+            hashed_outputs[name] = h.hexdigest()
+    except OSError as exc:
+        for path in written:
+            path.unlink()
+        if made:
+            outdir.rmdir()
+        raise ConfigError("--out", str(exc)) from exc
     return 0
 
 

@@ -15,13 +15,16 @@ precomputed for the RK4 stage offsets 1/2 and 1; each step makes one
 wrapped ``take`` and a weighted sum. A history answers ``state(t)`` and
 ``deriv(t)`` for times t of any shape, with that shape prepended to the
 sample's; ``simulate`` reads it in at least ``HISTORY_SPLIT`` blocks of
-at most about ``HISTORY_BLOCK`` node-times.
+at most about ``HISTORY_BLOCK`` node-times. One FitzHugh-Nagumo node (a
+reference orbit) steps in Python floats with the same store, reads and
+arithmetic, bit for bit, as ufunc dispatch sets the cost of its steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import astuple, dataclass
 from functools import partialmethod
 from typing import Callable, Optional
 
@@ -216,7 +219,9 @@ class Trajectory:
 # Small lattices pay for ufunc dispatch: ufuncs are local names, constants
 # are 0-d arrays, and no output overlaps an input (numpy's path for that is
 # slower) except in the final y update. v**3 is two multiplies: np.power
-# is tens of times slower on a row of doubles.
+# is tens of times slower on a row of doubles. One FHN node skips dispatch
+# with the same operations on Python floats, but numpy's exp: math.exp
+# rounds 1 argument in 20 differently from numpy's AVX-512 exp.
 
 
 def _make_rhs(spec: LatticeSpec):
@@ -257,6 +262,19 @@ def _make_rhs(spec: LatticeSpec):
     return rhs
 
 
+def _one_node_rhs(spec: LatticeSpec):
+    """rhs(v, w, s, x) -> dy/dt of one FHN node in Python floats, given its
+    state and delayed sum x: ``_make_rhs`` operation for operation."""
+    I, a, b, eps, v_r, C = map(float, (*astuple(spec.params), spec.coupling))
+
+    def rhs(v, w, s, x):
+        alpha = 0.5 / (1.0 + float(np.exp(-5.0 * (v - 1.0))))
+        return (v - v * v * v / 3.0 - w + I + 0.5 * C * (v_r - v) * x,
+                (v + a - b * w) * eps, (1.0 - s) * alpha - 0.6 * s)
+
+    return rhs
+
+
 def _to_snapshot(y: np.ndarray, model: Model) -> np.ndarray:
     """(M, N, d) state with a complex z stored as (re, im) components."""
     if model is Model.STUART_LANDAU:
@@ -276,43 +294,65 @@ def _from_snapshot(arr, model: Model) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the integrator
 
-def _coupling_reader(store: np.ndarray, channel: int, delays: DelayMap,
-                     dt: float, H: int):
-    """(read, x_half, x_one): read(phase) writes into the M*N arrays x_half
-    and x_one the delayed up + left neighbor sums of component ``channel``
-    at the RK4 stage offsets 1/2 and 1 of step n, given the store phase
-    n % S; phase S - 1 (step -1) gives x_one at t = 0.
-
-    The flat store index and the Hermite weight of every read are
-    precomputed, shaped (read y0 f0 y1 f1, stage, edge up/left, node): a
-    read at time j*dt sits in slot j + H at step 0, and step n shifts it by
-    n slots modulo the store size, which ``take`` wraps. Each sum is
-    w0 y0 + w1 f0 + w2 y1 + w3 f1 per edge, added left to right as in
-    ``DenseOutput``, then up + left."""
-    c = store.shape[2]
+def _coupling_taps(store: np.ndarray, channel: int, delays: DelayMap,
+                   dt: float, H: int):
+    """(idx, wts): the flat index into the (S, 2, c, M, N) store and the
+    Hermite weight of every delayed read of component ``channel``, shaped
+    (read y0 f0 y1 f1, stage offset 1/2 or 1, edge up/left, node). A read at
+    time j*dt sits in slot j + H at step 0; step n shifts it by n slots
+    modulo the store size. Each sum is w0 y0 + w1 f0 + w2 y1 + w3 f1 per
+    edge, added left to right as in ``DenseOutput``, then up + left."""
     MN = delays.down.size
     node = np.arange(MN).reshape(delays.down.shape)
-    src = np.stack([np.roll(node, 1, axis=0),
-                    np.roll(node, 1, axis=1)]).reshape(2, MN)
+    src = np.stack([np.roll(node, 1, axis) for axis in (0, 1)]).reshape(2, MN)
     tau = np.stack([delays.down, delays.right]).reshape(2, MN)
     base, th = _grid_split(np.array([0.5, 1.0])[:, None, None] - tau / dt)
-    idx = _read_index(base + H, channel * MN + src, c * MN)
-    wts = np.array(_hermite_weights(th, dt))
-    flat = store.reshape(-1)
+    return (_read_index(base + H, channel * MN + src, store[0, 0].size),
+            np.array(_hermite_weights(th, dt)))
+
+
+def _coupling_reader(store: np.ndarray, idx: np.ndarray, wts: np.ndarray):
+    """(read, x_half, x_one): read(phase) writes into the M*N arrays x_half
+    and x_one the sums of the taps at the RK4 stage offsets 1/2 and 1 of
+    step n, given its store phase n % S; phase S - 1 gives x_one at t = 0."""
+    flat, shift = store.reshape(-1), store[0].size   # shift: one slot
     at = np.empty_like(idx)   # idx + shift < 2 * store size: one wrap at most
     g, gw = np.empty((2,) + idx.shape, dtype=store.dtype)
     y0, f0, y1, f1 = gw
     e, e2 = np.empty((2,) + y0.shape, dtype=store.dtype)
-    out = np.empty((2, MN), dtype=store.dtype)
+    out = np.empty_like(e[:, 0])
     add, mul = np.add, np.multiply
 
     def read(phase: int) -> None:
-        flat.take(add(idx, phase * 2 * c * MN, at), out=g, mode="wrap")
+        flat.take(add(idx, phase * shift, at), out=g, mode="wrap")
         mul(g, wts, gw)
         add(add(add(y0, f0, e), y1, e2), f1, e)
         add(e[:, 0], e[:, 1], out)
 
     return read, out[0], out[1]
+
+
+def _step_one_node(rhs, store, idx, wts, y, k1, dt, H, n_steps, settle):
+    """The kernel's steps for one node in Python floats, operation for
+    operation, from y and k1 at t = 0; each step writes store, then settles."""
+    S, _, c = store.shape[:3]
+    flat, L = memoryview(store.reshape(-1)), store.size
+    taps = [*zip(*idx.reshape(4, 4).tolist(), *wts.reshape(4, 4).tolist())]
+    for n in range(n_steps):
+        o = 2 * c * n
+        e = [w0 * flat[(i0 + o) % L] + w1 * flat[(i1 + o) % L]
+             + w2 * flat[(i2 + o) % L] + w3 * flat[(i3 + o) % L]
+             for i0, i1, i2, i3, w0, w1, w2, w3 in taps]
+        x_half, x_one = e[0] + e[1], e[2] + e[3]
+        k2 = rhs(*[u + 0.5 * dt * k for u, k in zip(y, k1)], x_half)
+        k3 = rhs(*[u + 0.5 * dt * k for u, k in zip(y, k2)], x_half)
+        k4 = rhs(*[u + dt * k for u, k in zip(y, k3)], x_one)
+        y = [u + dt / 6.0 * (k + 2.0 * q + 2.0 * r + z)
+             for u, k, q, r, z in zip(y, k1, k2, k3, k4)]
+        k1 = rhs(*y, x_one)
+        j = (n + 1 + H) % S * 2 * c
+        flat[j:j + 2 * c] = array("d", (*y[3 - c:], *k1[3 - c:]))
+        settle(n + 1, [[y]])
 
 
 def step_size(dt: Optional[float], min_delay: float) -> float:
@@ -345,9 +385,8 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
         raise ValueError("delay map shape does not match the lattice")
     dt = step_size(dt, delays.min_delay)
 
-    M, N = spec.rows, spec.cols
+    M, N, model = spec.rows, spec.cols, spec.model
     MN = M * N
-    model = spec.model
     dtype, d, ch = ((complex, 1, 0) if model is Model.STUART_LANDAU
                     else (float, 3, 2))
     k_end, th_end = _grid_split(t_end / dt)
@@ -359,8 +398,8 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     S, chans = ((H + n_steps + 1, slice(None)) if store_full
                 else (H + 4, slice(ch, ch + 1)))
     store = np.zeros((S, 2, d if store_full else 1, M, N), dtype=dtype)
-    read, x_half, x_one = _coupling_reader(
-        store, ch if store_full else 0, delays, dt, H)
+    idx, wts = _coupling_taps(store, ch if store_full else 0, delays, dt, H)
+    read, x_half, x_one = _coupling_reader(store, idx, wts)
     slots = store.reshape(S, 2, -1, MN)
 
     # kernel states, rows and an (M, N, d) view; y, k1 adjacent: one write
@@ -384,41 +423,42 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     rhs(Y, x_one, K1)
     slots[H, 1] = k1[chans]
 
-    n_rec = 1 + n_steps // record_every + (n_steps % record_every > 0)
-    rec_times = np.empty(n_rec)
-    rec_snaps = np.empty((n_rec, M, N, spec.state_dim))
-    rec_times[0] = 0.0
+    rec_times = np.append(np.arange(0, n_steps, record_every), n_steps) * dt
+    rec_snaps = np.empty((len(rec_times), M, N, spec.state_dim))
     rec_snaps[0] = _to_snapshot(y_lat, model)
-    i_rec = 0
 
-    h2, h6, h1, two = (np.array(c) for c in (0.5 * dt, dt / 6.0, dt, 2.0))
-    add, mul = np.add, np.multiply
-    for n in range(n_steps):
-        read(n % S)
-        add(y, mul(h2, k1, u), yt)
-        rhs(YT, x_half, K2)
-        add(y, mul(h2, k2, u), yt)
-        rhs(YT, x_half, K3)
-        add(y, mul(h1, k3, u), yt)
-        rhs(YT, x_one, K4)
-        # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        add(k1, mul(two, k2, u), yt)
-        add(yt, mul(two, k3, u), k2)
-        add(k2, k4, yt)
-        add(y, mul(h6, yt, u), y)
-        rhs(Y, x_one, K1)   # derivative at t_{n+1}; reused as next k1
-        slots[(n + 1 + H) % S] = bufs[:2, chans]
+    def settle(n1: int, state) -> None:
+        """Check and record the (M, N, d) state at t = n1*dt when due."""
+        if n1 % 64 == 0 or n1 == n_steps:
+            bad = np.argwhere(~np.isfinite(np.abs(state)).all(axis=-1))
+            if len(bad):
+                raise SimulationError(f"non-finite state at t={n1 * dt:.6g}, "
+                                      f"node {tuple(bad[0].tolist())}")
+        if n1 % record_every == 0 or n1 == n_steps:
+            rec_snaps[-(-n1 // record_every)] = _to_snapshot(state, model)
 
-        if (n + 1) % 64 == 0 or n + 1 == n_steps:
-            finite = np.isfinite(np.abs(y)).all(axis=0)
-            if not finite.all():
-                node = divmod(int(np.flatnonzero(~finite)[0]), N)
-                raise SimulationError(
-                    f"non-finite state at t={(n + 1) * dt:.6g}, node {node}")
-        if (n + 1) % record_every == 0 or n + 1 == n_steps:
-            i_rec += 1
-            rec_times[i_rec] = (n + 1) * dt
-            rec_snaps[i_rec] = _to_snapshot(y_lat, model)
+    if MN == 1 and model is Model.FITZHUGH_NAGUMO:
+        _step_one_node(_one_node_rhs(spec), store, idx, wts,
+                       *bufs[:2, :, 0].tolist(), dt, H, n_steps, settle)
+    else:
+        h2, h6, h1, two = map(np.array, (0.5 * dt, dt / 6.0, dt, 2.0))
+        add, mul = np.add, np.multiply
+        for n in range(n_steps):
+            read(n % S)
+            add(y, mul(h2, k1, u), yt)
+            rhs(YT, x_half, K2)
+            add(y, mul(h2, k2, u), yt)
+            rhs(YT, x_half, K3)
+            add(y, mul(h1, k3, u), yt)
+            rhs(YT, x_one, K4)
+            # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            add(k1, mul(two, k2, u), yt)
+            add(yt, mul(two, k3, u), k2)
+            add(k2, k4, yt)
+            add(y, mul(h6, yt, u), y)
+            rhs(Y, x_one, K1)   # derivative at t_{n+1}; reused as next k1
+            slots[(n + 1 + H) % S] = bufs[:2, chans]
+            settle(n + 1, y_lat)
 
     dense = DenseOutput(-H * dt, dt, store) if store_full else None
     return Trajectory(times=rec_times, snapshots=rec_snaps,

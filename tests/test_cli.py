@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -351,6 +353,39 @@ def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys,
     assert err.startswith("config error: --out: ")
     assert err.count("\n") == 1
     assert afile.read_bytes() == b"keep"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the always-full device /dev/full")
+def test_a_write_to_out_that_fails_halfway_is_a_config_error(tmp_path, capsys,
+                                                            sl_config):
+    # a full disk under manifest.json once ended in an OSError traceback
+    # that left hopf.csv and resolved_config.json without a manifest; every
+    # file the command opened goes, the directory it did not make stays
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / "manifest.json").symlink_to("/dev/full")
+    capsys.readouterr()
+    assert cli.main(["hopf", "--config", sl_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_a_failed_write_removes_the_out_directory_it_made(tmp_path, capsys,
+                                                         sl_config,
+                                                         monkeypatch):
+    def full_disk(doc):
+        yield b"{"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_json", full_disk)
+    out = tmp_path / "r"
+    capsys.readouterr()
+    assert cli.main(["hopf", "--config", sl_config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: --out: ")
+    assert not out.exists()
 
 
 def test_fhn_simulate_without_rest_state_is_a_config_error(tmp_path, capsys):

@@ -9,9 +9,9 @@ from delaylattice.core import (DelayMap, FHNParams, LatticeSpec, Model,
                                SLParams)
 from delaylattice.dde import (ConstantHistory, FunctionHistory,
                               InsufficientDataError, ShiftedReplayHistory,
-                              Trajectory, _make_rhs, detect_spikes,
-                              estimate_orbit_period, estimate_period,
-                              plane_wave_history, simulate)
+                              Trajectory, _make_rhs, _one_node_rhs,
+                              detect_spikes, estimate_orbit_period,
+                              estimate_period, plane_wave_history, simulate)
 from delaylattice.fhn import fhn_steady_states
 from delaylattice.sl import sl_enumerate_plane_waves
 
@@ -384,26 +384,89 @@ def test_function_history_is_called_once_per_time_with_python_floats():
     assert seen["df"] == seen["f"][:-1]
 
 
-def test_nonfinite_state_aborts():
+def _diverging_fhn(shape, t_end):
+    # v = 1e150 cubes to inf in the first stage
+    init = ConstantHistory(np.tile([1e150, 0.5, 0.3], shape + (1,)))
+    return simulate(fhn_spec(*shape, 0.5, 1.0),
+                    DelayMap.homogeneous(*shape, 1.0), init, t_end=t_end,
+                    dt=0.01)
+
+
+def _abort_message(run, *args):
     from delaylattice.dde import SimulationError
+    with pytest.raises(SimulationError) as err, np.errstate(over="ignore",
+                                                            invalid="ignore"):
+        run(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("case", ["sl-2x2", "fhn-1x1"])
+def test_nonfinite_state_aborts(case):
+    # the one-node path aborts with the message of the kernel's 2x1 run
+    if case == "fhn-1x1":
+        msg = _abort_message(_diverging_fhn, (1, 1), 10.0)
+        assert msg == _abort_message(_diverging_fhn, (2, 1), 10.0)
+        assert msg == "non-finite state at t=0.64, node (0, 0)"
+        return
     spec = sl_spec(2, 2, 50.0, 0.0, 0.0)   # blow-up-prone alpha
     dm = DelayMap.homogeneous(2, 2, 1.0)
     init = ConstantHistory(np.full((2, 2), 1e150 + 0j))
-    with pytest.raises(SimulationError), np.errstate(over="ignore",
-                                                     invalid="ignore"):
-        simulate(spec, dm, init, t_end=10.0, dt=0.1)
+    _abort_message(simulate, spec, dm, init, 10.0, 0.1)
 
 
-@pytest.mark.parametrize("t_end", [0.5, 0.63])
-def test_blow_up_after_the_last_periodic_check_aborts(t_end):
+@pytest.mark.parametrize("t_end, model", [(0.5, "sl"), (0.63, "sl"),
+                                          (0.05, "fhn"), (0.63, "fhn")],
+                         ids=["0.5", "0.63", "fhn-0.05", "fhn-0.63"])
+def test_blow_up_after_the_last_periodic_check_aborts(t_end, model):
     # the finite check ran every 64 steps only: the state is NaN by step 50,
     # and a run of 50 or 63 steps returned NaN snapshots without an error
-    from delaylattice.dde import SimulationError
+    if model == "fhn":
+        msg = _abort_message(_diverging_fhn, (1, 1), t_end)
+        assert msg == _abort_message(_diverging_fhn, (2, 1), t_end)
+        assert msg == f"non-finite state at t={t_end:.6g}, node (0, 0)"
+        return
     init = ConstantHistory(np.full((2, 2), 1e150 + 0j))
-    with pytest.raises(SimulationError), np.errstate(over="ignore",
-                                                     invalid="ignore"):
-        simulate(sl_spec(2, 2, 1.0, 1.0, 0.5), DelayMap.homogeneous(2, 2, 1.0),
-                 init, t_end=t_end, dt=0.01)
+    _abort_message(simulate, sl_spec(2, 2, 1.0, 1.0, 0.5),
+                   DelayMap.homogeneous(2, 2, 1.0), init, t_end, 0.01)
+
+
+@pytest.mark.parametrize("store_full", [False, True], ids=["ring", "full"])
+@pytest.mark.parametrize("down, right", [(2.0, 3.5), (2.13, 3.517)],
+                         ids=["grid-aligned", "off-grid"])
+def test_one_node_path_equals_the_kernel_bit_for_bit(monkeypatch, store_full,
+                                                    down, right):
+    # a 1x1 run steps in Python floats; a 2x1 lattice of identical nodes
+    # steps through the ufunc kernel, and node (0, 0) sees the same delayed
+    # sums. Off-grid delays interpolate at both stage offsets.
+    from delaylattice import dde
+    calls = []
+    stepper = dde._step_one_node
+    monkeypatch.setattr(dde, "_step_one_node",
+                        lambda *a: calls.append(1) or stepper(*a))
+
+    def run(M):
+        def f(t):
+            return np.tile([1.5 + 0.5 * math.sin(t), 0.5 * math.cos(t),
+                            0.3 + 0.1 * math.sin(2 * t)], (M, 1, 1))
+
+        def df(t):
+            return np.tile([0.5 * math.cos(t), -0.5 * math.sin(t),
+                            0.2 * math.cos(2 * t)], (M, 1, 1))
+
+        dm = DelayMap(np.full((M, 1), down), np.full((M, 1), right))
+        return simulate(fhn_spec(M, 1, 0.5, 1.0), dm, FunctionHistory(f, df),
+                        t_end=30.0, dt=0.05, record_every=7,
+                        store_full=store_full)
+
+    one, two = run(1), run(2)
+    assert len(calls) == 1   # only the 1x1 run took the one-node path
+    assert np.array_equal(one.times, two.times)
+    assert np.array_equal(one.snapshots, two.snapshots[:, :1])
+    assert one.times[-1] == 30.0 and 600 % 7   # a last, partial record
+    if store_full:
+        assert np.array_equal(one.dense.samples, two.dense.samples[..., :1, :])
+    else:
+        assert one.dense is None and two.dense is None
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +634,11 @@ def test_fhn_rhs_matches_the_model_equations(shape):
     for got, ref in zip(out, want):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     assert np.array_equal(y, [v, w, s])
+    # the one-node rhs in Python floats is the ufunc rhs bit for bit
+    rhs = _one_node_rhs(spec)
+    got = [rhs(*yi, xi) for yi, xi in zip(y.T.tolist(), x.tolist())]
+    assert all(type(g) is float for row in got for g in row)
+    assert np.array_equal(np.array(got).T, out)
 
 
 def test_simulate_peak_memory():
