@@ -2,9 +2,11 @@
 
 Branches are evaluated with ``scipy.special.lambertw`` (Corless et al.,
 Adv. Comput. Math. 5, 1996). Only arguments whose modulus leaves the
-double range are solved here, by Newton iteration on the log form of the
-defining relation: z beyond overflow on every branch, and z at or below
-the subnormal range on the branches j != 0.
+double range are solved here, by the Newton iteration of ``roots.newton``
+on the log form of the defining relation: z beyond overflow on every
+branch, and z at or below the subnormal range on the branches j != 0.
+Each branch value is its own Newton run, so it does not depend on which
+other branches share the call.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import math
 
 import numpy as np
 
+from .roots import newton
+
 MAX_BRANCH = 64
-_MAX_ITER = 60
-_STEP_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
 # Re log z outside this range is solved in log form
 _OVERFLOW = 500.0
@@ -40,8 +42,10 @@ def lambert_w_log(j, log_z: complex) -> np.ndarray:
         raise ValueError(f"branch index |j| <= {MAX_BRANCH} required, got {j}")
     from scipy.special import lambertw   # loaded late: slow to import
     log_z = complex(log_z)
-    if not math.isfinite(log_z.imag):
-        raise LambertWError(f"the phase of z = exp({log_z}) is not finite")
+    # Re log z = -inf is z = 0; W_0(0) = 0 and the other branches raise
+    if not (math.isfinite(log_z.imag) and log_z.real < math.inf):
+        raise LambertWError(f"z = exp({log_z}) is NaN or infinite, or its "
+                            f"phase is not finite")
     log_z = complex(log_z.real, math.remainder(log_z.imag, math.tau))
     if log_z.real > _OVERFLOW:
         return _log_form(j, log_z)
@@ -76,15 +80,11 @@ def _log_form(j: np.ndarray, log_z: complex) -> np.ndarray:
             return np.log(-w)
     else:
         log = np.log
-    w = L - log(L)
-    for _ in range(_MAX_ITER):
-        step = (w + log(w) - L) / (1.0 + 1.0 / w)
-        w = w - step
-        if np.all(np.abs(step) <= _STEP_TOL * (1.0 + np.abs(w))):
-            break
-    else:
+    w, stopped, _ = newton(
+        lambda w, i: (w + log(w) - L.flat[i], 1.0 + 1.0 / w), L - log(L))
+    if not stopped.all():
         raise LambertWError(
-            f"no convergence in log form for j={j}, log_z={log_z}")
+            f"no convergence in log form for j={j[~stopped]}, log_z={log_z}")
     residual = np.abs(w + log(w) - L) / np.maximum(np.abs(L), 1.0)
     if not np.all(residual <= _RESIDUAL_TOL):
         raise LambertWError(

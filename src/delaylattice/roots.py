@@ -1,6 +1,7 @@
-"""Root-finding utilities: Newton sweeps for quasi-polynomials, one
-bracket refiner and one Newton polish for real roots, the Kepler equation
-for plane-wave frequencies, and real cubics via the companion matrix."""
+"""Root-finding utilities: one Newton iteration, which runs the sweeps
+for quasi-polynomials, polishes real roots and solves the log form of
+Lambert W; one bracket refiner for real roots; the Kepler equation for
+plane-wave frequencies; and real cubics via the companion matrix."""
 
 from __future__ import annotations
 
@@ -50,6 +51,43 @@ def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray
     return np.array(kept, dtype=roots.dtype)
 
 
+def newton(fdf: Callable, z: np.ndarray, cap: float = np.inf):
+    """Newton's method on every entry of the array ``z`` at once, with
+    numpy's float warnings off. ``fdf(z, i)`` returns ``(f, f')`` at the
+    entries still iterating, whose flat indices into ``z`` are ``i``. A
+    step of non-finite f/f' counts as 0, and one longer than ``cap`` is cut
+    to that length. An entry stops once its step is at most 1e-14 (1 + |z|),
+    z after the step; none takes more than 80 steps. Returns the values (an
+    entry that never stops keeps its start), whether each entry stopped,
+    and |f| at the starts, flat (None for an empty ``z``)."""
+    z = np.array(z, order="C")
+    flat = z.reshape(-1)     # a view of z
+    # the entries still iterating: their flat indices into z and values
+    idx, za = np.arange(z.size), flat
+    f_start = None
+    with np.errstate(all="ignore"):
+        for _ in range(80):
+            if not idx.size:
+                break
+            fz, dfz = fdf(za, idx)
+            if f_start is None:
+                f_start = np.abs(fz)
+            step = fz / dfz
+            step = np.where(np.isfinite(step), step, 0.0)
+            mag = np.abs(step)
+            big = mag > cap
+            if big.any():
+                step[big] *= cap / mag[big]
+            za = za - step
+            done = np.abs(step) <= 1e-14 * (1.0 + np.abs(za))
+            flat[idx[done]] = za[done]
+            going = ~done
+            idx, za = idx[going], za[going]
+    stopped = np.ones(z.shape, dtype=bool)
+    stopped.flat[idx] = False
+    return z, stopped, f_start
+
+
 def find_roots_quasipoly(fdf: Callable, window: tuple) -> RootSet:
     """Newton iteration from the ``SEED_GRID`` of seeds over the window.
 
@@ -87,30 +125,7 @@ def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple) -> list[RootSe
         sets = np.arange(first, min(first + per_block, n_sets))
         z = np.tile(seeds, sets.size)
         k = np.repeat(sets, seeds.size)
-        # the seeds still iterating: their indices into z, values and sets
-        idx, za, ka = np.arange(z.size), z.copy(), k
-        # |f| at the seeds, which the first iteration evaluates
-        f_seeds = None
-        for _ in range(80):
-            if not idx.size:
-                break
-            fz, dfz = fdf(za, ka)
-            if f_seeds is None:
-                f_seeds = np.abs(fz)
-            with np.errstate(all="ignore"):
-                step = fz / dfz
-            step = np.where(np.isfinite(step), step, 0.0)
-            mag = np.abs(step)
-            big = mag > cap
-            if big.any():
-                step[big] *= cap / mag[big]
-            za = za - step
-            done = np.abs(step) <= 1e-14 * (1.0 + np.abs(za))
-            z[idx[done]] = za[done]
-            going = ~done
-            idx, za, ka = idx[going], za[going], ka[going]
-        converged = np.ones(z.shape, dtype=bool)
-        converged[idx] = False
+        z, converged, f_seeds = newton(lambda z, i: fdf(z, k[i]), z, cap)
 
         # keep converged roots in the window with small residual; the
         # window test also drops any root with a NaN or infinite part
@@ -120,7 +135,8 @@ def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple) -> list[RootSe
         zc, kc = z[converged], k[converged]
         # residual alone is not enough: quasi-polynomials are exponentially
         # flat along dense spectrum curves, so demand Newton convergence too
-        ok = np.abs(fdf(zc, kc)[0]) <= tol[kc - first]
+        with np.errstate(all="ignore"):
+            ok = np.abs(fdf(zc, kc)[0]) <= tol[kc - first]
         ok &= (zc.real >= re_min - 1e-9) & (zc.real <= re_max + 1e-9)
         ok &= (zc.imag >= im_min - 1e-9) & (zc.imag <= im_max + 1e-9)
         n_conv = np.bincount(kc - first, minlength=sets.size)
@@ -154,25 +170,6 @@ def bisect_sign_changes(g: Callable, x: np.ndarray, gx: np.ndarray) -> np.ndarra
     return np.sort(np.concatenate([roots, x[gx == 0.0]]))
 
 
-def newton_polish(g: Callable, dg: Callable, x: np.ndarray) -> np.ndarray:
-    """Newton's method on every entry of ``x`` at once. An entry stops when
-    its step falls below 1e-15 (1 + |x|) or its slope is 0; at most 60
-    steps. ``g`` and ``dg`` must accept float arrays."""
-    x = np.array(x, dtype=float)
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(60):
-        if not active.any():
-            break
-        xa = x[active]
-        slope = dg(xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope != 0, g(xa) / slope, 0.0)
-        idx = np.flatnonzero(active)
-        x[idx] = xa - step
-        active[idx[np.abs(step) < 1e-15 * (1 + np.abs(xa))]] = False
-    return x
-
-
 def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray:
     """All real solutions Omega of Omega = beta + R*sin(k_plus - Omega*tau)
     that the sampling finds, with |residual| <= 1e-12.
@@ -192,8 +189,8 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
     def g(om):
         return om - beta - R * np.sin(k_plus - om * tau)
 
-    def dg(om):
-        return 1.0 + R * tau * np.cos(k_plus - om * tau)
+    def g_dg(om, i):
+        return g(om), 1.0 + R * tau * np.cos(k_plus - om * tau)
 
     step = min(math.pi / (4.0 * (1.0 + abs(R) * tau)), 1e-2)
     lo = beta - abs(R) - step
@@ -205,7 +202,7 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
     # tangential roots: polish the small sampled local minima of |g|
     mag = np.abs(val)
     interior = np.flatnonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
-    tangent = newton_polish(g, dg, om[interior[mag[interior] < abs(R) * 1e-3 + 1e-9]])
+    tangent = newton(g_dg, om[interior[mag[interior] < abs(R) * 1e-3 + 1e-9]])[0]
     tangent = tangent[np.abs(g(tangent)) <= KEPLER_RESIDUAL_TOL]
 
     roots = _dedup_sorted(np.concatenate([bisect_sign_changes(g, om, val),
@@ -228,9 +225,6 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
     def p(x):
         return ((c3 * x + c2) * x + c1) * x + c0
 
-    def dp(x):
-        return (3 * c3 * x + 2 * c2) * x + c1
-
-    x = newton_polish(p, dp, x)
+    x = newton(lambda x, i: (p(x), (3 * c3 * x + 2 * c2) * x + c1), x)[0]
     return _dedup_sorted(x[np.abs(p(x)) <= RESIDUAL_TOL * scale
                            * np.maximum(1.0, np.abs(x)) ** 3], 1e-8)

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ def test_branch_array_matches_scalar_calls():
         assert np.all(np.abs(resid) <= 1e-10 * np.maximum(1.0, abs(log_z)))
 
 
+@pytest.mark.parametrize("log_z", [650.0 + 3.0j, -1000.0 + 0.5j],
+                         ids=["overflow", "underflow"])
+def test_log_form_branch_does_not_depend_on_its_batch(log_z):
+    # each branch is its own Newton run: the values of one call over all
+    # branches equal those of one call per branch bit for bit (the log
+    # form solves every branch at Re log z = 650, and j != 0 at -1000)
+    j = np.arange(-MAX_BRANCH, MAX_BRANCH + 1)
+    w = lambert_w_log(j, log_z)
+    one = np.array([lambert_w_log(int(k), log_z) for k in j])
+    assert w.tobytes() == one.tobytes()
+
+
 def test_log_form_agrees_with_direct_form():
     # for 500 < Re log z < 700 z is still a double, so the log form can be
     # checked against scipy's direct evaluation at z = exp(log_z)
@@ -179,6 +192,16 @@ def test_log_form_branches_ignore_whole_turns_of_the_phase(re):
 def test_non_finite_phase_rejected(im):
     with pytest.raises(LambertWError):
         lambert_w_log(np.array([-1, 0, 1]), complex(1.0, im))
+
+
+@pytest.mark.parametrize("re", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nan_or_infinite_modulus_rejected(re):
+    # rejected up front, naming log z, before any numpy arithmetic warns;
+    # Re log z = -inf is z = 0, which W_0 takes (test_nonzero_branch_rejects_zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(LambertWError, match=r"exp\(\((nan|inf)\+0\.5j\)\)"):
+            lambert_w_log(np.array([-1, 0, 1]), complex(re, 0.5))
 
 
 def test_log_form_beyond_double_overflow():

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from delaylattice import core, fhn, sl
-from delaylattice.core import FHNParams, LatticeSpec, Model, SLParams
+from delaylattice.core import (FHNParams, LatticeSpec, Model, SLParams,
+                               WaveVector)
 from delaylattice.roots import (DEDUP_RADIUS, SWEEP_BLOCK, _dedup_sorted,
                                 bisect_sign_changes, find_roots_quasipoly,
-                                find_roots_stacked,
-                                newton_polish, solve_cubic_real, solve_kepler)
+                                find_roots_stacked, newton,
+                                solve_cubic_real, solve_kepler)
 
 
 def test_quadratic_roots():
@@ -332,9 +334,81 @@ def test_bisection_without_sign_change_is_empty():
     assert len(bisect_sign_changes(lambda v: v * v + 1.0, x, x * x + 1.0)) == 0
 
 
-def test_newton_polish_stops_on_zero_slope():
-    got = newton_polish(lambda x: x * x - 2.0, lambda x: 2.0 * x,
-                        np.array([1.0, -3.0, 0.0]))
+# ---------------------------------------------------------------------------
+# the one Newton iteration
+
+def _square_minus_two(x, i):
+    return x * x - 2.0, 2.0 * x
+
+
+def test_newton_stops_on_zero_slope():
+    got = newton(_square_minus_two, np.array([1.0, -3.0, 0.0]))[0]
     assert got[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert got[1] == pytest.approx(-math.sqrt(2.0), abs=1e-15)
     assert got[2] == 0.0
+
+
+def test_newton_entry_does_not_depend_on_its_batch():
+    # each entry runs its own iteration: the same bits alone or in a batch
+    # whose other entries need more or fewer steps
+    starts = np.array([1.0 + 1.0j, 50.0 - 3.0j, 0.3 + 1e-3j, -2.0 + 0.5j,
+                       1e6 + 1e6j])
+
+    def fdf(z, i):
+        return z ** 3 - 1.0 - 0.5j * i, 3.0 * z * z
+
+    batch, stopped, f_start = newton(fdf, starts)
+    assert stopped.all()
+    assert np.array_equal(f_start, np.abs(fdf(starts, np.arange(5))[0]))
+    for i, z0 in enumerate(starts):
+        alone = newton(lambda z, _: fdf(z, i), z0)[0]
+        assert alone.tobytes() == batch[i].tobytes()
+
+
+def test_newton_cuts_a_long_step_to_the_cap():
+    # from 0.5 the first step of x^2 - 2 is -1.75; cut to length 0.25
+    # it lands on 0.75, and every later step is at most as long
+    seen = []
+
+    def fdf(x, i):
+        seen.append(float(x[0]))
+        return _square_minus_two(x, i)
+
+    got, stopped, _ = newton(fdf, np.array([0.5]), cap=0.25)
+    assert seen[1] == 0.75
+    assert np.all(np.abs(np.diff(seen)) <= 0.25)
+    assert stopped[0] and got[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+
+def test_newton_entry_that_never_stops_keeps_its_start():
+    # x^2 + 1 has no real root: from 0.3 the real iteration wanders for
+    # all 80 steps; the root of x^2 - 2 beside it still stops
+    def fdf(x, i):
+        return x * x + np.where(i == 0, 1.0, -2.0), 2.0 * x
+
+    got, stopped, _ = newton(fdf, np.array([0.3, 1.0]))
+    assert got[0] == 0.3 and not stopped[0]
+    assert stopped[1] and got[1] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+
+# Newton iterates that stray left of the window, where e^{-lambda tau}
+# overflows, must stop without a numpy warning (the module's tests run
+# with warnings as errors in CI; these cases also set it themselves)
+
+def test_floquet_sweep_at_long_delay_stays_silent():
+    spec = LatticeSpec(3, 3, Model.STUART_LANDAU, SLParams(1.0, 0.5), 1.0)
+    wave = sl.sl_enumerate_plane_waves(spec.params, 1.0, 100.0, spec)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = sl.sl_floquet_exact(wave, spec.params, 1.0, 100.0, spec)
+    assert (v.cls, v.max_growth, v.kept) == (
+        sl.StabilityClass.MODULATIONAL_UNSTABLE, 0.0004121026347386337, 1054)
+
+
+def test_fhn_sweep_at_long_delay_stays_silent():
+    params = FHNParams()
+    stst = fhn.fhn_steady_states(params, 3.0)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rs = fhn.fhn_char_roots(stst, params, 3.0, 400.0, WaveVector(0, 0))
+    assert (len(rs), rs.max_real()) == (215, -0.016565931476303832)
