@@ -106,6 +106,16 @@ def enumerate_modes(spec: LatticeSpec) -> list[WaveVector]:
     return modes
 
 
+def enumerate_mode_classes(spec: LatticeSpec) -> list[WaveVector]:
+    """One mode of each class {q, -q} (mod 2*pi) of ``enumerate_modes``,
+    in its order: mode (l, j) is kept when its index l*N + j is at most
+    that of its partner ((-l) mod M, (-j) mod N). The 5x5 torus has 13
+    classes, the 4x4 one 10."""
+    M, N = spec.rows, spec.cols
+    return [q for i, q in enumerate(enumerate_modes(spec))
+            if i <= (-(i // N)) % M * N + (-(i % N)) % N]
+
+
 @dataclass(frozen=True)
 class DelayMap:
     """Per-edge coupling delays on the torus.

@@ -39,16 +39,23 @@ class RootSet:
 
 def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray:
     """The roots, real or complex, in (Re, Im) order, each kept unless it
-    lies within ``radius`` of a root kept before it. Every kept root precedes all the
-    roots it strikes, so striking them at once keeps the same roots as
-    testing each root against all kept ones."""
+    lies within ``radius`` of a root kept before it.
+
+    The sorted roots split into runs whose consecutive real parts are at
+    most ``radius`` apart. Roots of two runs lie farther apart than that,
+    in floating point too, since subtraction and hypot are monotone. So
+    each run's first root is kept and strikes the roots near it; the roots
+    it leaves go through the strike loop, where every kept root precedes
+    all the roots it strikes, so striking them at once keeps the same
+    roots as testing each root against all kept ones."""
     roots = roots[np.lexsort((roots.imag, roots.real))]
-    kept = []
-    while len(roots):
-        first, rest = roots[0], roots[1:]
-        kept.append(first)
-        roots = rest[np.abs(rest - first) > radius]
-    return np.array(kept, dtype=roots.dtype)
+    keep = np.r_[True, np.diff(roots.real) > radius][:len(roots)]
+    first = roots[keep][np.cumsum(keep) - 1]
+    rest = np.flatnonzero(np.abs(roots - first) > radius)
+    while rest.size:
+        keep[rest[0]] = True
+        rest = rest[1:][np.abs(roots[rest[1:]] - roots[rest[0]]) > radius]
+    return roots[keep]
 
 
 def newton(fdf: Callable, z: np.ndarray, cap: float = np.inf):
@@ -129,8 +136,8 @@ def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple) -> list[RootSe
 
         # keep converged roots in the window with small residual; the
         # window test also drops any root with a NaN or infinite part
-        scale = np.array([max(1.0, float(np.nanmedian(row)))
-                          for row in f_seeds.reshape(sets.size, -1)])
+        scale = np.fmax(1.0, np.nanmedian(f_seeds.reshape(sets.size, -1),
+                                          axis=1))
         tol = RESIDUAL_TOL * scale
         zc, kc = z[converged], k[converged]
         # residual alone is not enough: quasi-polynomials are exponentially

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (TWO_PI, LatticeSpec, SLParams, WaveVector, check_delay,
-                   enumerate_modes)
+                   enumerate_mode_classes, enumerate_modes)
 from .lambertw import MAX_BRANCH, lambert_w_log
 # find_roots_quasipoly is not called here; perfbench/tracing.py looks it
 # up through this module
@@ -58,7 +58,7 @@ class StabilityVerdict:
     cls: StabilityClass
     max_growth: float
     witness: tuple  # (omega, q_minus, q_plus) of the most unstable perturbation
-    # the Newton sweep's work, summed over the perturbation modes
+    # the Newton sweep's work, summed over the perturbation modes it swept
     seeds: int = 0
     converged: int = 0
     kept: int = 0
@@ -275,16 +275,19 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
                      spec: LatticeSpec) -> StabilityVerdict:
     """Stability verdict of a plane wave from the exact quasi-polynomial.
 
-    One stacked Newton sweep over the perturbation modes (q_plus, q_minus)
-    of the lattice locates the characteristic roots of each in the window
-    Re in [-2, max(1, 2*alpha)], Im in [-(3|beta|+3), 3|beta|+3]. The
-    verdict follows from the maximal real part, excluding the trivial root
-    at (lambda=0, q=0), and reports the sweep's seeds, converged seeds and
-    kept roots, summed over the modes."""
+    One stacked Newton sweep locates the characteristic roots in the window
+    Re in [-2, max(1, 2*alpha)], Im in [-(3|beta|+3), 3|beta|+3] of one
+    perturbation mode q = (q_plus, q_minus) of each pair {q, -q} of the
+    lattice (``enumerate_mode_classes``): chi(lambda; -q) =
+    conj chi(conj lambda; q), so the roots of -q are the conjugates of
+    those of q, with the same real parts. The verdict follows from the
+    maximal real part, excluding the trivial root at (lambda=0, q=0); its
+    witness names the representative mode. It reports the sweep's seeds,
+    converged seeds and kept roots, summed over the modes swept."""
     alpha, beta = params.alpha, params.beta
     window = (-2.0, max(1.0, 2.0 * alpha), -(3.0 * abs(beta) + 3.0),
               3.0 * abs(beta) + 3.0)
-    modes = enumerate_modes(spec)
+    modes = enumerate_mode_classes(spec)
     sets = find_roots_stacked(
         _chi_and_deriv(wave, C, tau, [q.k_plus for q in modes],
                        [q.k_minus for q in modes]), len(modes), window)

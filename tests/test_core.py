@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from delaylattice.core import (ConfigError, DelayMap, FHNParams, LatticeSpec,
-                               Model, SLParams, WaveVector, enumerate_modes,
+                               Model, SLParams, WaveVector,
+                               enumerate_mode_classes, enumerate_modes,
                                parse_config)
 
 SL33 = LatticeSpec(rows=3, cols=3, model=Model.STUART_LANDAU,
@@ -25,6 +26,34 @@ def test_three_by_three_modes():
     modes = enumerate_modes(SL33)
     assert len(modes) == 9
     assert WaveVector(2 * math.pi / 3, 2 * math.pi / 3) in modes
+
+
+@pytest.mark.parametrize("rows, cols, n_classes", [
+    (1, 1, 1), (2, 2, 4), (3, 3, 5), (4, 4, 10), (5, 5, 13), (10, 10, 52),
+    (1, 6, 4)])
+def test_mode_classes_pair_each_mode_with_its_negative(rows, cols,
+                                                       n_classes):
+    spec = LatticeSpec(rows, cols, Model.STUART_LANDAU, SLParams(1.0, 0.0),
+                       1.0)
+    modes = enumerate_modes(spec)
+    reps = [modes.index(q) for q in enumerate_mode_classes(spec)]
+    assert len(reps) == n_classes and reps == sorted(reps)
+
+    def partner(i):
+        # the index of -q (mod 2 pi) for the mode q of index i
+        l, j = divmod(i, cols)
+        return (-l) % rows * cols + (-j) % cols
+
+    for i in range(len(modes)):
+        # q is a representative or the partner of exactly one, which has
+        # the lower index
+        owners = [r for r in reps if i in (r, partner(r))]
+        assert len(owners) == 1 and owners[0] <= i
+    for r in reps:
+        assert r <= partner(r)
+        k1, k2 = modes[partner(r)].k1, modes[partner(r)].k2
+        assert math.isclose(math.cos(k1 + modes[r].k1), 1.0)
+        assert math.isclose(math.cos(k2 + modes[r].k2), 1.0)
 
 
 def test_modes_match_brute_force():

@@ -112,23 +112,23 @@ def _root_digest(root_sets) -> str:
     return h.hexdigest()
 
 
-def _floquet_root_sets(monkeypatch, wave_index):
-    """Per-mode root sets of the Floquet verdict of one plane wave of the
-    5x5 torus at alpha=3, beta=0.5, C=2, tau=20, as its one stacked sweep
-    returns them."""
-    spec = LatticeSpec(5, 5, Model.STUART_LANDAU, SLParams(3.0, 0.5), 2.0)
-    waves = sl.sl_enumerate_plane_waves(spec.params, spec.coupling, 20.0, spec)
-    sweeps = []
+# the window of sl_floquet_exact at alpha=3, beta=0.5
+FLOQUET_WINDOW = (-2.0, 6.0, -4.5, 4.5)
 
-    def record(*args, **kwargs):
-        sweeps.append(find_roots_stacked(*args, **kwargs))
-        return sweeps[-1]
 
-    monkeypatch.setattr(sl, "find_roots_stacked", record)
-    sl.sl_floquet_exact(waves[wave_index], spec.params, spec.coupling, 20.0,
-                        spec=spec)
-    assert len(sweeps) == 1 and len(sweeps[0]) == 25
-    return sweeps[0]
+def _floquet_root_sets(wave_index, rows=5, cols=5):
+    """A plane wave of the rows x cols torus at alpha=3, beta=0.5, C=2,
+    tau=20, the torus' perturbation modes, and the root sets of one stacked
+    sweep over all of them in the Floquet verdict's window."""
+    spec = LatticeSpec(rows, cols, Model.STUART_LANDAU, SLParams(3.0, 0.5),
+                       2.0)
+    wave = sl.sl_enumerate_plane_waves(spec.params, 2.0, 20.0,
+                                       spec)[wave_index]
+    modes = core.enumerate_modes(spec)
+    return wave, modes, find_roots_stacked(
+        sl._chi_and_deriv(wave, 2.0, 20.0, [q.k_plus for q in modes],
+                          [q.k_minus for q in modes]), len(modes),
+        FLOQUET_WINDOW)
 
 
 def _fhn_root_sets():
@@ -143,38 +143,55 @@ def _fhn_root_sets():
 # recorded with the pairwise dedup loop and the masked Newton loop; the
 # sweep's arithmetic must stay the same operation for operation
 PINNED_ROOTS = {
-    "floquet-100": (lambda mp: _floquet_root_sets(mp, 100),
+    "floquet-100": (lambda: _floquet_root_sets(100)[2],
                     "ef8a6b591c14c29d66810c99f8f59b78b93a7a289a5206fbe986b178fe37b4c1"),
-    "floquet-395": (lambda mp: _floquet_root_sets(mp, 395),
+    "floquet-395": (lambda: _floquet_root_sets(395)[2],
                     "a21ae865ef421f8174ada7c35d8630a2a66b8ba0a198cbc1fe9319cca99548c9"),
-    "fhn-3x3": (lambda mp: _fhn_root_sets(),
+    "fhn-3x3": (_fhn_root_sets,
                 "d563ef1bd1c419bd4407fe3cd455ae90c4fa80d095653a6b1633df19abad7e99"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_ROOTS))
-def test_pinned_sweep_roots(monkeypatch, case):
+def test_pinned_sweep_roots(case):
     run, digest = PINNED_ROOTS[case]
-    assert _root_digest(run(monkeypatch)) == digest
+    assert _root_digest(run()) == digest
+
+
+@pytest.mark.parametrize("wave_index", [100, 395])
+def test_floquet_verdict_sweeps_the_pinned_sets_of_its_classes(
+        monkeypatch, wave_index):
+    # the verdict's one sweep holds the 13 representatives' sets of the
+    # pinned 25-mode sweep, bit for bit
+    spec = LatticeSpec(5, 5, Model.STUART_LANDAU, SLParams(3.0, 0.5), 2.0)
+    wave, modes, all_sets = _floquet_root_sets(wave_index)
+    sweeps = []
+
+    def record(*args, **kwargs):
+        sweeps.append(find_roots_stacked(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(sl, "find_roots_stacked", record)
+    sl.sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    reps = [modes.index(q) for q in core.enumerate_mode_classes(spec)]
+    assert len(sweeps) == 1 and len(sweeps[0]) == len(reps) == 13
+    for got, i in zip(sweeps[0], reps):
+        want = all_sets[i]
+        assert got.roots.tobytes() == want.roots.tobytes()
+        assert (got.tolerance, got.seeds, got.converged) == (
+            want.tolerance, want.seeds, want.converged)
 
 
 def _stacked_and_single_sets(rows, cols, wave_index):
     """The root sets of one stacked sweep over every perturbation mode of a
     plane wave of the rows x cols torus (alpha=3, beta=0.5, C=2, tau=20),
     and those of one one-set sweep per mode."""
-    spec = LatticeSpec(rows, cols, Model.STUART_LANDAU, SLParams(3.0, 0.5),
-                       2.0)
-    wave = sl.sl_enumerate_plane_waves(spec.params, 2.0, 20.0,
-                                       spec)[wave_index]
-    modes = core.enumerate_modes(spec)
-    window = (-2.0, 6.0, -4.5, 4.5)
-    stacked = find_roots_stacked(
-        sl._chi_and_deriv(wave, 2.0, 20.0, [q.k_plus for q in modes],
-                          [q.k_minus for q in modes]), len(modes), window)
+    wave, modes, stacked = _floquet_root_sets(wave_index, rows, cols)
     single = []
     for q in modes:
         fdf = sl._chi_and_deriv(wave, 2.0, 20.0, q.k_plus, q.k_minus)
-        single.append(find_roots_quasipoly(lambda z: fdf(z, 0), window))
+        single.append(find_roots_quasipoly(lambda z: fdf(z, 0),
+                                           FLOQUET_WINDOW))
     return stacked, single
 
 
@@ -402,7 +419,7 @@ def test_floquet_sweep_at_long_delay_stays_silent():
         warnings.simplefilter("error", RuntimeWarning)
         v = sl.sl_floquet_exact(wave, spec.params, 1.0, 100.0, spec)
     assert (v.cls, v.max_growth, v.kept) == (
-        sl.StabilityClass.MODULATIONAL_UNSTABLE, 0.0004121026347386337, 1054)
+        sl.StabilityClass.MODULATIONAL_UNSTABLE, 0.0004121026347386337, 584)
 
 
 def test_fhn_sweep_at_long_delay_stays_silent():

@@ -1,13 +1,16 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delaylattice import sl
 from delaylattice.core import (LatticeSpec, Model, SLParams, WaveVector,
-                              enumerate_modes)
-from delaylattice.roots import RootSet
+                              enumerate_mode_classes, enumerate_modes)
+from delaylattice.roots import RootSet, find_roots_stacked
 from delaylattice.sl import (_chi_and_deriv, hessian_negative_definite,
                              plane_wave_invariant_residuals, sl_alpha0,
                              sl_enumerate_plane_waves, sl_floquet_chi,
@@ -328,14 +331,79 @@ def test_chi_conjugation_symmetry():
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+@functools.lru_cache(maxsize=None)
+def _torus_wave(n, wave_index):
+    spec = make_spec(n, n, 3.0, 0.5, 2.0)
+    return sl_enumerate_plane_waves(spec.params, 2.0, 20.0,
+                                    spec)[wave_index], spec
+
+
+def _all_mode_sets(wave, spec):
+    """The root sets of one stacked sweep over every perturbation mode of
+    the lattice, in the Floquet verdict's window at alpha=3, beta=0.5."""
+    modes = enumerate_modes(spec)
+    return find_roots_stacked(
+        _chi_and_deriv(wave, 2.0, 20.0, [q.k_plus for q in modes],
+                       [q.k_minus for q in modes]), len(modes),
+        (-2.0, 6.0, -4.5, 4.5))
+
+
 def test_floquet_verdict_reports_its_sweep_counts():
-    # wave 100 of the 5x5 torus: 25 modes of 40x40 seeds; the converged
-    # and kept counts are those of the one-mode-at-a-time sweeps
-    spec = make_spec(5, 5, 3.0, 0.5, 2.0)
-    wave = sl_enumerate_plane_waves(spec.params, 2.0, 20.0, spec)[100]
+    # wave 100 of the 5x5 torus: 13 classes of 40x40 seeds; the converged
+    # and kept counts are those of the representatives' sets of the sweep
+    # over all 25 modes
+    wave, spec = _torus_wave(5, 100)
     v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
-    assert (v.seeds, v.converged, v.kept) == (40000, 38578, 1276)
+    assert (v.seeds, v.converged, v.kept) == (20800, 20062, 663)
     assert v.max_growth == 0.48339366557540064
+    classes = enumerate_mode_classes(spec)
+    reps = [rs for q, rs in zip(enumerate_modes(spec),
+                                _all_mode_sets(wave, spec)) if q in classes]
+    assert (v.seeds, v.converged, v.kept) == (
+        sum(rs.seeds for rs in reps), sum(rs.converged for rs in reps),
+        sum(len(rs) for rs in reps))
+
+
+# (torus side, wave, lowest Re lambda). On the 4x4 torus some
+# cos(k_minus +- q_minus) are cos(+-pi/2): their rounding residues, about
+# 1e-16 C, differ in sign between q and -q, and e^{-2 lambda tau} lifts
+# that past 1e-12 of chi left of Re lambda ~ -0.3
+SYMMETRY_CASES = [(5, 100, -2.0), (5, 395, -2.0), (4, 125, 0.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(SYMMETRY_CASES), mode=st.integers(0, 24),
+       re=st.floats(0.0, 1.0), im=st.floats(-4.5, 4.5))
+@example(case=SYMMETRY_CASES[0], mode=7, re=0.3, im=-2.0)
+def test_chi_of_the_negative_mode_is_the_conjugate(case, mode, re, im):
+    # chi(lambda; -q) = conj chi(conj lambda; q), where -q is the lattice
+    # mode ((-l) mod M, (-j) mod N) of q = (l, j)
+    n, wave_index, re_min = case
+    wave, spec = _torus_wave(n, wave_index)
+    modes = enumerate_modes(spec)
+    l, j = divmod(mode % len(modes), n)
+    q, neg = modes[l * n + j], modes[(-l) % n * n + (-j) % n]
+    lam = complex(re_min + re * (6.0 - re_min), im)
+    lhs = sl_floquet_chi(wave, lam, neg.k_plus, neg.k_minus, 2.0, 20.0)
+    rhs = sl_floquet_chi(wave, lam.conjugate(), q.k_plus, q.k_minus,
+                         2.0, 20.0).conjugate()
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("wave_index, cls", [
+    (100, "strong"), (258, "modulational"), (339, "strong"), (395, "strong"),
+    (194, "stable"), (350, "uniform")])
+def test_floquet_verdict_over_classes_matches_all_modes(
+        monkeypatch, wave_index, cls):
+    # the verdict from one mode of each pair {q, -q} against the one from
+    # the maximum over every mode's roots
+    wave, spec = _torus_wave(5, wave_index)
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    monkeypatch.setattr(sl, "enumerate_mode_classes", enumerate_modes)
+    full = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert v.seeds == 13 * 1600 and full.seeds == 25 * 1600
+    assert v.cls.value == full.cls.value == cls
+    assert abs(v.max_growth - full.max_growth) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
