@@ -1,6 +1,7 @@
 """Root-finding utilities: one Newton iteration, which runs the sweeps
 for quasi-polynomials, polishes real roots and solves the log form of
-Lambert W; one bracket refiner for real roots; the Kepler equation for
+Lambert W; a root count right of a vertical line by the argument
+principle; one bracket refiner for real roots; the Kepler equation for
 plane-wave frequencies; and real cubics via the companion matrix."""
 
 from __future__ import annotations
@@ -121,37 +122,152 @@ def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple) -> list[RootSe
     if not (re_max > re_min and im_max > im_min):
         raise ValueError(f"degenerate window {window}")
 
-    re = np.linspace(re_min, re_max, SEED_GRID[0])
-    im = np.linspace(im_min, im_max, SEED_GRID[1])
-    seeds = (re[:, None] + 1j * im[None, :]).ravel()
-    # limit huge steps to keep seeds from shooting off
-    cap = 0.5 * max(re_max - re_min, im_max - im_min)
+    seeds = _window_grid(window)
     per_block = max(1, SWEEP_BLOCK // seeds.size)
     out = []
     for first in range(0, n_sets, per_block):
-        sets = np.arange(first, min(first + per_block, n_sets))
-        z = np.tile(seeds, sets.size)
-        k = np.repeat(sets, seeds.size)
-        z, converged, f_seeds = newton(lambda z, i: fdf(z, k[i]), z, cap)
+        n = min(per_block, n_sets - first)
 
-        # keep converged roots in the window with small residual; the
-        # window test also drops any root with a NaN or infinite part
-        scale = np.fmax(1.0, np.nanmedian(f_seeds.reshape(sets.size, -1),
-                                          axis=1))
-        tol = RESIDUAL_TOL * scale
-        zc, kc = z[converged], k[converged]
-        # residual alone is not enough: quasi-polynomials are exponentially
-        # flat along dense spectrum curves, so demand Newton convergence too
-        with np.errstate(all="ignore"):
-            ok = np.abs(fdf(zc, kc)[0]) <= tol[kc - first]
-        ok &= (zc.real >= re_min - 1e-9) & (zc.real <= re_max + 1e-9)
-        ok &= (zc.imag >= im_min - 1e-9) & (zc.imag <= im_max + 1e-9)
-        n_conv = np.bincount(kc - first, minlength=sets.size)
-        for j in range(sets.size):
-            out.append(RootSet(roots=_dedup_sorted(zc[ok & (kc == first + j)]),
-                               tolerance=float(tol[j]),
-                               seeds=seeds.size, converged=int(n_conv[j])))
+        def block_fdf(z, k, first=first):
+            return fdf(z, k + first)
+
+        out += find_roots_seeded(block_fdf, np.tile(seeds, n),
+                                 np.repeat(np.arange(n), seeds.size), n,
+                                 window, residual_scale(block_fdf, n, window))
     return out
+
+
+def _window_grid(window: tuple) -> np.ndarray:
+    """The ``SEED_GRID`` points over the window, Re-major."""
+    re_min, re_max, im_min, im_max = window
+    re = np.linspace(re_min, re_max, SEED_GRID[0])
+    im = np.linspace(im_min, im_max, SEED_GRID[1])
+    return (re[:, None] + 1j * im[None, :]).ravel()
+
+
+def residual_scale(fdf: Callable, n_sets: int, window: tuple) -> np.ndarray:
+    """max(1, median |f_k|) over the ``_window_grid``, for each set k of
+    ``fdf(z, k)``: the scale of a sweep's residual test on that window.
+    It depends on the window only, not on where a sweep seeds."""
+    grid = _window_grid(window)
+    # one set at a time bounds the work arrays
+    with np.errstate(all="ignore"):
+        f = [np.abs(fdf(grid, np.full(grid.size, j))[0])
+             for j in range(n_sets)]
+    return np.fmax(1.0, np.nanmedian(f, axis=1))
+
+
+def find_roots_seeded(fdf: Callable, seeds: np.ndarray, k: np.ndarray,
+                      n_sets: int, window: tuple,
+                      scale: np.ndarray) -> list[RootSet]:
+    """Newton from each seed ``seeds[i]`` on the function ``k[i]`` of
+    ``fdf(z, k)`` (as in ``find_roots_stacked``), each step capped at half
+    the window's longer side. A converged root is kept if it lies in the
+    window and |f_k| <= ``RESIDUAL_TOL`` * ``scale[k]`` there; the roots
+    kept for each set go through ``_dedup_sorted``. Set j reports its
+    seeds and converged seeds."""
+    re_min, re_max, im_min, im_max = window
+    cap = 0.5 * max(re_max - re_min, im_max - im_min)
+    z, converged, _ = newton(lambda z, i: fdf(z, k[i]), seeds, cap)
+    tol = RESIDUAL_TOL * scale
+    zc, kc = z[converged], k[converged]
+    # residual alone is not enough: quasi-polynomials are exponentially
+    # flat along dense spectrum curves, so demand Newton convergence too;
+    # the window test also drops any root with a NaN or infinite part
+    with np.errstate(all="ignore"):
+        ok = np.abs(fdf(zc, kc)[0]) <= tol[kc]
+    ok &= (zc.real >= re_min - 1e-9) & (zc.real <= re_max + 1e-9)
+    ok &= (zc.imag >= im_min - 1e-9) & (zc.imag <= im_max + 1e-9)
+    n_seeds = np.bincount(k, minlength=n_sets)
+    n_conv = np.bincount(kc, minlength=n_sets)
+    return [RootSet(roots=_dedup_sorted(zc[ok & (kc == j)]),
+                    tolerance=float(tol[j]), seeds=int(n_seeds[j]),
+                    converged=int(n_conv[j])) for j in range(n_sets)]
+
+
+def _line_grid(sets: np.ndarray, W: np.ndarray, step: float):
+    """Ordinates from -W[k] to W[k] at an even step of at most ``step``,
+    for each k of ``sets`` in turn, and the set of each."""
+    n = np.maximum(1, np.ceil(2.0 * W[sets] / step)).astype(int)
+    k = np.repeat(sets, n + 1)
+    i = np.arange(k.size) - np.repeat(np.cumsum(n + 1) - n - 1, n + 1)
+    return W[k] * (2.0 * i / np.repeat(n, n + 1) - 1.0), k
+
+
+def count_roots_right(fdf: Callable, n_sets: int, sigma: float,
+                      zeros: np.ndarray, W: np.ndarray, step: float):
+    """The number of roots right of the line Re z = ``sigma`` of each
+    function f_k of ``fdf(z, k)``, by the argument principle, and the
+    number of points of the line where f was evaluated.
+
+    Let p be the monic polynomial with the roots ``zeros``. Each f_k must
+    tend to p right of the line as |z| grows, with |f_k/p - 1| < 1/2 on
+    the line where |Im z| >= ``W[k]``. The arg of f_k/p then changes over
+    the tails by its principal values at Im z = -+W[k], and the count is
+    that of p's roots right of the line minus the change along the whole
+    line over 2 pi. Dividing by p rather than by z^deg p keeps a double
+    pole at 0 off the line.
+
+    The line is sampled from -W[k] to W[k] at ``step``. A step is halved
+    while f/p turns by more than pi/4 over it, or while a root of f may lie
+    nearer the line than the step: step * max |f'| > max |f| / 2 at its
+    ends. A step that has to fall below 1e-13 means a root on the line,
+    and raises ArithmeticError."""
+    zeros = np.asarray(zeros, dtype=complex)
+
+    def sample(y, k):
+        z = sigma + 1j * y
+        f, df = fdf(z, k)
+        return f / np.prod(z[:, None] - zeros, axis=1), np.abs(f), np.abs(df)
+
+    y, k = _line_grid(np.arange(n_sets), W, step)
+    g, f, df = sample(y, k)
+    last = np.r_[k[1:] != k[:-1], True]
+    first = np.r_[True, last[:-1]]
+    # the tails: from 0 at -i infinity to Arg g(-W), from Arg g(W) to 0
+    turn = np.bincount(k[first], np.angle(g[first]), n_sets) \
+        - np.bincount(k[last], np.angle(g[last]), n_sets)
+    n_samples = y.size
+    # the steps: (lower y, upper y, set, then g, |f|, |f'| at both ends)
+    lo, hi = np.flatnonzero(~last), np.flatnonzero(~first)
+    steps = (y[lo], y[hi], k[lo], g[lo], g[hi], f[lo], f[hi], df[lo], df[hi])
+    while steps[0].size:
+        a, b, ks, ga, gb, fa, fb, dfa, dfb = steps
+        d = np.angle(gb / ga)
+        split = ((np.abs(d) > 0.25 * math.pi)
+                 | ((b - a) * np.fmax(dfa, dfb) > 0.5 * np.fmax(fa, fb)))
+        turn += np.bincount(ks[~split], d[~split], n_sets)
+        a, b, ks, ga, gb, fa, fb, dfa, dfb = (x[split] for x in steps)
+        if np.any(b - a < 2e-13):
+            i = int(np.argmin(b - a))
+            raise ArithmeticError(
+                f"set {ks[i]} has a root on the line Re z = {sigma!r} "
+                f"near Im z = {float(a[i])!r}: its step would fall below "
+                f"1e-13")
+        m = 0.5 * (a + b)
+        gm, fm, dfm = sample(m, ks)
+        n_samples += m.size
+        steps = tuple(np.concatenate(pair) for pair in (
+            (a, m), (m, b), (ks, ks), (ga, gm), (gm, gb), (fa, fm),
+            (fm, fb), (dfa, dfm), (dfm, dfb)))
+    counts = (np.count_nonzero(zeros.real > sigma)
+              - np.rint(turn / (2.0 * math.pi)).astype(int))
+    return counts, n_samples
+
+
+def line_minima(fdf: Callable, sets: np.ndarray, sigma: float,
+                W: np.ndarray, step: float):
+    """Newton seeds for the roots near the line Re z = ``sigma`` of the
+    functions ``sets`` of ``fdf(z, k)``: the points sigma + iy on the grid
+    of ``count_roots_right`` (|y| <= W[k], at ``step``) where |f_k| has a
+    local minimum. Returns the points and their sets."""
+    y, k = _line_grid(np.asarray(sets), W, step)
+    z = sigma + 1j * y
+    f = np.abs(fdf(z, k)[0])
+    same = k[1:-1] == k[:-2]
+    same &= k[1:-1] == k[2:]
+    i = np.flatnonzero(same & (f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:])) + 1
+    return z[i], k[i]
 
 
 def bisect_sign_changes(g: Callable, x: np.ndarray, gx: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 Covers the steady-state spectrum (exact Lambert-W form and the large-delay
 asymptotic curve), enumeration of the plane-wave family via the Kepler
 equation, and plane-wave Floquet stability: the exact quasi-polynomial,
+its roots seeded on the multiplier branches and certified by a root count,
 the delay-free strong spectrum, the asymptotic two-branch growth curves,
 the neutral-stability cubic and the Hessian test at the trivial exponent.
 """
@@ -21,11 +22,15 @@ from .core import (TWO_PI, LatticeSpec, SLParams, WaveVector, check_delay,
 from .lambertw import MAX_BRANCH, lambert_w_log
 # find_roots_quasipoly is not called here; perfbench/tracing.py looks it
 # up through this module
-from .roots import (RootSet, find_roots_quasipoly, find_roots_stacked,
+from .roots import (RootSet, count_roots_right, find_roots_quasipoly,
+                    find_roots_seeded, line_minima, residual_scale,
                     solve_cubic_real, solve_kepler)
 
 TRIVIAL_EXCLUSION_RADIUS = 1e-6
 STABILITY_TOL = 1e-6
+LINE_GAP = 1e-6      # the certificate counts right of max_growth + LINE_GAP
+BRANCH_OFFSETS = (-1.0, -0.5, 0.0, 0.5, 1.0)   # Re of a branch's seeds
+BRANCH_STEPS = 6     # fixed-point steps of the branch map before Newton
 
 
 @dataclass(frozen=True)
@@ -59,9 +64,12 @@ class StabilityVerdict:
     max_growth: float
     witness: tuple  # (omega, q_minus, q_plus) of the most unstable perturbation
     # the Newton sweep's work, summed over the perturbation modes it swept
+    # (branch seeds and any refinement seeds), and the number of points of
+    # the line Re lambda = max_growth + LINE_GAP its certificate sampled
     seeds: int = 0
     converged: int = 0
     kept: int = 0
+    line_samples: int = 0
 
 
 def _branch_range(beta: float, C: float, tau: float) -> range:
@@ -186,8 +194,12 @@ def _chi_coeffs(wave: PlaneWave, C: float, q_minus):
     chi = lambda^2 + 2 P lambda + c - ((P + lambda) G - Q) e1 + Rp Rm e1^2
     with e1 = exp(-lambda tau + i q_plus)."""
     a2, R, kt = wave.a2, wave.R, wave.k_tau
-    Rp = C * np.cos(wave.wv.k_minus + q_minus)
-    Rm = C * np.cos(wave.wv.k_minus - q_minus)
+    # cos(+-pi/2) rounds to +-6e-17, with a sign that differs between q
+    # and -q; a coupling that vanishes is exactly 0, so that
+    # chi(lambda; -q) = conj chi(conj lambda; q) holds on even tori too
+    cp, cm = np.cos(wave.wv.k_minus + q_minus), np.cos(wave.wv.k_minus - q_minus)
+    Rp = np.where(np.abs(cp) < 1e-12, 0.0, C * cp)
+    Rm = np.where(np.abs(cm) < 1e-12, 0.0, C * cm)
     P = a2 + R * math.cos(kt)
     G = Rp * cmath.exp(1j * kt) + Rm * cmath.exp(-1j * kt)
     Hd = Rp * cmath.exp(1j * kt) - Rm * cmath.exp(-1j * kt)
@@ -237,26 +249,35 @@ def sl_strong_spectrum(wave: PlaneWave, params: SLParams, C: float):
     return lam_p, lam_m, a_s
 
 
-def sl_floquet_pcs_Y(wave: PlaneWave, C: float, omega, q_minus):
-    """The two multiplier branches Y+-(omega, q_minus) of the asymptotic
-    Floquet spectrum: the roots e1 = (h +- root)/S of chi(i*omega), a
-    quadratic S e1^2 - 2 h e1 + p = 0 with S = Rp Rm,
-    h = ((P + i omega) G - Q)/2, p the delay-free part of chi and root the
-    principal square root of h^2 - S p. The root of larger modulus comes
-    from this formula, the other from Vieta's Y+ Y- = p/S, so it keeps its
-    digits where h +- root cancels."""
-    if C == 0.0:
-        raise ValueError("C = 0: every mode is decoupled, gamma = -inf")
-    iw = 1j * np.asarray(omega, dtype=float)
-    P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C,
-                                         np.asarray(q_minus, dtype=float))
+def _multipliers(wave: PlaneWave, C: float, lam, q_minus):
+    """The two roots e1 = Y+-(lambda) of chi(lambda; q_minus) = 0 read as a
+    quadratic in e1 = exp(-lambda tau + i q_plus): S e1^2 - 2 h e1 + p = 0
+    with S = Rp Rm, h = ((P + lambda) G - Q)/2, p the delay-free part of
+    chi and root the principal square root of h^2 - S p. The root of
+    larger modulus comes from this formula, the other from Vieta's
+    Y+ Y- = p/S, so it keeps its digits where h +- root cancels. Where a
+    coupling vanishes (S = 0) the quadratic is linear, and both are its
+    one root p/(2h). Elementwise over lam and q_minus."""
+    P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C, q_minus)
     S = Rp * Rm
-    h = 0.5 * ((P + iw) * G - Q)
-    p = iw * iw + 2.0 * P * iw + const
+    h = 0.5 * ((P + lam) * G - Q)
+    p = lam * lam + 2.0 * P * lam + const
     root = np.sqrt(h * h - S * p)
     plus = np.abs(h + root) >= np.abs(h - root)
     big = np.where(plus, h + root, h - root)
-    return np.where(plus, big / S, p / big), np.where(plus, p / big, big / S)
+    small = p / big
+    far = np.where(S == 0.0, small, big / np.where(S == 0.0, 1.0, S))
+    return np.where(plus, far, small), np.where(plus, small, far)
+
+
+def sl_floquet_pcs_Y(wave: PlaneWave, C: float, omega, q_minus):
+    """The two multiplier branches Y+-(omega, q_minus) of the asymptotic
+    Floquet spectrum: the roots of chi(i omega) in e1 (``_multipliers``
+    at lambda = i omega)."""
+    if C == 0.0:
+        raise ValueError("C = 0: every mode is decoupled, gamma = -inf")
+    return _multipliers(wave, C, 1j * np.asarray(omega, dtype=float),
+                        np.asarray(q_minus, dtype=float))
 
 
 def sl_floquet_pcs(wave: PlaneWave, C: float, omega, q_minus):
@@ -271,52 +292,142 @@ def sl_floquet_pcs(wave: PlaneWave, C: float, omega, q_minus):
     return gp, gm
 
 
-def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
-                     spec: LatticeSpec) -> StabilityVerdict:
-    """Stability verdict of a plane wave from the exact quasi-polynomial.
+def _branch_seeds(wave: PlaneWave, C: float, tau: float, q_plus, q_minus,
+                  window: tuple, strong):
+    """Newton seeds for the roots of chi in the window, for the modes
+    (q_plus[k], q_minus[k]). Every root lies on a branch
+    lambda = (i q_plus - Log Y+-(lambda) - 2 pi i j)/tau. Each branch
+    (j, +-) starts at s + i (q_plus - 2 pi j)/tau for each of the
+    ``BRANCH_OFFSETS`` s, over the j whose starts span Im of the window and
+    3 more on either side, and takes ``BRANCH_STEPS`` fixed-point steps of
+    its map. The roots of chi's delay-free part (``strong``) seed every
+    mode too; they are all the roots of a mode whose two couplings vanish
+    (chi = p), which has no branches. Returns the seeds and their modes."""
+    _, _, im_min, im_max = window
+    j_lo = np.floor((q_plus - im_max * tau) / TWO_PI).astype(int) - 3
+    j_hi = np.ceil((q_plus - im_min * tau) / TWO_PI).astype(int) + 3
+    Rp, Rm = _chi_coeffs(wave, C, q_minus)[4:]
+    n_j = np.where((Rp == 0.0) & (Rm == 0.0), 0, j_hi - j_lo + 1)
+    k = np.repeat(np.arange(q_plus.size), n_j)
+    j = np.arange(k.size) - np.repeat(np.cumsum(n_j) - n_j - j_lo, n_j)
+    shift = 1j * (q_plus[k] - TWO_PI * j)
+    # (multiplier +-, offset, branch)
+    lam = np.array(BRANCH_OFFSETS)[:, None] + shift / tau
+    lam = np.stack([lam, lam])
+    for _ in range(BRANCH_STEPS):
+        Yp, Ym = _multipliers(wave, C, lam, q_minus[k])
+        lam = (shift - np.log(np.stack([Yp[0], Ym[1]]))) / tau
+    return (np.concatenate([lam.ravel(), np.tile(strong, q_plus.size)]),
+            np.concatenate([np.tile(k, 2 * len(BRANCH_OFFSETS)),
+                            np.repeat(np.arange(q_plus.size), strong.size)]))
 
-    One stacked Newton sweep locates the characteristic roots in the window
-    Re in [-2, max(1, 2*alpha)], Im in [-(3|beta|+3), 3|beta|+3] of one
-    perturbation mode q = (q_plus, q_minus) of each pair {q, -q} of the
-    lattice (``enumerate_mode_classes``): chi(lambda; -q) =
-    conj chi(conj lambda; q), so the roots of -q are the conjugates of
-    those of q, with the same real parts. The verdict follows from the
-    maximal real part, excluding the trivial root at (lambda=0, q=0); its
-    witness names the representative mode. It reports the sweep's seeds,
-    converged seeds and kept roots, summed over the modes swept."""
-    alpha, beta = params.alpha, params.beta
-    window = (-2.0, max(1.0, 2.0 * alpha), -(3.0 * abs(beta) + 3.0),
-              3.0 * abs(beta) + 3.0)
-    modes = enumerate_mode_classes(spec)
-    sets = find_roots_stacked(
-        _chi_and_deriv(wave, C, tau, [q.k_plus for q in modes],
-                       [q.k_minus for q in modes]), len(modes), window)
+
+def _tail_bound(wave: PlaneWave, C: float, tau: float, q_minus, sigma: float,
+                strong) -> np.ndarray:
+    """W per mode with |chi/p - 1| < 1/2 on Re lambda = sigma wherever
+    |Im lambda| >= W. There |e1| = E = e^{-sigma tau},
+    |chi - p| <= |S| E^2 + ((|P| + |sigma| + |Im lambda|) |G| + |Q|) E, and
+    |p| >= u^2 with u = |Im lambda| - b, b the largest |Im| of p's roots
+    ``strong``; W = b + u at the largest root of u^2/2 = |chi - p|."""
+    P, _, G, Q, Rp, Rm = _chi_coeffs(wave, C, q_minus)
+    E = math.exp(-sigma * tau)
+    b = float(np.max(np.abs(strong.imag)))
+    gE = np.abs(G) * E
+    K = np.abs(Rp * Rm) * E * E + (abs(P) + abs(sigma) + b) * gE + np.abs(Q) * E
+    return b + gE + np.sqrt(gE * gE + 2.0 * K)
+
+
+def _rightmost(modes: list, sets: list) -> tuple:
+    """The largest real part over the root sets of the modes, excluding the
+    trivial root at (lambda=0, q=0), and (omega, q_minus, q_plus) of the
+    first root in mode-then-root order that attains it."""
     max_growth = -np.inf
     witness = (0.0, 0.0, 0.0)
     for q, rs in zip(modes, sets):
         lam = rs.roots
         if (q.k1, q.k2) == (0, 0):
             lam = lam[np.abs(lam) >= TRIVIAL_EXCLUSION_RADIUS]
-        # the first maximum in mode-then-root order is the witness
         if lam.size and lam.real.max() > max_growth:
             i = int(np.argmax(lam.real))
             max_growth = float(lam[i].real)
             witness = (float(lam[i].imag), q.k_minus, q.k_plus)
+    return max_growth, witness
+
+
+def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
+                     spec: LatticeSpec) -> StabilityVerdict:
+    """Stability verdict of a plane wave from the exact quasi-polynomial,
+    certified by a root count.
+
+    One Newton sweep from the branch seeds (``_branch_seeds``) locates the
+    characteristic roots in the window Re in [-2, max(1, 2*alpha)],
+    Im in [-(3|beta|+3), 3|beta|+3] of one perturbation mode
+    q = (q_plus, q_minus) of each pair {q, -q} of the lattice
+    (``enumerate_mode_classes``): chi(lambda; -q) = conj chi(conj lambda; q),
+    so the roots of -q are the conjugates of those of q, with the same real
+    parts. The verdict follows from the maximal real part, excluding the
+    trivial root at (lambda=0, q=0); its witness names the representative
+    mode.
+
+    The certificate counts the roots of each mode right of
+    Re lambda = max_growth + ``LINE_GAP`` (``count_roots_right``): none,
+    but for the trivial root in q = 0 when that line lies left of 0. On
+    any other count one refinement pass adds Newton seeds at the minima
+    of |chi| on the line in the modes that failed, takes the maximum
+    again and counts again; a count still wrong raises ArithmeticError.
+    The verdict reports the seeds, converged seeds and kept roots, summed
+    over the modes swept, and the points of the line sampled."""
+    check_delay(tau)
+    if tau == 0.0:
+        raise ValueError("tau must be > 0: the Floquet branches need a delay")
+    alpha, beta = params.alpha, params.beta
+    window = (-2.0, max(1.0, 2.0 * alpha), -(3.0 * abs(beta) + 3.0),
+              3.0 * abs(beta) + 3.0)
+    modes = enumerate_mode_classes(spec)
+    q_plus = np.array([q.k_plus for q in modes])
+    q_minus = np.array([q.k_minus for q in modes])
+    fdf = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
+    lam_p, lam_m, a_s = sl_strong_spectrum(wave, params, C)
+    strong = np.array([lam_p, lam_m])
+    trivial = np.array([(q.k1, q.k2) == (0, 0) for q in modes])
+    seeds, k = _branch_seeds(wave, C, tau, q_plus, q_minus, window, strong)
+    scale = residual_scale(fdf, len(modes), window)
+    step = math.pi / (8.0 * tau)
+    line_samples = 0
+    for refined in (False, True):
+        sets = find_roots_seeded(fdf, seeds, k, len(modes), window, scale)
+        max_growth, witness = _rightmost(modes, sets)
+        sigma = max_growth + LINE_GAP
+        W = _tail_bound(wave, C, tau, q_minus, sigma, strong)
+        counts, n = count_roots_right(fdf, len(modes), sigma, strong, W, step)
+        line_samples += n
+        expected = (trivial & (sigma < 0.0)).astype(int)
+        wrong = np.flatnonzero(counts != expected)
+        if not wrong.size:
+            break
+        if refined:
+            i = wrong[0]
+            raise ArithmeticError(
+                f"Floquet certificate: mode (k1, k2) = ({modes[i].k1}, "
+                f"{modes[i].k2}) has {counts[i]} roots right of Re lambda = "
+                f"{sigma!r}, expected {expected[i]}; counts of all modes "
+                f"{counts.tolist()}")
+        z, kz = line_minima(fdf, wrong, sigma, W, step)
+        seeds, k = np.concatenate([seeds, z]), np.concatenate([k, kz])
 
     if max_growth <= STABILITY_TOL:
         cls = StabilityClass.STABLE
+    elif wave.a < a_s - 1e-12:
+        cls = StabilityClass.STRONG_UNSTABLE
+    elif math.cos(wave.k_tau) < 0.0:
+        cls = StabilityClass.UNIFORM_UNSTABLE
     else:
-        _, _, a_s = sl_strong_spectrum(wave, params, C)
-        if wave.a < a_s - 1e-12:
-            cls = StabilityClass.STRONG_UNSTABLE
-        elif math.cos(wave.k_tau) < 0.0:
-            cls = StabilityClass.UNIFORM_UNSTABLE
-        else:
-            cls = StabilityClass.MODULATIONAL_UNSTABLE
+        cls = StabilityClass.MODULATIONAL_UNSTABLE
     return StabilityVerdict(cls=cls, max_growth=max_growth, witness=witness,
                             seeds=sum(rs.seeds for rs in sets),
                             converged=sum(rs.converged for rs in sets),
-                            kept=sum(len(rs) for rs in sets))
+                            kept=sum(len(rs) for rs in sets),
+                            line_samples=line_samples)
 
 
 def sl_neutral_amplitude(alpha: float, C: float, k_minus: float) -> np.ndarray:

@@ -8,13 +8,14 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
+import test_sl
 from delaylattice import core, fhn, sl
 from delaylattice.core import (FHNParams, LatticeSpec, Model, SLParams,
                                WaveVector)
 from delaylattice.roots import (DEDUP_RADIUS, SWEEP_BLOCK, _dedup_sorted,
-                                bisect_sign_changes, find_roots_quasipoly,
-                                find_roots_stacked, newton,
-                                solve_cubic_real, solve_kepler)
+                                bisect_sign_changes, count_roots_right,
+                                find_roots_quasipoly, find_roots_stacked,
+                                newton, solve_cubic_real, solve_kepler)
 
 
 def test_quadratic_roots():
@@ -159,27 +160,48 @@ def test_pinned_sweep_roots(case):
 
 
 @pytest.mark.parametrize("wave_index", [100, 395])
-def test_floquet_verdict_sweeps_the_pinned_sets_of_its_classes(
-        monkeypatch, wave_index):
-    # the verdict's one sweep holds the 13 representatives' sets of the
-    # pinned 25-mode sweep, bit for bit
+def test_floquet_verdict_sweeps_the_pinned_sets_of_its_classes(wave_index):
+    # the verdict seeds on the branches, not on the grid: its maximum is
+    # the one over the pinned 25-mode sets, the trivial root excluded, its
+    # witness the top root of the representatives' sets, and no root lies
+    # right of it
     spec = LatticeSpec(5, 5, Model.STUART_LANDAU, SLParams(3.0, 0.5), 2.0)
     wave, modes, all_sets = _floquet_root_sets(wave_index)
-    sweeps = []
+    v = sl.sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
 
-    def record(*args, **kwargs):
-        sweeps.append(find_roots_stacked(*args, **kwargs))
-        return sweeps[-1]
+    def top(pairs):
+        return max(((lam, q) for q, rs in pairs for lam in rs.roots
+                    if (q.k1, q.k2) != (0, 0) or abs(lam) >= 1e-6),
+                   key=lambda pair: pair[0].real)
 
-    monkeypatch.setattr(sl, "find_roots_stacked", record)
-    sl.sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
-    reps = [modes.index(q) for q in core.enumerate_mode_classes(spec)]
-    assert len(sweeps) == 1 and len(sweeps[0]) == len(reps) == 13
-    for got, i in zip(sweeps[0], reps):
-        want = all_sets[i]
-        assert got.roots.tobytes() == want.roots.tobytes()
-        assert (got.tolerance, got.seeds, got.converged) == (
-            want.tolerance, want.seeds, want.converged)
+    lam, _ = top(zip(modes, all_sets))
+    assert abs(v.max_growth - lam.real) <= 1e-13
+    classes = core.enumerate_mode_classes(spec)
+    lam, q = top((q, all_sets[modes.index(q)]) for q in classes)
+    assert v.witness[1:] == (q.k_minus, q.k_plus)
+    assert abs(v.witness[0] - lam.imag) <= 1e-13
+    assert test_sl._line_counts(wave, spec, classes,
+                                v.max_growth + sl.LINE_GAP)[0].tolist() == \
+        [0] * 13
+
+
+@pytest.mark.parametrize("roots, want", [
+    ([1e-4 + 0.01j, 2e-4 + 0.01j], 2),
+    ([-1e-4 + 0.01j, -2e-4 + 0.01j], 0),
+    ([1e-4 + 0.01j, -1e-4 + 0.01j], 1)])
+def test_count_resolves_roots_inside_one_step(roots, want):
+    # f = (z - r1)(z - r2) over p = (z + 1)(z + 2): |f/p - 1| < 1/2 beyond
+    # |Im z| = 10. Both roots lie between the samples Im z = 0 and 0.02,
+    # where f turns by 2 pi, 0 or pi; the phase alone would alias the
+    # 2 pi to nothing, the bound on |f'| splits the step
+    r1, r2 = roots
+
+    def fdf(z, k):
+        return (z - r1) * (z - r2), 2.0 * z - r1 - r2
+
+    counts, samples = count_roots_right(fdf, 1, 0.0, [-1.0, -2.0],
+                                        np.array([10.0]), 0.02)
+    assert counts.tolist() == [want] and samples > 1001
 
 
 def _stacked_and_single_sets(rows, cols, wave_index):
@@ -418,8 +440,9 @@ def test_floquet_sweep_at_long_delay_stays_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         v = sl.sl_floquet_exact(wave, spec.params, 1.0, 100.0, spec)
+    # the grid sweep kept 584 roots, with the maximum 0.0004121026347386337
     assert (v.cls, v.max_growth, v.kept) == (
-        sl.StabilityClass.MODULATIONAL_UNSTABLE, 0.0004121026347386337, 584)
+        sl.StabilityClass.MODULATIONAL_UNSTABLE, 0.0004121026347386332, 1435)
 
 
 def test_fhn_sweep_at_long_delay_stays_silent():

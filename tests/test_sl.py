@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from delaylattice import sl
 from delaylattice.core import (LatticeSpec, Model, SLParams, WaveVector,
                               enumerate_mode_classes, enumerate_modes)
-from delaylattice.roots import RootSet, find_roots_stacked
+from delaylattice.roots import (RootSet, count_roots_right,
+                                find_roots_seeded, newton)
 from delaylattice.sl import (_chi_and_deriv, hessian_negative_definite,
                              plane_wave_invariant_residuals, sl_alpha0,
                              sl_enumerate_plane_waves, sl_floquet_chi,
@@ -338,37 +340,53 @@ def _torus_wave(n, wave_index):
                                     spec)[wave_index], spec
 
 
-def _all_mode_sets(wave, spec):
-    """The root sets of one stacked sweep over every perturbation mode of
-    the lattice, in the Floquet verdict's window at alpha=3, beta=0.5."""
-    modes = enumerate_modes(spec)
-    return find_roots_stacked(
-        _chi_and_deriv(wave, 2.0, 20.0, [q.k_plus for q in modes],
-                       [q.k_minus for q in modes]), len(modes),
-        (-2.0, 6.0, -4.5, 4.5))
+# the window of sl_floquet_exact at alpha=3, beta=0.5
+FLOQUET_WINDOW = (-2.0, 6.0, -4.5, 4.5)
+
+
+def _mode_arrays(wave, spec, modes):
+    """(q_plus, q_minus) of the modes and the two roots of chi's
+    delay-free part, at C=2."""
+    lam_p, lam_m, _ = sl_strong_spectrum(wave, spec.params, 2.0)
+    return (np.array([q.k_plus for q in modes]),
+            np.array([q.k_minus for q in modes]), np.array([lam_p, lam_m]))
+
+
+def _branch_seeds(wave, spec, modes):
+    """The Floquet verdict's branch seeds and their modes, at C=2, tau=20."""
+    q_plus, q_minus, strong = _mode_arrays(wave, spec, modes)
+    return sl._branch_seeds(wave, 2.0, 20.0, q_plus, q_minus, FLOQUET_WINDOW,
+                            strong)
+
+
+def _line_counts(wave, spec, modes, sigma):
+    """The certificate's count of the roots right of Re lambda = sigma in
+    each of the modes, and its number of samples, at C=2, tau=20."""
+    q_plus, q_minus, strong = _mode_arrays(wave, spec, modes)
+    return count_roots_right(
+        _chi_and_deriv(wave, 2.0, 20.0, q_plus, q_minus), len(modes), sigma,
+        strong, sl._tail_bound(wave, 2.0, 20.0, q_minus, sigma, strong),
+        math.pi / (8.0 * 20.0))
 
 
 def test_floquet_verdict_reports_its_sweep_counts():
-    # wave 100 of the 5x5 torus: 13 classes of 40x40 seeds; the converged
-    # and kept counts are those of the representatives' sets of the sweep
-    # over all 25 modes
+    # wave 100 of the 5x5 torus: the branch seeds of its 13 classes, with
+    # no refinement seeds, and the samples of one count
     wave, spec = _torus_wave(5, 100)
     v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
-    assert (v.seeds, v.converged, v.kept) == (20800, 20062, 663)
-    assert v.max_growth == 0.48339366557540064
-    classes = enumerate_mode_classes(spec)
-    reps = [rs for q, rs in zip(enumerate_modes(spec),
-                                _all_mode_sets(wave, spec)) if q in classes]
-    assert (v.seeds, v.converged, v.kept) == (
-        sum(rs.seeds for rs in reps), sum(rs.converged for rs in reps),
-        sum(len(rs) for rs in reps))
+    assert (v.seeds, v.converged, v.kept) == (4786, 4773, 753)
+    assert v.seeds == _branch_seeds(wave, spec,
+                                    enumerate_mode_classes(spec))[0].size
+    assert v.line_samples == 400
+    # the grid sweep read 0.48339366557540064
+    assert v.max_growth == 0.4833936655754007
+    assert abs(v.max_growth - 0.48339366557540064) <= 1e-15
 
 
 # (torus side, wave, lowest Re lambda). On the 4x4 torus some
-# cos(k_minus +- q_minus) are cos(+-pi/2): their rounding residues, about
-# 1e-16 C, differ in sign between q and -q, and e^{-2 lambda tau} lifts
-# that past 1e-12 of chi left of Re lambda ~ -0.3
-SYMMETRY_CASES = [(5, 100, -2.0), (5, 395, -2.0), (4, 125, 0.0)]
+# cos(k_minus +- q_minus) are cos(+-pi/2); their couplings are exactly 0,
+# so the symmetry holds over the whole window there too
+SYMMETRY_CASES = [(5, 100, -2.0), (5, 395, -2.0), (4, 125, -2.0)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -401,9 +419,133 @@ def test_floquet_verdict_over_classes_matches_all_modes(
     v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
     monkeypatch.setattr(sl, "enumerate_mode_classes", enumerate_modes)
     full = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
-    assert v.seeds == 13 * 1600 and full.seeds == 25 * 1600
+    modes = enumerate_modes(spec)
+    per_mode = np.bincount(_branch_seeds(wave, spec, modes)[1])
+    reps = [modes.index(q) for q in enumerate_mode_classes(spec)]
+    assert v.seeds == per_mode[reps].sum() and full.seeds == per_mode.sum()
     assert v.cls.value == full.cls.value == cls
     assert abs(v.max_growth - full.max_growth) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the certificate: a root count right of a vertical line
+
+def test_count_right_of_the_axis_of_wave_395():
+    # the unstable roots at sigma = 1e-7: 170 over the 13 classes, 321 over
+    # the 25 modes (a root of a class off its own mirror counts once there,
+    # twice over the modes)
+    wave, spec = _torus_wave(5, 395)
+    assert _line_counts(wave, spec, enumerate_mode_classes(spec),
+                        1e-7)[0].sum() == 170
+    assert _line_counts(wave, spec, enumerate_modes(spec),
+                        1e-7)[0].sum() == 321
+
+
+def test_count_of_a_stable_wave_holds_the_trivial_root():
+    # wave 194 is stable, so its line lies left of 0: the class q = 0
+    # counts the trivial root lambda = 0, every other class nothing
+    wave, spec = _torus_wave(5, 194)
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert v.cls is sl.StabilityClass.STABLE and v.max_growth < -sl.LINE_GAP
+    counts, _ = _line_counts(wave, spec, enumerate_mode_classes(spec),
+                             v.max_growth + sl.LINE_GAP)
+    assert counts.tolist() == [1] + [0] * 12
+
+
+def test_count_left_of_the_maximum_matches_the_located_roots(monkeypatch):
+    # wave 258 at max_growth - 1e-3: 4 roots, each one the verdict located
+    wave, spec = _torus_wave(5, 258)
+    sweeps = []
+
+    def record(*args):
+        sweeps.append(find_roots_seeded(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(sl, "find_roots_seeded", record)
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    sigma = v.max_growth - 1e-3
+    counts, _ = _line_counts(wave, spec, enumerate_mode_classes(spec), sigma)
+    assert len(sweeps) == 1 and counts.sum() == 4
+    assert counts.tolist() == [int(np.sum(rs.roots.real > sigma))
+                               for rs in sweeps[0]]
+
+
+def test_count_raises_on_a_root_on_the_line():
+    # the trivial root lambda = 0 of the class q = 0 lies on Re lambda = 0
+    wave, spec = _torus_wave(5, 258)
+    with pytest.raises(ArithmeticError, match="root on the line"):
+        _line_counts(wave, spec, enumerate_mode_classes(spec), 0.0)
+
+
+def _lose_the_top_root(monkeypatch, wave, spec):
+    """Make the verdict's seeder drop every seed whose Newton iteration
+    ends at a root of the wave's maximal real part."""
+    top = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec).max_growth
+    seeder = sl._branch_seeds
+
+    def losing(wave, C, tau, q_plus, q_minus, window, strong):
+        seeds, k = seeder(wave, C, tau, q_plus, q_minus, window, strong)
+        fdf = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
+        # the cap of the verdict's sweep, half the window's longer side
+        end = newton(lambda z, i: fdf(z, k[i]), seeds, 4.5)[0]
+        keep = np.abs(end.real - top) > 1e-9
+        assert not keep.all()
+        return seeds[keep], k[keep]
+
+    monkeypatch.setattr(sl, "_branch_seeds", losing)
+    return top
+
+
+def test_refinement_recovers_a_root_the_seeds_lose(monkeypatch):
+    # wave 258: without its top root the count right of the next one
+    # fails, and Newton from the minima of |chi| on that line finds it
+    wave, spec = _torus_wave(5, 258)
+    top = _lose_the_top_root(monkeypatch, wave, spec)
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert v.cls is sl.StabilityClass.MODULATIONAL_UNSTABLE
+    assert abs(v.max_growth - top) <= 1e-13
+
+
+@pytest.mark.parametrize("wave_index", [127, 207])
+def test_refinement_finds_the_root_the_branch_seeds_miss(wave_index):
+    # 4x4 torus, waves (pi/2, 3pi/2) and (3pi/2, pi/2): the branch seeds
+    # miss the real root 0.11152 of the class (pi, 0), resp. (0, pi), and
+    # reach only 0.10776; the count right of that fails in that class, and
+    # the refinement pass finds the root the grid sweep found
+    wave, spec = _torus_wave(4, wave_index)
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert v.seeds > _branch_seeds(wave, spec,
+                                   enumerate_mode_classes(spec))[0].size
+    assert v.cls is sl.StabilityClass.MODULATIONAL_UNSTABLE
+    assert abs(v.max_growth - 0.11152038268403382) <= 1e-13
+
+
+def test_certificate_that_fails_twice_raises(monkeypatch):
+    # the same loss, with no refinement seeds: the count stays wrong
+    wave, spec = _torus_wave(5, 258)
+    _lose_the_top_root(monkeypatch, wave, spec)
+    monkeypatch.setattr(sl, "line_minima", lambda fdf, sets, sigma, W, step:
+                        (np.zeros(0, complex), np.zeros(0, int)))
+    with pytest.raises(ArithmeticError, match="Floquet certificate"):
+        sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+
+
+@pytest.mark.parametrize("wave_index, cls, grid_growth", [
+    (128, "uniform", 0.12815495253580161),
+    (70, "stable", -8.402947038683004e-05)])
+def test_floquet_verdict_where_couplings_vanish_stays_silent(
+        wave_index, cls, grid_growth):
+    # 4x4 torus. Wave 128, mode (pi, 0), has cos k_minus = cos(pi/2): in the
+    # class q = 0 both couplings vanish and chi is its delay-free part, with
+    # no branches. Wave 70, mode (pi/2, 0), has one vanishing coupling in
+    # some classes (S = 0, one multiplier). The grid sweep's verdicts
+    wave, spec = _torus_wave(4, wave_index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert v.cls.value == cls and abs(v.max_growth - grid_growth) <= 1e-13
+    assert v.seeds == _branch_seeds(wave, spec,
+                                    enumerate_mode_classes(spec))[0].size
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +564,13 @@ def test_floquet_verdict_rejects_bad_delay(tau):
         sl_floquet_exact(wave, spec.params, 2.0, tau, spec)
     with pytest.raises(ValueError, match="tau must be finite and >= 0"):
         sl_floquet_chi(wave, 0.1j, 0.0, 0.0, 2.0, tau)
+
+
+def test_floquet_verdict_needs_a_delay():
+    # the branches lambda = (i q_plus - Log Y - 2 pi i j)/tau need tau > 0
+    wave, spec = _one_wave()
+    with pytest.raises(ValueError, match="tau must be > 0"):
+        sl_floquet_exact(wave, spec.params, 2.0, 0.0, spec)
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -5.0])
