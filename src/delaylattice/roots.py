@@ -185,20 +185,13 @@ def find_roots_seeded(fdf: Callable, seeds: np.ndarray, k: np.ndarray,
                     converged=int(n_conv[j])) for j in range(n_sets)]
 
 
-def _line_grid(sets: np.ndarray, W: np.ndarray, step: float):
-    """Ordinates from -W[k] to W[k] at an even step of at most ``step``,
-    for each k of ``sets`` in turn, and the set of each."""
-    n = np.maximum(1, np.ceil(2.0 * W[sets] / step)).astype(int)
-    k = np.repeat(sets, n + 1)
-    i = np.arange(k.size) - np.repeat(np.cumsum(n + 1) - n - 1, n + 1)
-    return W[k] * (2.0 * i / np.repeat(n, n + 1) - 1.0), k
-
-
 def count_roots_right(fdf: Callable, n_sets: int, sigma: float,
                       zeros: np.ndarray, W: np.ndarray, step: float):
     """The number of roots right of the line Re z = ``sigma`` of each
-    function f_k of ``fdf(z, k)``, by the argument principle, and the
-    number of points of the line where f was evaluated.
+    function f_k of ``fdf(z, k)``, by the argument principle; the number
+    of points of the line where f was evaluated; and Newton seeds for the
+    roots near the line: the points of the first pass where |f_k| has a
+    local minimum along it, with their sets.
 
     Let p be the monic polynomial with the roots ``zeros``. Each f_k must
     tend to p right of the line as |z| grows, with |f_k/p - 1| < 1/2 on
@@ -208,11 +201,15 @@ def count_roots_right(fdf: Callable, n_sets: int, sigma: float,
     line over 2 pi. Dividing by p rather than by z^deg p keeps a double
     pole at 0 off the line.
 
-    The line is sampled from -W[k] to W[k] at ``step``. A step is halved
-    while f/p turns by more than pi/4 over it, or while a root of f may lie
-    nearer the line than the step: step * max |f'| > max |f| / 2 at its
-    ends. A step that has to fall below 1e-13 means a root on the line,
-    and raises ArithmeticError."""
+    The first pass samples the line from -W[k] to W[k] at an even step of
+    at most ``step``. A step is halved while f/p turns by more than pi/4
+    over it, or while a root of f may lie nearer the line than the step:
+    step * max |f'| > max |f| / 2 at its ends. A step that has to fall
+    below 1e-13 means a root on the line, and raises ArithmeticError, as
+    does a W that is not finite."""
+    if not np.all(np.isfinite(W)):
+        raise ArithmeticError(
+            f"no finite tail bound on the line Re z = {sigma!r}: W = {W!r}")
     zeros = np.asarray(zeros, dtype=complex)
 
     def sample(y, k):
@@ -220,10 +217,15 @@ def count_roots_right(fdf: Callable, n_sets: int, sigma: float,
         f, df = fdf(z, k)
         return f / np.prod(z[:, None] - zeros, axis=1), np.abs(f), np.abs(df)
 
-    y, k = _line_grid(np.arange(n_sets), W, step)
+    n = np.maximum(1, np.ceil(2.0 * W / step)).astype(int)
+    k = np.repeat(np.arange(n_sets), n + 1)
+    i = np.arange(k.size) - np.repeat(np.cumsum(n + 1) - n - 1, n + 1)
+    y = W[k] * (2.0 * i / np.repeat(n, n + 1) - 1.0)
     g, f, df = sample(y, k)
     last = np.r_[k[1:] != k[:-1], True]
     first = np.r_[True, last[:-1]]
+    mid = np.flatnonzero(~first & ~last)
+    mid = mid[(f[mid] <= f[mid - 1]) & (f[mid] <= f[mid + 1])]
     # the tails: from 0 at -i infinity to Arg g(-W), from Arg g(W) to 0
     turn = np.bincount(k[first], np.angle(g[first]), n_sets) \
         - np.bincount(k[last], np.angle(g[last]), n_sets)
@@ -252,22 +254,7 @@ def count_roots_right(fdf: Callable, n_sets: int, sigma: float,
             (fm, fb), (dfa, dfm), (dfm, dfb)))
     counts = (np.count_nonzero(zeros.real > sigma)
               - np.rint(turn / (2.0 * math.pi)).astype(int))
-    return counts, n_samples
-
-
-def line_minima(fdf: Callable, sets: np.ndarray, sigma: float,
-                W: np.ndarray, step: float):
-    """Newton seeds for the roots near the line Re z = ``sigma`` of the
-    functions ``sets`` of ``fdf(z, k)``: the points sigma + iy on the grid
-    of ``count_roots_right`` (|y| <= W[k], at ``step``) where |f_k| has a
-    local minimum. Returns the points and their sets."""
-    y, k = _line_grid(np.asarray(sets), W, step)
-    z = sigma + 1j * y
-    f = np.abs(fdf(z, k)[0])
-    same = k[1:-1] == k[:-2]
-    same &= k[1:-1] == k[2:]
-    i = np.flatnonzero(same & (f[1:-1] <= f[:-2]) & (f[1:-1] <= f[2:])) + 1
-    return z[i], k[i]
+    return counts, n_samples, sigma + 1j * y[mid], k[mid]
 
 
 def bisect_sign_changes(g: Callable, x: np.ndarray, gx: np.ndarray) -> np.ndarray:

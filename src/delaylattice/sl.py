@@ -23,7 +23,7 @@ from .lambertw import MAX_BRANCH, lambert_w_log
 # find_roots_quasipoly is not called here; perfbench/tracing.py looks it
 # up through this module
 from .roots import (RootSet, count_roots_right, find_roots_quasipoly,
-                    find_roots_seeded, line_minima, residual_scale,
+                    find_roots_seeded, residual_scale,
                     solve_cubic_real, solve_kepler)
 
 TRIVIAL_EXCLUSION_RADIUS = 1e-6
@@ -65,7 +65,9 @@ class StabilityVerdict:
     witness: tuple  # (omega, q_minus, q_plus) of the most unstable perturbation
     # the Newton sweep's work, summed over the perturbation modes it swept
     # (branch seeds and any refinement seeds), and the number of points of
-    # the line Re lambda = max_growth + LINE_GAP its certificate sampled
+    # its certificate's line Re lambda = max_growth + LINE_GAP, or the
+    # window's left edge + LINE_GAP where no root but the trivial one is
+    # kept, that were sampled
     seeds: int = 0
     converged: int = 0
     kept: int = 0
@@ -215,9 +217,11 @@ def _chi_and_deriv(wave: PlaneWave, C: float, tau: float, q_plus, q_minus):
     check_delay(tau)
     q_plus, q_minus = np.atleast_1d(q_plus), np.atleast_1d(q_minus)
     P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C, q_minus)
+    # where both couplings vanish chi is p: e1 = 0 there, so that no
+    # overflow of e1 far left turns 0 * e1 into NaN
+    iqp = np.where((Rp == 0.0) & (Rm == 0.0), -np.inf, 0.0) + 1j * q_plus
     # complex tables: a real one times a complex array is much slower;
     # each product keeps the grouping of the one-mode formula
-    iqp = 1j * q_plus
     S = (Rp * Rm).astype(complex)
     T = (2.0 * tau * Rp * Rm).astype(complex)
 
@@ -257,7 +261,8 @@ def _multipliers(wave: PlaneWave, C: float, lam, q_minus):
     larger modulus comes from this formula, the other from Vieta's
     Y+ Y- = p/S, so it keeps its digits where h +- root cancels. Where a
     coupling vanishes (S = 0) the quadratic is linear, and both are its
-    one root p/(2h). Elementwise over lam and q_minus."""
+    one root p/(2h); where h = 0 too, chi = p has no root in e1, and both
+    are inf (gamma = -inf). Elementwise over lam and q_minus."""
     P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C, q_minus)
     S = Rp * Rm
     h = 0.5 * ((P + lam) * G - Q)
@@ -265,7 +270,10 @@ def _multipliers(wave: PlaneWave, C: float, lam, q_minus):
     root = np.sqrt(h * h - S * p)
     plus = np.abs(h + root) >= np.abs(h - root)
     big = np.where(plus, h + root, h - root)
-    small = p / big
+    # big = 0 only where h = S p = 0: no root if S = 0, else a double 0
+    none = big == 0.0
+    small = np.where(none, np.where(S == 0.0, np.inf, 0.0),
+                     p / np.where(none, 1.0, big))
     far = np.where(S == 0.0, small, big / np.where(S == 0.0, 1.0, S))
     return np.where(plus, far, small), np.where(plus, small, far)
 
@@ -328,13 +336,17 @@ def _tail_bound(wave: PlaneWave, C: float, tau: float, q_minus, sigma: float,
     |Im lambda| >= W. There |e1| = E = e^{-sigma tau},
     |chi - p| <= |S| E^2 + ((|P| + |sigma| + |Im lambda|) |G| + |Q|) E, and
     |p| >= u^2 with u = |Im lambda| - b, b the largest |Im| of p's roots
-    ``strong``; W = b + u at the largest root of u^2/2 = |chi - p|."""
+    ``strong``; W = b + u at the largest root of u^2/2 = |chi - p|. A
+    coefficient that vanishes adds nothing, even where E overflows; where
+    one that does not vanishes meets an overflow, W is inf."""
     P, _, G, Q, Rp, Rm = _chi_coeffs(wave, C, q_minus)
-    E = math.exp(-sigma * tau)
     b = float(np.max(np.abs(strong.imag)))
-    gE = np.abs(G) * E
-    K = np.abs(Rp * Rm) * E * E + (abs(P) + abs(sigma) + b) * gE + np.abs(Q) * E
-    return b + gE + np.sqrt(gE * gE + 2.0 * K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.exp(-sigma * tau)
+        gE, qE, sE = (np.where(c == 0.0, 0.0, c * E) for c in (
+            np.abs(G), np.abs(Q), np.sqrt(np.abs(Rp * Rm))))
+        K = sE * sE + (abs(P) + abs(sigma) + b) * gE + qE
+        return b + gE + np.sqrt(gE * gE + 2.0 * K)
 
 
 def _rightmost(modes: list, sets: list) -> tuple:
@@ -370,11 +382,12 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
     mode.
 
     The certificate counts the roots of each mode right of
-    Re lambda = max_growth + ``LINE_GAP`` (``count_roots_right``): none,
-    but for the trivial root in q = 0 when that line lies left of 0. On
-    any other count one refinement pass adds Newton seeds at the minima
-    of |chi| on the line in the modes that failed, takes the maximum
-    again and counts again; a count still wrong raises ArithmeticError.
+    Re lambda = max(max_growth, Re min of the window) + ``LINE_GAP``
+    (``count_roots_right``): none, but for the trivial root in q = 0 when
+    that line lies left of 0. On any other count one refinement pass adds
+    Newton seeds at the minima of |chi| on the line in the modes that
+    failed, takes the maximum again and counts again; a count still wrong
+    raises ArithmeticError.
     The verdict reports the seeds, converged seeds and kept roots, summed
     over the modes swept, and the points of the line sampled."""
     check_delay(tau)
@@ -397,9 +410,11 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
     for refined in (False, True):
         sets = find_roots_seeded(fdf, seeds, k, len(modes), window, scale)
         max_growth, witness = _rightmost(modes, sets)
-        sigma = max_growth + LINE_GAP
+        # a window with no root but the trivial one has max_growth -inf
+        sigma = max(max_growth, window[0]) + LINE_GAP
         W = _tail_bound(wave, C, tau, q_minus, sigma, strong)
-        counts, n = count_roots_right(fdf, len(modes), sigma, strong, W, step)
+        counts, n, z, kz = count_roots_right(fdf, len(modes), sigma, strong,
+                                             W, step)
         line_samples += n
         expected = (trivial & (sigma < 0.0)).astype(int)
         wrong = np.flatnonzero(counts != expected)
@@ -412,8 +427,9 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
                 f"{modes[i].k2}) has {counts[i]} roots right of Re lambda = "
                 f"{sigma!r}, expected {expected[i]}; counts of all modes "
                 f"{counts.tolist()}")
-        z, kz = line_minima(fdf, wrong, sigma, W, step)
-        seeds, k = np.concatenate([seeds, z]), np.concatenate([k, kz])
+        fail = np.isin(kz, wrong)
+        seeds = np.concatenate([seeds, z[fail]])
+        k = np.concatenate([k, kz[fail]])
 
     if max_growth <= STABILITY_TOL:
         cls = StabilityClass.STABLE

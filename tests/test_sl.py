@@ -361,12 +361,12 @@ def _branch_seeds(wave, spec, modes):
 
 def _line_counts(wave, spec, modes, sigma):
     """The certificate's count of the roots right of Re lambda = sigma in
-    each of the modes, and its number of samples, at C=2, tau=20."""
+    each of the modes, at C=2, tau=20."""
     q_plus, q_minus, strong = _mode_arrays(wave, spec, modes)
     return count_roots_right(
         _chi_and_deriv(wave, 2.0, 20.0, q_plus, q_minus), len(modes), sigma,
         strong, sl._tail_bound(wave, 2.0, 20.0, q_minus, sigma, strong),
-        math.pi / (8.0 * 20.0))
+        math.pi / (8.0 * 20.0))[0]
 
 
 def test_floquet_verdict_reports_its_sweep_counts():
@@ -436,9 +436,17 @@ def test_count_right_of_the_axis_of_wave_395():
     # twice over the modes)
     wave, spec = _torus_wave(5, 395)
     assert _line_counts(wave, spec, enumerate_mode_classes(spec),
-                        1e-7)[0].sum() == 170
+                        1e-7).sum() == 170
     assert _line_counts(wave, spec, enumerate_modes(spec),
-                        1e-7)[0].sum() == 321
+                        1e-7).sum() == 321
+
+
+@pytest.mark.parametrize("wave_index", [100, 395])
+def test_count_right_of_the_maximum_is_zero(wave_index):
+    wave, spec = _torus_wave(5, wave_index)
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert _line_counts(wave, spec, enumerate_mode_classes(spec),
+                        v.max_growth + sl.LINE_GAP).tolist() == [0] * 13
 
 
 def test_count_of_a_stable_wave_holds_the_trivial_root():
@@ -447,8 +455,8 @@ def test_count_of_a_stable_wave_holds_the_trivial_root():
     wave, spec = _torus_wave(5, 194)
     v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
     assert v.cls is sl.StabilityClass.STABLE and v.max_growth < -sl.LINE_GAP
-    counts, _ = _line_counts(wave, spec, enumerate_mode_classes(spec),
-                             v.max_growth + sl.LINE_GAP)
+    counts = _line_counts(wave, spec, enumerate_mode_classes(spec),
+                          v.max_growth + sl.LINE_GAP)
     assert counts.tolist() == [1] + [0] * 12
 
 
@@ -464,7 +472,7 @@ def test_count_left_of_the_maximum_matches_the_located_roots(monkeypatch):
     monkeypatch.setattr(sl, "find_roots_seeded", record)
     v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
     sigma = v.max_growth - 1e-3
-    counts, _ = _line_counts(wave, spec, enumerate_mode_classes(spec), sigma)
+    counts = _line_counts(wave, spec, enumerate_mode_classes(spec), sigma)
     assert len(sweeps) == 1 and counts.sum() == 4
     assert counts.tolist() == [int(np.sum(rs.roots.real > sigma))
                                for rs in sweeps[0]]
@@ -524,8 +532,12 @@ def test_certificate_that_fails_twice_raises(monkeypatch):
     # the same loss, with no refinement seeds: the count stays wrong
     wave, spec = _torus_wave(5, 258)
     _lose_the_top_root(monkeypatch, wave, spec)
-    monkeypatch.setattr(sl, "line_minima", lambda fdf, sets, sigma, W, step:
-                        (np.zeros(0, complex), np.zeros(0, int)))
+
+    def no_minima(*args):
+        counts, samples, _, _ = count_roots_right(*args)
+        return counts, samples, np.zeros(0, complex), np.zeros(0, int)
+
+    monkeypatch.setattr(sl, "count_roots_right", no_minima)
     with pytest.raises(ArithmeticError, match="Floquet certificate"):
         sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
 
@@ -546,6 +558,46 @@ def test_floquet_verdict_where_couplings_vanish_stays_silent(
     assert v.cls.value == cls and abs(v.max_growth - grid_growth) <= 1e-13
     assert v.seeds == _branch_seeds(wave, spec,
                                     enumerate_mode_classes(spec))[0].size
+
+
+def test_multipliers_where_couplings_vanish_stay_silent():
+    # 4x4 torus. Wave 128 at q_minus = 0: both couplings vanish, chi = p
+    # has no root in e1, so both multipliers are inf and both growth rates
+    # -inf. Wave 70 at q_minus = pi/4: one coupling vanishes (S = 0), and
+    # both multipliers are the root p/(2h) of the linear equation
+    omega = np.array([0.0, 0.5, -1.0])
+    lam = 1j * omega
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        wave, _ = _torus_wave(4, 128)
+        Yp, Ym = sl_floquet_pcs_Y(wave, 2.0, omega, 0.0)
+        gp, gm = sl_floquet_pcs(wave, 2.0, omega, 0.0)
+        assert np.all(np.isinf(Yp)) and np.all(np.isinf(Ym))
+        assert np.all(gp == -np.inf) and np.all(gm == -np.inf)
+        assert sl_floquet_pcs(wave, 2.0, 0.3, 0.0) == (-np.inf, -np.inf)
+        wave, _ = _torus_wave(4, 70)
+        Yp, Ym = sl_floquet_pcs_Y(wave, 2.0, omega, math.pi / 4)
+    P, const, G, Q, Rp, Rm = sl._chi_coeffs(wave, 2.0, math.pi / 4)
+    assert Rp * Rm == 0.0 and G != 0.0
+    want = (lam * lam + 2.0 * P * lam + const) / ((P + lam) * G - Q)
+    assert np.array_equal(Yp, Ym)
+    assert np.allclose(Yp, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("C, tau", [
+    (2.0, 0.05),    # the roots but the trivial one lie far left of -2
+    (0.0, 400.0)])  # e^{-lambda tau} overflows on the line Re lambda = -2
+def test_floquet_verdict_with_only_the_trivial_root_is_stable(C, tau):
+    # 1x1 torus: the window keeps the trivial root alone, so max_growth is
+    # -inf, and the count at the window's left edge finds that root only
+    spec = make_spec(1, 1, 3.0, 0.5, C)
+    wave = sl_enumerate_plane_waves(spec.params, C, tau, spec)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = sl_floquet_exact(wave, spec.params, C, tau, spec)
+    assert (v.cls, v.max_growth, v.kept) == (
+        sl.StabilityClass.STABLE, -np.inf, 1)
+    assert v.line_samples > 0
 
 
 # ---------------------------------------------------------------------------
