@@ -24,6 +24,12 @@ def check_delay(tau: float) -> None:
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
 
 
+def check_coupling(C: float) -> None:
+    """The one rule for a coupling argument: finite and >= 0."""
+    if not (math.isfinite(C) and C >= 0):
+        raise ValueError(f"coupling C must be finite and >= 0, got {C}")
+
+
 class Model(Enum):
     STUART_LANDAU = "sl"
     FITZHUGH_NAGUMO = "fhn"
@@ -66,9 +72,7 @@ class LatticeSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("lattice dimensions must be >= 1")
-        if not (math.isfinite(self.coupling) and self.coupling >= 0):
-            raise ValueError(f"coupling C must be finite and >= 0, "
-                             f"got {self.coupling}")
+        check_coupling(self.coupling)
 
     @property
     def state_dim(self) -> int:

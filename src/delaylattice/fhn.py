@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FHNParams, WaveVector, check_delay
+from .core import FHNParams, WaveVector, check_coupling, check_delay
 from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
                     find_roots_quasipoly)
 
 
 CHAR_ROOT_WINDOW = (-2.0, 1.0, -4.0, 4.0)  # Re min, Re max, Im min, Im max
+CHAR_ROOT_GRID = (40, 40)                  # Newton seeds along Re and Im
 # 0-d arrays are cheaper ufunc operands than Python floats
 _MINUS_FIVE, _ONE, _HALF = np.array(-5.0), np.array(1.0), np.array(0.5)
 
@@ -67,6 +68,7 @@ def fhn_steady_states(params: FHNParams, C: float) -> list[FhnSteadyState]:
     """All homogeneous steady states with v in [-5, 5]: real roots of the
     scalar rest-state equation, bracketed on a grid of step 1e-3 and
     bisected."""
+    check_coupling(C)
     v = np.linspace(-5.0, 5.0, 10001)
     roots = bisect_sign_changes(lambda x: _stst_residual(x, params, C), v,
                                 _stst_residual(v, params, C))
@@ -78,6 +80,7 @@ def fhn_steady_states(params: FHNParams, C: float) -> list[FhnSteadyState]:
 def stst_current(v, params: FHNParams, C: float):
     """The injected current I that makes v, a number or an array, a rest
     potential."""
+    check_coupling(C)
     return params.I - _stst_residual(v, params, C)
 
 
@@ -121,6 +124,7 @@ def fhn_linearization(stst: FhnSteadyState, params: FHNParams,
                       C: float) -> LinearizationPair:
     """A and b13 at a rest state whose v and s are numbers, or arrays of
     one shape that give A of shape (..., 3, 3) and b13 of that shape."""
+    check_coupling(C)
     v = np.asarray(stst.v, dtype=float)
     s = np.asarray(stst.s, dtype=float)
     A = np.zeros(v.shape + (3, 3))
@@ -151,9 +155,11 @@ def _char_coeffs(A, coup, lam):
 def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
     """The scalar characteristic function det(-lambda*Id + A + 2B cos(k_minus)
     e^{i k_plus} e^{-lambda tau}) expanded using the rank-1 structure of B.
-    Returns one callable lambda -> (f(lambda), f'(lambda)) that accepts
-    complex arrays; for a stacked linearization they broadcast against its
-    leading shape."""
+    Returns two callables that accept complex arrays: lambda ->
+    (f(lambda), f'(lambda)), and lambda -> |d1 d2 d3| + |a12 a21||d3| +
+    |a31 d2 coup||e^{-lambda tau}|, the sum of the moduli of f's terms
+    (``_char_coeffs``); for a stacked linearization they broadcast against
+    its leading shape."""
     check_delay(tau)
     A = lin.A
     a12a21, a31 = A[..., 0, 1] * A[..., 1, 0], A[..., 2, 0]
@@ -168,7 +174,12 @@ def fhn_char_function(lin: LinearizationPair, tau: float, wv: WaveVector):
               + a31 * coup * e * (1.0 + tau * d2))
         return f, df
 
-    return fdf
+    def terms(lam):
+        d1, d2, d3, _, Q = _char_coeffs(A, coup, lam)
+        return (np.abs(d1 * d2 * d3) + np.abs(a12a21 * d3)
+                + np.abs(Q) * np.exp(-lam.real * tau))
+
+    return fdf, terms
 
 
 def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
@@ -181,7 +192,9 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
         # decoupled: A stays real, eigvals of its complex cast can differ
         coup = 0.0
     elif tau > 0.0:
-        return find_roots_quasipoly(fhn_char_function(lin, tau, wv), CHAR_ROOT_WINDOW)
+        fdf, terms = fhn_char_function(lin, tau, wv)
+        return find_roots_quasipoly(fdf, CHAR_ROOT_WINDOW, size=CHAR_ROOT_GRID,
+                                    terms=terms)
     # no delayed term: the roots are the eigenvalues of A plus the coupling
     Mat = lin.A.astype(np.result_type(lin.A, coup))
     Mat[0, 2] += coup
@@ -189,7 +202,7 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
     re_min, re_max, im_min, im_max = CHAR_ROOT_WINDOW
     keep = ((lam.real >= re_min) & (lam.real <= re_max)
             & (lam.imag >= im_min) & (lam.imag <= im_max))
-    return RootSet(roots=lam[keep], tolerance=1e-10)
+    return RootSet(roots=lam[keep])
 
 
 def fhn_strong_spectrum(stst: FhnSteadyState, params: FHNParams, C: float):
@@ -247,7 +260,7 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
         stst = FhnSteadyState(v=v, w=(v + params.a) / params.b,
                               s=synaptic_gate(v))
         val, dval = fhn_char_function(fhn_linearization(stst, params, C),
-                                      tau, wv)(1j * om)
+                                      tau, wv)[0](1j * om)
         return val, 1j * dval
 
     v, om = (g.ravel() for g in np.meshgrid(

@@ -80,7 +80,7 @@ def _log_form(j: np.ndarray, log_z: complex) -> np.ndarray:
             return np.log(-w)
     else:
         log = np.log
-    w, stopped, _ = newton(
+    w, stopped = newton(
         lambda w, i: (w + log(w) - L.flat[i], 1.0 + 1.0 / w), L - log(L))
     if not stopped.all():
         raise LambertWError(

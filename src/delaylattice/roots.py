@@ -1,8 +1,10 @@
-"""Root-finding utilities: one Newton iteration, which runs the sweeps
-for quasi-polynomials, polishes real roots and solves the log form of
-Lambert W; a root count right of a vertical line by the argument
-principle; one bracket refiner for real roots; the Kepler equation for
-plane-wave frequencies; and real cubics via the companion matrix."""
+"""Root-finding utilities: one Newton iteration, which runs the seeded
+sweeps for quasi-polynomials, polishes real roots and solves the log form
+of Lambert W; one residual test for a swept root, the backward error of f
+against the sum of the moduli of its terms; a root count right of a
+vertical line by the argument principle; one bracket refiner for real
+roots; the Kepler equation for plane-wave frequencies; and real cubics via
+the companion matrix."""
 
 from __future__ import annotations
 
@@ -15,10 +17,9 @@ import numpy as np
 from .core import check_delay
 
 DEDUP_RADIUS = 1e-8
-RESIDUAL_TOL = 1e-10
+RESIDUAL_TOL = 1e-12         # a swept root's |f| over the sum of |f's terms|
+CUBIC_RESIDUAL_TOL = 1e-10
 KEPLER_RESIDUAL_TOL = 1e-12
-SWEEP_BLOCK = 2 ** 13        # seeds per block of a stacked Newton sweep, at most
-SEED_GRID = (40, 40)         # Newton seeds along Re and Im of a sweep's window
 
 
 @dataclass
@@ -27,7 +28,6 @@ class RootSet:
     number of seeds and how many of them converged; both are 0 where no
     sweep ran."""
     roots: np.ndarray
-    tolerance: float
     seeds: int = 0
     converged: int = 0
 
@@ -66,20 +66,17 @@ def newton(fdf: Callable, z: np.ndarray, cap: float = np.inf):
     step of non-finite f/f' counts as 0, and one longer than ``cap`` is cut
     to that length. An entry stops once its step is at most 1e-14 (1 + |z|),
     z after the step; none takes more than 80 steps. Returns the values (an
-    entry that never stops keeps its start), whether each entry stopped,
-    and |f| at the starts, flat (None for an empty ``z``)."""
+    entry that never stops keeps its start) and whether each entry stopped,
+    which a step of 0/0 or f/0 does too: a stop is not yet a root."""
     z = np.array(z, order="C")
     flat = z.reshape(-1)     # a view of z
     # the entries still iterating: their flat indices into z and values
     idx, za = np.arange(z.size), flat
-    f_start = None
     with np.errstate(all="ignore"):
         for _ in range(80):
             if not idx.size:
                 break
             fz, dfz = fdf(za, idx)
-            if f_start is None:
-                f_start = np.abs(fz)
             step = fz / dfz
             step = np.where(np.isfinite(step), step, 0.0)
             mag = np.abs(step)
@@ -93,96 +90,56 @@ def newton(fdf: Callable, z: np.ndarray, cap: float = np.inf):
             idx, za = idx[going], za[going]
     stopped = np.ones(z.shape, dtype=bool)
     stopped.flat[idx] = False
-    return z, stopped, f_start
+    return z, stopped
 
 
-def find_roots_quasipoly(fdf: Callable, window: tuple) -> RootSet:
-    """Newton iteration from the ``SEED_GRID`` of seeds over the window.
-
-    ``fdf(z)`` returns the pair ``(f(z), f'(z))`` for a complex numpy array
-    ``z``, elementwise. Converged roots are kept if they lie inside the
-    window and pass the residual test on f. Duplicates are merged in
-    (Re, Im) order: a root is dropped when it lies within 1e-8 of a root
-    kept before it, so a chain of roots 0.9e-8 apart keeps every other one.
-    An empty result is not an error.
-    """
-    return find_roots_stacked(lambda z, k: fdf(z), 1, window)[0]
-
-
-def find_roots_stacked(fdf: Callable, n_sets: int, window: tuple) -> list[RootSet]:
-    """``find_roots_quasipoly`` for ``n_sets`` functions at once, all on
-    one window and one seed grid: ``fdf(z, k)`` returns ``(f_k(z),
-    f_k'(z))`` elementwise, where the integer array ``k`` gives the set of
-    each point of ``z``. Each set gets the root set that a sweep of its
-    function alone gives, bit for bit.
-
-    The sets run in blocks of whole sets of at most ``SWEEP_BLOCK`` seeds
-    (at least one set), which bounds the work arrays."""
+def find_roots_quasipoly(fdf: Callable, window: tuple, *, size: tuple,
+                         terms: Callable) -> RootSet:
+    """``find_roots_seeded`` for one function from a grid of ``size`` =
+    (n_re, n_im) seeds over the window, Re-major: ``fdf(z)`` returns
+    ``(f(z), f'(z))`` and ``terms(z)`` the sum of the moduli of f's terms,
+    elementwise. Duplicates are merged in (Re, Im) order: a root is dropped
+    when it lies within 1e-8 of a root kept before it, so a chain of roots
+    0.9e-8 apart keeps every other one. An empty result is not an error."""
     re_min, re_max, im_min, im_max = window
     if not (re_max > re_min and im_max > im_min):
         raise ValueError(f"degenerate window {window}")
-
-    seeds = _window_grid(window)
-    per_block = max(1, SWEEP_BLOCK // seeds.size)
-    out = []
-    for first in range(0, n_sets, per_block):
-        n = min(per_block, n_sets - first)
-
-        def block_fdf(z, k, first=first):
-            return fdf(z, k + first)
-
-        out += find_roots_seeded(block_fdf, np.tile(seeds, n),
-                                 np.repeat(np.arange(n), seeds.size), n,
-                                 window, residual_scale(block_fdf, n, window))
-    return out
-
-
-def _window_grid(window: tuple) -> np.ndarray:
-    """The ``SEED_GRID`` points over the window, Re-major."""
-    re_min, re_max, im_min, im_max = window
-    re = np.linspace(re_min, re_max, SEED_GRID[0])
-    im = np.linspace(im_min, im_max, SEED_GRID[1])
-    return (re[:, None] + 1j * im[None, :]).ravel()
-
-
-def residual_scale(fdf: Callable, n_sets: int, window: tuple) -> np.ndarray:
-    """max(1, median |f_k|) over the ``_window_grid``, for each set k of
-    ``fdf(z, k)``: the scale of a sweep's residual test on that window.
-    It depends on the window only, not on where a sweep seeds."""
-    grid = _window_grid(window)
-    # one set at a time bounds the work arrays
-    with np.errstate(all="ignore"):
-        f = [np.abs(fdf(grid, np.full(grid.size, j))[0])
-             for j in range(n_sets)]
-    return np.fmax(1.0, np.nanmedian(f, axis=1))
+    re = np.linspace(re_min, re_max, size[0])
+    im = np.linspace(im_min, im_max, size[1])
+    seeds = (re[:, None] + 1j * im[None, :]).ravel()
+    return find_roots_seeded(lambda z, k: fdf(z), seeds,
+                             np.zeros(seeds.size, dtype=int), 1, window,
+                             lambda z, k: terms(z))[0]
 
 
 def find_roots_seeded(fdf: Callable, seeds: np.ndarray, k: np.ndarray,
                       n_sets: int, window: tuple,
-                      scale: np.ndarray) -> list[RootSet]:
-    """Newton from each seed ``seeds[i]`` on the function ``k[i]`` of
-    ``fdf(z, k)`` (as in ``find_roots_stacked``), each step capped at half
-    the window's longer side. A converged root is kept if it lies in the
-    window and |f_k| <= ``RESIDUAL_TOL`` * ``scale[k]`` there; the roots
-    kept for each set go through ``_dedup_sorted``. Set j reports its
-    seeds and converged seeds."""
+                      terms: Callable) -> list[RootSet]:
+    """Newton from each seed ``seeds[i]`` on the function f_k, k = ``k[i]``,
+    of ``fdf(z, k)``, which returns ``(f_k(z), f_k'(z))`` elementwise, each
+    step capped at half the window's longer side. A converged root is kept
+    if it lies in the window and passes the backward-error test
+    |f_k| <= ``RESIDUAL_TOL`` * ``terms(z, k)``, the sum of the moduli of
+    f_k's terms (|z|^2 + 1 for z^2 + 1; 0 <= 0 keeps a root where all
+    vanish, and an infinite |f_k| fails). The roots kept for each set go
+    through ``_dedup_sorted``; set j reports its seeds and converged ones."""
     re_min, re_max, im_min, im_max = window
     cap = 0.5 * max(re_max - re_min, im_max - im_min)
-    z, converged, _ = newton(lambda z, i: fdf(z, k[i]), seeds, cap)
-    tol = RESIDUAL_TOL * scale
+    z, converged = newton(lambda z, i: fdf(z, k[i]), seeds, cap)
     zc, kc = z[converged], k[converged]
     # residual alone is not enough: quasi-polynomials are exponentially
     # flat along dense spectrum curves, so demand Newton convergence too;
     # the window test also drops any root with a NaN or infinite part
     with np.errstate(all="ignore"):
-        ok = np.abs(fdf(zc, kc)[0]) <= tol[kc]
+        res = np.abs(fdf(zc, kc)[0])
+        ok = (res <= RESIDUAL_TOL * terms(zc, kc)) & (res < np.inf)
     ok &= (zc.real >= re_min - 1e-9) & (zc.real <= re_max + 1e-9)
     ok &= (zc.imag >= im_min - 1e-9) & (zc.imag <= im_max + 1e-9)
     n_seeds = np.bincount(k, minlength=n_sets)
     n_conv = np.bincount(kc, minlength=n_sets)
     return [RootSet(roots=_dedup_sorted(zc[ok & (kc == j)]),
-                    tolerance=float(tol[j]), seeds=int(n_seeds[j]),
-                    converged=int(n_conv[j])) for j in range(n_sets)]
+                    seeds=int(n_seeds[j]), converged=int(n_conv[j]))
+            for j in range(n_sets)]
 
 
 def count_roots_right(fdf: Callable, n_sets: int, sigma: float,
@@ -336,5 +293,5 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
         return ((c3 * x + c2) * x + c1) * x + c0
 
     x = newton(lambda x, i: (p(x), (3 * c3 * x + 2 * c2) * x + c1), x)[0]
-    return _dedup_sorted(x[np.abs(p(x)) <= RESIDUAL_TOL * scale
+    return _dedup_sorted(x[np.abs(p(x)) <= CUBIC_RESIDUAL_TOL * scale
                            * np.maximum(1.0, np.abs(x)) ** 3], 1e-8)

@@ -17,14 +17,13 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (TWO_PI, LatticeSpec, SLParams, WaveVector, check_delay,
-                   enumerate_mode_classes, enumerate_modes)
+from .core import (TWO_PI, LatticeSpec, SLParams, WaveVector, check_coupling,
+                   check_delay, enumerate_mode_classes, enumerate_modes)
 from .lambertw import MAX_BRANCH, lambert_w_log
 # find_roots_quasipoly is not called here; perfbench/tracing.py looks it
 # up through this module
 from .roots import (RootSet, count_roots_right, find_roots_quasipoly,
-                    find_roots_seeded, residual_scale,
-                    solve_cubic_real, solve_kepler)
+                    find_roots_seeded, solve_cubic_real, solve_kepler)
 
 TRIVIAL_EXCLUSION_RADIUS = 1e-6
 STABILITY_TOL = 1e-6
@@ -91,13 +90,14 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     single instantaneous eigenvalue alpha + i*beta is returned.
     """
     check_delay(tau)
+    check_coupling(C)
     if tau == 0:
         raise ValueError("tau must be > 0")
     alpha, beta = params.alpha, params.beta
     mu = complex(alpha, beta)
     R = C * math.cos(wv.k_minus)
     if R == 0.0:
-        return RootSet(roots=np.array([mu]), tolerance=1e-10)
+        return RootSet(roots=np.array([mu]))
     # work with log z: for strongly stable alpha the argument of W exceeds
     # the double-precision exponent range
     log_z = (math.log(tau * abs(R)) - alpha * tau
@@ -107,7 +107,7 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     # factor of the characteristic product for this mode
     resid = np.abs(-lam + mu + np.exp(log_z - w) / tau)
     roots = lam[resid <= 1e-10 * np.maximum(1.0, np.abs(lam))]
-    return RootSet(roots=roots, tolerance=1e-10)
+    return RootSet(roots=roots)
 
 
 def sl_stst_pcs(params: SLParams, C: float, k_minus: float,
@@ -115,6 +115,7 @@ def sl_stst_pcs(params: SLParams, C: float, k_minus: float,
     """Asymptotic growth curve of the steady state:
     gamma = -1/2 * log[(alpha^2 + (beta-Omega)^2) / (C^2 cos^2 k_minus)].
     """
+    check_coupling(C)
     R2 = (C * math.cos(k_minus)) ** 2
     # cos(pi/2) rounds to ~6e-17, so compare with a tolerance
     if R2 < 1e-24:
@@ -132,6 +133,7 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
     bracket width of 1e-6. Each alpha, the two ends too, asks whether
     some mode is unstable."""
     check_delay(tau)
+    check_coupling(C)
     if tau == 0.0:
         # instantaneous eigenvalue alpha + C cos(k_minus) e^{i k_plus};
         # most unstable mode is k_plus = k_minus = 0
@@ -168,6 +170,7 @@ def sl_enumerate_plane_waves(params: SLParams, C: float, tau: float,
     squared amplitude. Zero-amplitude solutions (the Hopf points) are
     dropped. Output is sorted by mode index, then frequency."""
     check_delay(tau)
+    check_coupling(C)
     alpha, beta = params.alpha, params.beta
     waves = []
     for wv in enumerate_modes(spec):
@@ -185,7 +188,8 @@ def sl_floquet_chi(wave: PlaneWave, lam, q_plus: float, q_minus: float,
                    C: float, tau: float):
     """Exact Floquet characteristic function chi(lambda; q_minus, q_plus)
     of a plane wave. Accepts scalar or array lambda."""
-    val, _ = _chi_and_deriv(wave, C, tau, q_plus, q_minus)(
+    check_coupling(C)
+    val, _ = _chi_and_deriv(wave, C, tau, q_plus, q_minus)[0](
         np.asarray(lam, dtype=complex), 0)
     return val if val.ndim else complex(val)
 
@@ -211,9 +215,11 @@ def _chi_coeffs(wave: PlaneWave, C: float, q_minus):
 
 
 def _chi_and_deriv(wave: PlaneWave, C: float, tau: float, q_plus, q_minus):
-    """(lambda, k) -> (chi, d chi / d lambda) of the perturbation modes
-    (q_plus[k], q_minus[k]), elementwise; q_plus and q_minus are numbers
-    or arrays of one length."""
+    """Two callables of the perturbation modes (q_plus[k], q_minus[k]),
+    elementwise: (lambda, k) -> (chi, d chi / d lambda), and (lambda, k) ->
+    |lambda|^2 + 2|P||lambda| + |c| + |S||e1|^2 + (|P| + |lambda|)|G||e1|
+    + |Q||e1|, the sum of the moduli of chi's terms (``_chi_coeffs``).
+    q_plus and q_minus are numbers or arrays of one length."""
     check_delay(tau)
     q_plus, q_minus = np.atleast_1d(q_plus), np.atleast_1d(q_minus)
     P, const, G, Q, Rp, Rm = _chi_coeffs(wave, C, q_minus)
@@ -234,12 +240,19 @@ def _chi_and_deriv(wave: PlaneWave, C: float, tau: float, q_plus, q_minus):
                 - G_k * e1 + tau * lin * e1)
         return chi, dchi
 
-    return fdf
+    def terms(lam, k):
+        e = np.exp(-lam.real * tau + iqp[k].real)     # |e1|
+        m = np.abs(lam)
+        return (m * m + 2.0 * abs(P) * m + abs(const) + (
+            np.abs(S[k]) * e + (abs(P) + m) * np.abs(G[k]) + np.abs(Q[k])) * e)
+
+    return fdf, terms
 
 
 def sl_strong_spectrum(wave: PlaneWave, params: SLParams, C: float):
     """Delay-free strong spectrum of a plane wave and the amplitude
     threshold a_S below which at least one strong eigenvalue is unstable."""
+    check_coupling(C)
     # the roots of chi's delay-free part lambda^2 + 2 P lambda + c
     P, const = _chi_coeffs(wave, C, 0.0)[:2]
     root = cmath.sqrt(P * P - const)
@@ -282,6 +295,7 @@ def sl_floquet_pcs_Y(wave: PlaneWave, C: float, omega, q_minus):
     """The two multiplier branches Y+-(omega, q_minus) of the asymptotic
     Floquet spectrum: the roots of chi(i omega) in e1 (``_multipliers``
     at lambda = i omega)."""
+    check_coupling(C)
     if C == 0.0:
         raise ValueError("C = 0: every mode is decoupled, gamma = -inf")
     return _multipliers(wave, C, 1j * np.asarray(omega, dtype=float),
@@ -391,6 +405,7 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
     The verdict reports the seeds, converged seeds and kept roots, summed
     over the modes swept, and the points of the line sampled."""
     check_delay(tau)
+    check_coupling(C)
     if tau == 0.0:
         raise ValueError("tau must be > 0: the Floquet branches need a delay")
     alpha, beta = params.alpha, params.beta
@@ -399,16 +414,15 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
     modes = enumerate_mode_classes(spec)
     q_plus = np.array([q.k_plus for q in modes])
     q_minus = np.array([q.k_minus for q in modes])
-    fdf = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
+    fdf, terms = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
     lam_p, lam_m, a_s = sl_strong_spectrum(wave, params, C)
     strong = np.array([lam_p, lam_m])
     trivial = np.array([(q.k1, q.k2) == (0, 0) for q in modes])
     seeds, k = _branch_seeds(wave, C, tau, q_plus, q_minus, window, strong)
-    scale = residual_scale(fdf, len(modes), window)
     step = math.pi / (8.0 * tau)
     line_samples = 0
     for refined in (False, True):
-        sets = find_roots_seeded(fdf, seeds, k, len(modes), window, scale)
+        sets = find_roots_seeded(fdf, seeds, k, len(modes), window, terms)
         max_growth, witness = _rightmost(modes, sets)
         # a window with no root but the trivial one has max_growth -inf
         sigma = max(max_growth, window[0]) + LINE_GAP
@@ -449,6 +463,7 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
 def sl_neutral_amplitude(alpha: float, C: float, k_minus: float) -> np.ndarray:
     """Real roots a^2 of the neutral-stability cubic for waves with spatial
     mode k_minus. The largest root is the sideband (Eckhaus-type) threshold."""
+    check_coupling(C)
     R = C * math.cos(k_minus)
     s2 = math.sin(k_minus) ** 2
     c2 = -2.5 * alpha
@@ -459,6 +474,7 @@ def sl_neutral_amplitude(alpha: float, C: float, k_minus: float) -> np.ndarray:
 
 def sl_alpha0(k_minus: float, k_tau: float, C: float) -> float:
     """Minimal alpha at which a wave with given (k_minus, k_tau) stabilizes."""
+    check_coupling(C)
     R = C * math.cos(k_minus)
     denom = math.cos(k_minus) ** 2 - math.sin(k_tau) ** 2
     if denom == 0.0:

@@ -211,6 +211,39 @@ def test_char_roots_and_hopf_points_reject_bad_delay(tau):
         fhn_hopf_points(params, 3.0, tau, HOMOG, n_seeds=(4, 4))
 
 
+def _fhn_coupling_calls(C):
+    """Each public function of fhn.py that takes a coupling C, called with
+    C at I=0, tau=50; the rest state is the one at C=3."""
+    params = FHNParams(I=0.0)
+    st = fhn_steady_states(params, 3.0)[0]
+    return {
+        "steady_states": lambda: fhn_steady_states(params, C),
+        "current": lambda: stst_current(0.5, params, C),
+        "linearization": lambda: fhn_linearization(st, params, C),
+        "char_roots": lambda: fhn_char_roots(st, params, C, 50.0, HOMOG),
+        "strong": lambda: fhn_strong_spectrum(st, params, C),
+        "strong_present": lambda: fhn_strong_spectrum_present(st, params, C),
+        "hybrid": lambda: fhn_hybrid_dispersion(st, params, C, 0.5, 0.0),
+        "hopf": lambda: fhn_hopf_points(params, C, 50.0, HOMOG,
+                                        n_seeds=(4, 4)),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_fhn_coupling_calls(0.0)))
+def test_fhn_entry_points_reject_bad_coupling(call):
+    # fhn_steady_states(FHNParams(), nan) returned [] without a word
+    for C in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError,
+                           match="coupling C must be finite and >= 0"):
+            _fhn_coupling_calls(C)[call]()
+    if call == "hybrid":
+        # at C = 0 the delayed coupling vanishes, where it raises on purpose
+        with pytest.raises(ValueError, match="decoupled"):
+            _fhn_coupling_calls(0.0)[call]()
+    else:
+        _fhn_coupling_calls(0.0)[call]()
+
+
 def test_strong_spectrum_formulas():
     params = FHNParams(I=0.0)
     st = fhn_steady_states(params, 3.0)[0]
@@ -259,7 +292,7 @@ def test_char_function_derivative_matches_central_difference():
         for st in fhn_steady_states(params, C):
             lin = fhn_linearization(st, params, C)
             wv = WaveVector(*rng.uniform(0, 2 * math.pi, 2))
-            fdf = fhn_char_function(lin, tau, wv)
+            fdf = fhn_char_function(lin, tau, wv)[0]
             lam = rng.uniform(-1, 0.5, 6) + 1j * rng.uniform(-4, 4, 6)
             _, df = fdf(lam)
             central = (fdf(lam + h)[0] - fdf(lam - h)[0]) / (2 * h)
@@ -331,8 +364,9 @@ def test_exact_roots_approach_hybrid_curve():
     lin = fhn_linearization(st, params, 3.0)
     dists = []
     for tau in (50.0, 200.0):
-        rs = find_roots_quasipoly(fhn_char_function(lin, tau, HOMOG),
-                                  (-0.4, 0.05, 0.05, 2.0))
+        fdf, terms = fhn_char_function(lin, tau, HOMOG)
+        rs = find_roots_quasipoly(fdf, (-0.4, 0.05, 0.05, 2.0), size=(40, 40),
+                                  terms=terms)
         roots = rs.roots
         assert len(roots) > 3
         g = fhn_hybrid_dispersion(st, params, 3.0, roots.imag, 0.0)

@@ -11,14 +11,23 @@ from scipy.special import lambertw
 from delaylattice import core, fhn, sl
 from delaylattice.core import (FHNParams, LatticeSpec, Model, SLParams,
                                WaveVector)
-from delaylattice.roots import (DEDUP_RADIUS, SWEEP_BLOCK, _dedup_sorted,
+from delaylattice.roots import (DEDUP_RADIUS, _dedup_sorted,
                                 bisect_sign_changes, count_roots_right,
-                                find_roots_quasipoly, find_roots_stacked,
+                                find_roots_quasipoly, find_roots_seeded,
                                 newton, solve_cubic_real, solve_kepler)
 
 
+def _square_plus_one(z):
+    return z * z + 1.0, 2.0 * z
+
+
+def _square_plus_one_terms(z):
+    return np.abs(z) ** 2 + 1.0
+
+
 def test_quadratic_roots():
-    rs = find_roots_quasipoly(lambda z: (z * z + 1.0, 2.0 * z), (-2, 2, -2, 2))
+    rs = find_roots_quasipoly(_square_plus_one, (-2, 2, -2, 2), size=(40, 40),
+                              terms=_square_plus_one_terms)
     assert len(rs) == 2
     assert np.allclose(sorted(rs.roots, key=lambda r: r.imag), [-1j, 1j],
                        atol=1e-10)
@@ -26,27 +35,63 @@ def test_quadratic_roots():
 
 def test_linear_root():
     rs = find_roots_quasipoly(lambda z: (-z + (-2.5 + 0.5j), -np.ones_like(z)),
-                              (-4, 1, -2, 2))
+                              (-4, 1, -2, 2), size=(40, 40),
+                              terms=lambda z: np.abs(z) + abs(-2.5 + 0.5j))
     assert len(rs) == 1
     assert abs(rs.roots[0] - (-2.5 + 0.5j)) < 1e-12
 
 
 def test_empty_result_is_not_error():
     rs = find_roots_quasipoly(lambda z: (np.exp(z) + 10.0, np.exp(z)),
-                              (-1, 1, -1, 1))
+                              (-1, 1, -1, 1), size=(40, 40),
+                              terms=lambda z: np.abs(np.exp(z)) + 10.0)
     assert len(rs) == 0
     assert rs.max_real() == -np.inf
 
 
 def test_degenerate_window_rejected():
     with pytest.raises(ValueError):
-        find_roots_quasipoly(lambda z: (z, np.ones_like(z)), (1, 1, -1, 1))
+        find_roots_quasipoly(lambda z: (z, np.ones_like(z)), (1, 1, -1, 1),
+                             size=(40, 40), terms=np.abs)
 
 
 def test_sweep_reports_seeds_and_converged():
-    rs = find_roots_quasipoly(lambda z: (z * z + 1.0, 2.0 * z), (-2, 2, -2, 2))
-    assert rs.seeds == 40 * 40
+    rs = find_roots_quasipoly(_square_plus_one, (-2, 2, -2, 2), size=(40, 30),
+                              terms=_square_plus_one_terms)
+    assert rs.seeds == 40 * 30
     assert len(rs) <= rs.converged <= rs.seeds
+
+
+# the residual test: |f| <= 1e-12 * the sum of the moduli of f's terms
+
+def _sweep_from(seed, fdf, terms):
+    """The root set of one seed on one function, in the window
+    [-2, 2] x [-2, 2]."""
+    return find_roots_seeded(lambda z, k: fdf(z), np.array([seed]),
+                             np.array([0]), 1, (-2, 2, -2, 2),
+                             lambda z, k: terms(z))[0]
+
+
+def test_seed_that_stops_on_a_zero_slope_is_rejected():
+    # at z = 0, z^2 + 1 has f' = 0 and f = 1: the step 1/0 counts as 0, so
+    # Newton stops there, and only the residual 1 > 1e-12 * 1 rejects it
+    rs = _sweep_from(0j, _square_plus_one, _square_plus_one_terms)
+    assert rs.converged == 1 and len(rs) == 0
+
+
+def test_root_where_every_term_vanishes_is_kept():
+    # at z = 0, z^2 and all its terms vanish: 0 <= 1e-12 * 0
+    rs = _sweep_from(0j, lambda z: (z * z, 2.0 * z), lambda z: np.abs(z) ** 2)
+    assert rs.converged == 1 and rs.roots.tolist() == [0j]
+
+
+def test_seed_where_f_overflows_is_rejected():
+    # e^{-800 z} has no root; at z = -1.5 f and f' overflow, the step
+    # inf/inf counts as 0, and |f| = inf is not below inf * 1e-12
+    rs = _sweep_from(-1.5 + 0j, lambda z: (np.exp(-800.0 * z),
+                                           -800.0 * np.exp(-800.0 * z)),
+                     lambda z: np.abs(np.exp(-800.0 * z)))
+    assert rs.converged == 1 and len(rs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +153,6 @@ def _root_digest(root_sets) -> str:
         roots = np.ascontiguousarray(rs.roots, dtype="<c16")
         h.update(np.array([len(roots)], dtype="<i8").tobytes())
         h.update(roots.tobytes())
-        h.update(np.array([rs.tolerance], dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -116,19 +160,21 @@ def _root_digest(root_sets) -> str:
 FLOQUET_WINDOW = (-2.0, 6.0, -4.5, 4.5)
 
 
-def _floquet_root_sets(wave_index, rows=5, cols=5):
-    """A plane wave of the rows x cols torus at alpha=3, beta=0.5, C=2,
-    tau=20, the torus' perturbation modes, and the root sets of one stacked
-    sweep over all of them in the Floquet verdict's window."""
-    spec = LatticeSpec(rows, cols, Model.STUART_LANDAU, SLParams(3.0, 0.5),
-                       2.0)
+def _floquet_root_sets(wave_index):
+    """A plane wave of the 5x5 torus at alpha=3, beta=0.5, C=2, tau=20,
+    the torus' perturbation modes, and the root sets of one 40x40 grid
+    sweep per mode in the Floquet verdict's window."""
+    spec = LatticeSpec(5, 5, Model.STUART_LANDAU, SLParams(3.0, 0.5), 2.0)
     wave = sl.sl_enumerate_plane_waves(spec.params, 2.0, 20.0,
                                        spec)[wave_index]
     modes = core.enumerate_modes(spec)
-    return wave, modes, find_roots_stacked(
-        sl._chi_and_deriv(wave, 2.0, 20.0, [q.k_plus for q in modes],
-                          [q.k_minus for q in modes]), len(modes),
-        FLOQUET_WINDOW)
+    sets = []
+    for q in modes:
+        fdf, terms = sl._chi_and_deriv(wave, 2.0, 20.0, q.k_plus, q.k_minus)
+        sets.append(find_roots_quasipoly(
+            lambda z: fdf(z, 0), FLOQUET_WINDOW, size=(40, 40),
+            terms=lambda z: terms(z, 0)))
+    return wave, modes, sets
 
 
 def _fhn_root_sets():
@@ -139,16 +185,17 @@ def _fhn_root_sets():
             for wv in core.enumerate_modes(spec)]
 
 
-# sha256 of (count, roots as little-endian complex128, tolerance) per mode,
-# recorded with the pairwise dedup loop and the masked Newton loop; the
-# sweep's arithmetic must stay the same operation for operation
+# sha256 of (count, roots as little-endian complex128) per mode, recorded
+# with the residual test against the grid median |f|; the sweep's
+# arithmetic must stay the same operation for operation, and the test on
+# the sum of f's terms must keep the same roots
 PINNED_ROOTS = {
     "floquet-100": (lambda: _floquet_root_sets(100)[2],
-                    "ef8a6b591c14c29d66810c99f8f59b78b93a7a289a5206fbe986b178fe37b4c1"),
+                    "d7b82a235bc8aaf009052b0d9285af4138eba35fe855a356365957f16c0d5221"),
     "floquet-395": (lambda: _floquet_root_sets(395)[2],
-                    "a21ae865ef421f8174ada7c35d8630a2a66b8ba0a198cbc1fe9319cca99548c9"),
+                    "629b4857523514455a32b449ae2c73c127547400446d276d598917fb44bf703b"),
     "fhn-3x3": (_fhn_root_sets,
-                "d563ef1bd1c419bd4407fe3cd455ae90c4fa80d095653a6b1633df19abad7e99"),
+                "a264a6e1214cbb8e3acc680e5c8f8b7ba5fc83243d5f58ed6a4167f153b8b2ab"),
 }
 
 
@@ -206,35 +253,6 @@ def test_count_raises_without_a_finite_tail_bound():
                           np.array([np.inf]), 0.1)
 
 
-def _stacked_and_single_sets(rows, cols, wave_index):
-    """The root sets of one stacked sweep over every perturbation mode of a
-    plane wave of the rows x cols torus (alpha=3, beta=0.5, C=2, tau=20),
-    and those of one one-set sweep per mode."""
-    wave, modes, stacked = _floquet_root_sets(wave_index, rows, cols)
-    single = []
-    for q in modes:
-        fdf = sl._chi_and_deriv(wave, 2.0, 20.0, q.k_plus, q.k_minus)
-        single.append(find_roots_quasipoly(lambda z: fdf(z, 0),
-                                           FLOQUET_WINDOW))
-    return stacked, single
-
-
-@pytest.mark.parametrize("rows, cols, wave_index", [
-    (1, 1, 0),      # the trivial mode alone
-    (3, 4, 5),      # 12 sets: more than one block of whole sets
-    (5, 5, 395),
-])
-def test_stacked_sweep_equals_one_sweep_per_set(rows, cols, wave_index):
-    stacked, single = _stacked_and_single_sets(rows, cols, wave_index)
-    assert len(stacked) == len(single) == rows * cols
-    for got, want in zip(stacked, single):
-        assert got.roots.tobytes() == want.roots.tobytes()
-        assert (got.tolerance, got.seeds, got.converged) == (
-            want.tolerance, want.seeds, want.converged)
-    if rows * cols > 1:
-        assert rows * cols * stacked[0].seeds > SWEEP_BLOCK
-
-
 def test_sl_mode_factor_matches_lambert_w():
     # single factor of the steady-state characteristic function:
     # -lambda + alpha + i beta + C cos(k-) e^{i k+} e^{-lambda tau}
@@ -245,7 +263,9 @@ def test_sl_mode_factor_matches_lambert_w():
         e = C * np.exp(-lam * tau)
         return -lam + mu + e, -1.0 - tau * e
 
-    rs = find_roots_quasipoly(fdf, (-0.5, 0.2, -1.0, 2.0))
+    rs = find_roots_quasipoly(
+        fdf, (-0.5, 0.2, -1.0, 2.0), size=(40, 40),
+        terms=lambda lam: np.abs(lam) + abs(mu) + C * np.exp(-lam.real * tau))
     assert len(rs) > 3
     z = tau * C * cmath.exp(-mu * tau)
     lw = mu + lambertw(z, np.arange(-30, 31)) / tau
@@ -258,7 +278,11 @@ def test_conjugate_closure_of_real_quasipoly():
         e = 0.5 * np.exp(-lam)
         return lam * lam + 0.3 * lam + 2.0 + e, 2.0 * lam + 0.3 - e
 
-    rs = find_roots_quasipoly(fdf, (-2, 1, -4, 4))
+    def terms(lam):
+        m = np.abs(lam)
+        return m * m + 0.3 * m + 2.0 + 0.5 * np.exp(-lam.real)
+
+    rs = find_roots_quasipoly(fdf, (-2, 1, -4, 4), size=(40, 40), terms=terms)
     assert len(rs) >= 2
     for lam in rs.roots:
         assert min(abs(lam.conjugate() - r) for r in rs.roots) < 1e-8
@@ -398,9 +422,8 @@ def test_newton_entry_does_not_depend_on_its_batch():
     def fdf(z, i):
         return z ** 3 - 1.0 - 0.5j * i, 3.0 * z * z
 
-    batch, stopped, f_start = newton(fdf, starts)
+    batch, stopped = newton(fdf, starts)
     assert stopped.all()
-    assert np.array_equal(f_start, np.abs(fdf(starts, np.arange(5))[0]))
     for i, z0 in enumerate(starts):
         alone = newton(lambda z, _: fdf(z, i), z0)[0]
         assert alone.tobytes() == batch[i].tobytes()
@@ -415,7 +438,7 @@ def test_newton_cuts_a_long_step_to_the_cap():
         seen.append(float(x[0]))
         return _square_minus_two(x, i)
 
-    got, stopped, _ = newton(fdf, np.array([0.5]), cap=0.25)
+    got, stopped = newton(fdf, np.array([0.5]), cap=0.25)
     assert seen[1] == 0.75
     assert np.all(np.abs(np.diff(seen)) <= 0.25)
     assert stopped[0] and got[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
@@ -427,7 +450,7 @@ def test_newton_entry_that_never_stops_keeps_its_start():
     def fdf(x, i):
         return x * x + np.where(i == 0, 1.0, -2.0), 2.0 * x
 
-    got, stopped, _ = newton(fdf, np.array([0.3, 1.0]))
+    got, stopped = newton(fdf, np.array([0.3, 1.0]))
     assert got[0] == 0.3 and not stopped[0]
     assert stopped[1] and got[1] == pytest.approx(math.sqrt(2.0), abs=1e-15)
 

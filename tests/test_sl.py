@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from delaylattice import sl
 from delaylattice.core import (LatticeSpec, Model, SLParams, WaveVector,
@@ -201,7 +202,7 @@ def test_hopf_threshold_at_long_delay_keeps_branch_zero():
 def test_hopf_threshold_names_the_end_without_a_sign_change(monkeypatch,
                                                             growth, end):
     monkeypatch.setattr(sl, "sl_stst_eigenvalues", lambda *args: RootSet(
-        roots=np.array([complex(growth, 0.5)]), tolerance=1e-10))
+        roots=np.array([complex(growth, 0.5)])))
     spec = make_spec(2, 2, -2.5, 0.5, 2.0)
     with pytest.raises(ArithmeticError, match=r"on alpha in \[-4.0, 0.0\]: "
                        + end):
@@ -311,7 +312,7 @@ def test_chi_derivative_matches_central_difference():
     h = 1e-6
     for w in waves:
         qp, qm = rng.uniform(0, 2 * math.pi, 2)
-        fdf = _chi_and_deriv(w, 2.0, 20.0, qp, qm)
+        fdf = _chi_and_deriv(w, 2.0, 20.0, qp, qm)[0]
         lam = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-3, 3, 6)
         _, dchi = fdf(lam, 0)
         central = (fdf(lam + h, 0)[0] - fdf(lam - h, 0)[0]) / (2 * h)
@@ -364,7 +365,7 @@ def _line_counts(wave, spec, modes, sigma):
     each of the modes, at C=2, tau=20."""
     q_plus, q_minus, strong = _mode_arrays(wave, spec, modes)
     return count_roots_right(
-        _chi_and_deriv(wave, 2.0, 20.0, q_plus, q_minus), len(modes), sigma,
+        _chi_and_deriv(wave, 2.0, 20.0, q_plus, q_minus)[0], len(modes), sigma,
         strong, sl._tail_bound(wave, 2.0, 20.0, q_minus, sigma, strong),
         math.pi / (8.0 * 20.0))[0]
 
@@ -493,7 +494,7 @@ def _lose_the_top_root(monkeypatch, wave, spec):
 
     def losing(wave, C, tau, q_plus, q_minus, window, strong):
         seeds, k = seeder(wave, C, tau, q_plus, q_minus, window, strong)
-        fdf = _chi_and_deriv(wave, C, tau, q_plus, q_minus)
+        fdf = _chi_and_deriv(wave, C, tau, q_plus, q_minus)[0]
         # the cap of the verdict's sweep, half the window's longer side
         end = newton(lambda z, i: fdf(z, k[i]), seeds, 4.5)[0]
         keep = np.abs(end.real - top) > 1e-9
@@ -642,6 +643,87 @@ def test_steady_state_and_wave_analytics_reject_bad_delay(call, tau):
 def test_stst_eigenvalues_need_a_positive_delay():
     with pytest.raises(ValueError, match="tau must be > 0"):
         sl_stst_eigenvalues(SLParams(-2.5, 0.5), 2.0, 0.0, HOMOG)
+
+
+# ---------------------------------------------------------------------------
+# couplings: one rule, finite and >= 0
+
+def _sl_coupling_calls(C):
+    """Each public function of sl.py that takes a coupling C, called with
+    C at beta=0.5, tau=20; at C = 0 the wave is one of the uncoupled 1x1
+    torus, elsewhere of the one at C=2."""
+    spec = make_spec(2, 2, -2.5, 0.5, 2.0)
+    wave_spec = make_spec(1, 1, 3.0, 0.5, 0.0 if C == 0.0 else 2.0)
+    wave = sl_enumerate_plane_waves(wave_spec.params, wave_spec.coupling,
+                                    20.0, wave_spec)[0]
+    return {
+        "stst": lambda: sl_stst_eigenvalues(spec.params, C, 20.0, HOMOG),
+        "stst_pcs": lambda: sl_stst_pcs(spec.params, C, 0.0, 0.5),
+        "hopf": lambda: sl_hopf_threshold(spec.params, C, 20.0, spec),
+        "waves": lambda: sl_enumerate_plane_waves(spec.params, C, 20.0, spec),
+        "chi": lambda: sl_floquet_chi(wave, 0.1j, 0.0, 0.0, C, 20.0),
+        "strong": lambda: sl_strong_spectrum(wave, wave_spec.params, C),
+        "pcs_Y": lambda: sl_floquet_pcs_Y(wave, C, 0.5, 0.3),
+        "pcs": lambda: sl_floquet_pcs(wave, C, 0.5, 0.3),
+        "floquet": lambda: sl_floquet_exact(wave, wave_spec.params, C, 20.0,
+                                            wave_spec),
+        "neutral": lambda: sl_neutral_amplitude(3.0, C, 0.0),
+        "alpha0": lambda: sl_alpha0(0.0, 0.0, C),
+    }
+
+
+# at C = 0 every mode is decoupled, where these raise on purpose
+SL_DECOUPLED_AT_ZERO = {"stst_pcs", "pcs_Y", "pcs"}
+
+
+@pytest.mark.parametrize("call", sorted(_sl_coupling_calls(0.0)))
+def test_sl_entry_points_reject_bad_coupling(call):
+    # NaN gave "cannot convert float NaN to integer" and inf an
+    # OverflowError in sl_stst_eigenvalues; C = -1 gave 17 roots there
+    for C in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError,
+                           match="coupling C must be finite and >= 0"):
+            _sl_coupling_calls(C)[call]()
+    if call in SL_DECOUPLED_AT_ZERO:
+        with pytest.raises(ValueError, match="decoupled"):
+            _sl_coupling_calls(0.0)[call]()
+    else:
+        _sl_coupling_calls(0.0)[call]()
+
+
+# ---------------------------------------------------------------------------
+# the steady state's rightmost root is the one of branch W_0, certified by
+# a root count (beta=0.5, C=2)
+
+@pytest.mark.parametrize("n, alpha, tau", [(6, -2.5, 200.0), (5, 3.0, 20.0),
+                                           (4, -1.0, 50.0), (3, 0.5, 5.0)])
+def test_stst_rightmost_root_is_w0_by_a_count(n, alpha, tau):
+    # in every coupled mode of the n x n torus, f = lambda - mu - R e^{i k+}
+    # e^{-lambda tau} tends to p = lambda - mu, with |f/p - 1| < 1/2 where
+    # |Im lambda| >= W = |beta| + 2|R| e^{-sigma tau} + 1; the count right
+    # of the maximum is 0, and just left of it at least 1
+    beta, C = 0.5, 2.0
+    mu = complex(alpha, beta)
+    spec = make_spec(n, n, alpha, beta, C)
+    coupled = [wv for wv in enumerate_modes(spec)
+               if abs(math.cos(wv.k_minus)) >= 1e-12]
+    assert len(coupled) == {6: 30, 5: 25, 4: 12, 3: 9}[n]
+    for wv in coupled:
+        R = C * math.cos(wv.k_minus)
+        c = R * cmath.exp(1j * wv.k_plus)
+        top = sl_stst_eigenvalues(spec.params, C, tau, wv).max_real()
+        w0 = mu + complex(lambertw(tau * c * cmath.exp(-mu * tau), 0)) / tau
+        assert w0.real == pytest.approx(top, abs=1e-12)
+
+        def fdf(z, k):
+            e = c * np.exp(-z * tau)
+            return z - mu - e, 1.0 + tau * e
+
+        counts = [count_roots_right(
+            fdf, 1, sigma, [mu],
+            np.array([abs(beta) + 2.0 * abs(R) * math.exp(-sigma * tau) + 1.0]),
+            math.pi / (8.0 * tau))[0][0] for sigma in (top + 1e-6, top - 1e-6)]
+        assert counts[0] == 0 and counts[1] >= 1, (wv, top, counts)
 
 
 # ---------------------------------------------------------------------------
