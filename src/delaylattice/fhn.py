@@ -17,7 +17,6 @@ from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
 
 
 CHAR_ROOT_WINDOW = (-2.0, 1.0, -4.0, 4.0)  # Re min, Re max, Im min, Im max
-CHAR_ROOT_GRID = (40, 40)                  # Newton seeds along Re and Im
 # 0-d arrays are cheaper ufunc operands than Python floats
 _MINUS_FIVE, _ONE, _HALF = np.array(-5.0), np.array(1.0), np.array(0.5)
 
@@ -193,8 +192,7 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
         coup = 0.0
     elif tau > 0.0:
         fdf, terms = fhn_char_function(lin, tau, wv)
-        return find_roots_quasipoly(fdf, CHAR_ROOT_WINDOW, size=CHAR_ROOT_GRID,
-                                    terms=terms)
+        return find_roots_quasipoly(fdf, CHAR_ROOT_WINDOW, terms=terms)
     # no delayed term: the roots are the eigenvalues of A plus the coupling
     Mat = lin.A.astype(np.result_type(lin.A, coup))
     Mat[0, 2] += coup

@@ -20,6 +20,7 @@ DEDUP_RADIUS = 1e-8
 RESIDUAL_TOL = 1e-12         # a swept root's |f| over the sum of |f's terms|
 CUBIC_RESIDUAL_TOL = 1e-10
 KEPLER_RESIDUAL_TOL = 1e-12
+SEED_GRID = (40, 40)         # Newton seeds along Re and Im of a sweep's window
 
 
 @dataclass
@@ -93,19 +94,19 @@ def newton(fdf: Callable, z: np.ndarray, cap: float = np.inf):
     return z, stopped
 
 
-def find_roots_quasipoly(fdf: Callable, window: tuple, *, size: tuple,
+def find_roots_quasipoly(fdf: Callable, window: tuple, *,
                          terms: Callable) -> RootSet:
-    """``find_roots_seeded`` for one function from a grid of ``size`` =
-    (n_re, n_im) seeds over the window, Re-major: ``fdf(z)`` returns
-    ``(f(z), f'(z))`` and ``terms(z)`` the sum of the moduli of f's terms,
-    elementwise. Duplicates are merged in (Re, Im) order: a root is dropped
-    when it lies within 1e-8 of a root kept before it, so a chain of roots
-    0.9e-8 apart keeps every other one. An empty result is not an error."""
+    """``find_roots_seeded`` for one function from the ``SEED_GRID`` of
+    seeds over the window, Re-major: ``fdf(z)`` returns ``(f(z), f'(z))``
+    and ``terms(z)`` the sum of the moduli of f's terms, elementwise.
+    Duplicates are merged in (Re, Im) order: a root is dropped when it lies
+    within 1e-8 of a root kept before it, so a chain of roots 0.9e-8 apart
+    keeps every other one. An empty result is not an error."""
     re_min, re_max, im_min, im_max = window
     if not (re_max > re_min and im_max > im_min):
         raise ValueError(f"degenerate window {window}")
-    re = np.linspace(re_min, re_max, size[0])
-    im = np.linspace(im_min, im_max, size[1])
+    re = np.linspace(re_min, re_max, SEED_GRID[0])
+    im = np.linspace(im_min, im_max, SEED_GRID[1])
     seeds = (re[:, None] + 1j * im[None, :]).ravel()
     return find_roots_seeded(lambda z, k: fdf(z), seeds,
                              np.zeros(seeds.size, dtype=int), 1, window,

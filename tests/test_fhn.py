@@ -365,8 +365,7 @@ def test_exact_roots_approach_hybrid_curve():
     dists = []
     for tau in (50.0, 200.0):
         fdf, terms = fhn_char_function(lin, tau, HOMOG)
-        rs = find_roots_quasipoly(fdf, (-0.4, 0.05, 0.05, 2.0), size=(40, 40),
-                                  terms=terms)
+        rs = find_roots_quasipoly(fdf, (-0.4, 0.05, 0.05, 2.0), terms=terms)
         roots = rs.roots
         assert len(roots) > 3
         g = fhn_hybrid_dispersion(st, params, 3.0, roots.imag, 0.0)

@@ -26,7 +26,7 @@ def _square_plus_one_terms(z):
 
 
 def test_quadratic_roots():
-    rs = find_roots_quasipoly(_square_plus_one, (-2, 2, -2, 2), size=(40, 40),
+    rs = find_roots_quasipoly(_square_plus_one, (-2, 2, -2, 2),
                               terms=_square_plus_one_terms)
     assert len(rs) == 2
     assert np.allclose(sorted(rs.roots, key=lambda r: r.imag), [-1j, 1j],
@@ -35,7 +35,7 @@ def test_quadratic_roots():
 
 def test_linear_root():
     rs = find_roots_quasipoly(lambda z: (-z + (-2.5 + 0.5j), -np.ones_like(z)),
-                              (-4, 1, -2, 2), size=(40, 40),
+                              (-4, 1, -2, 2),
                               terms=lambda z: np.abs(z) + abs(-2.5 + 0.5j))
     assert len(rs) == 1
     assert abs(rs.roots[0] - (-2.5 + 0.5j)) < 1e-12
@@ -43,7 +43,7 @@ def test_linear_root():
 
 def test_empty_result_is_not_error():
     rs = find_roots_quasipoly(lambda z: (np.exp(z) + 10.0, np.exp(z)),
-                              (-1, 1, -1, 1), size=(40, 40),
+                              (-1, 1, -1, 1),
                               terms=lambda z: np.abs(np.exp(z)) + 10.0)
     assert len(rs) == 0
     assert rs.max_real() == -np.inf
@@ -52,13 +52,13 @@ def test_empty_result_is_not_error():
 def test_degenerate_window_rejected():
     with pytest.raises(ValueError):
         find_roots_quasipoly(lambda z: (z, np.ones_like(z)), (1, 1, -1, 1),
-                             size=(40, 40), terms=np.abs)
+                             terms=np.abs)
 
 
 def test_sweep_reports_seeds_and_converged():
-    rs = find_roots_quasipoly(_square_plus_one, (-2, 2, -2, 2), size=(40, 30),
+    rs = find_roots_quasipoly(_square_plus_one, (-2, 2, -2, 2),
                               terms=_square_plus_one_terms)
-    assert rs.seeds == 40 * 30
+    assert rs.seeds == 40 * 40
     assert len(rs) <= rs.converged <= rs.seeds
 
 
@@ -172,7 +172,7 @@ def _floquet_root_sets(wave_index):
     for q in modes:
         fdf, terms = sl._chi_and_deriv(wave, 2.0, 20.0, q.k_plus, q.k_minus)
         sets.append(find_roots_quasipoly(
-            lambda z: fdf(z, 0), FLOQUET_WINDOW, size=(40, 40),
+            lambda z: fdf(z, 0), FLOQUET_WINDOW,
             terms=lambda z: terms(z, 0)))
     return wave, modes, sets
 
@@ -264,7 +264,7 @@ def test_sl_mode_factor_matches_lambert_w():
         return -lam + mu + e, -1.0 - tau * e
 
     rs = find_roots_quasipoly(
-        fdf, (-0.5, 0.2, -1.0, 2.0), size=(40, 40),
+        fdf, (-0.5, 0.2, -1.0, 2.0),
         terms=lambda lam: np.abs(lam) + abs(mu) + C * np.exp(-lam.real * tau))
     assert len(rs) > 3
     z = tau * C * cmath.exp(-mu * tau)
@@ -282,7 +282,7 @@ def test_conjugate_closure_of_real_quasipoly():
         m = np.abs(lam)
         return m * m + 0.3 * m + 2.0 + 0.5 * np.exp(-lam.real)
 
-    rs = find_roots_quasipoly(fdf, (-2, 1, -4, 4), size=(40, 40), terms=terms)
+    rs = find_roots_quasipoly(fdf, (-2, 1, -4, 4), terms=terms)
     assert len(rs) >= 2
     for lam in rs.roots:
         assert min(abs(lam.conjugate() - r) for r in rs.roots) < 1e-8
