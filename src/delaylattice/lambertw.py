@@ -1,17 +1,16 @@
 """Multi-branch complex Lambert W function of a log-form argument.
 
-Every branch is solved in numpy by ``roots.newton`` (Corless et al., Adv.
-Comput. Math. 5, 1996). Where L = log z + 2*pi*i*j is large, on every
-branch |j| >= 2 and wherever |z| is large or (for j != 0) small, Newton
-solves the log form w + Log w = L, so z may lie beyond the double range.
-Near 0 and -1/e, for W_0 of |z| < 1 and wherever |L| < 5, Halley's method
-solves w e^w = z. Each branch value is its own run, so it does not depend
-on which other branches share the call.
+Every entry of the broadcast of the branches j and the arguments log z is
+its own run of ``roots.newton`` (Corless et al., Adv. Comput. Math. 5,
+1996), so its value does not depend on which entries share the call.
+Where L = log z + 2*pi*i*j is large, on every branch |j| >= 2 and wherever
+|z| is large or (for j != 0) small, Newton solves the log form
+w + Log w = L, so z may lie beyond the double range. Near 0 and -1/e, for
+W_0 of |z| < 1 and wherever |L| < 5, Halley's method solves w e^w = z.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -27,38 +26,43 @@ class LambertWError(ArithmeticError):
     pass
 
 
-def lambert_w_log(j, log_z: complex) -> np.ndarray:
-    """W_j at z = exp(log_z) for an integer array of branches j.
+def lambert_w_log(j, log_z) -> np.ndarray:
+    """W_j at z = exp(log_z), elementwise over the broadcast of the integer
+    branches j and log_z.
 
-    Returns an array shaped like j; the branch is the standard one of z for
-    any phase Im log_z, with Im W_j near 2*pi*j for large |z|. z may lie
-    beyond the double range; z = 0 (Re log_z = -inf) has W_0 = 0, and the
-    other branches raise there.
+    Returns an array of the broadcast shape, a scalar for scalar arguments;
+    the branch is the standard one of z for any phase Im log_z, with Im W_j
+    near 2*pi*j for large |z|. z may lie beyond the double range; z = 0
+    (Re log_z = -inf) has W_0 = 0, and the other branches raise there.
     """
     j = np.asarray(j, dtype=int)
     if np.abs(j).max(initial=0) > MAX_BRANCH:
         raise ValueError(f"branch index |j| <= {MAX_BRANCH} required, got {j}")
-    log_z = complex(log_z)
-    if not (math.isfinite(log_z.imag) and log_z.real < math.inf):
-        raise LambertWError(f"z = exp({log_z}) is NaN or infinite, or its "
-                            f"phase is not finite")
-    log_z = complex(log_z.real, math.remainder(log_z.imag, math.tau))
-    jf = j.ravel()
-    if log_z.real == -np.inf and jf.any():
-        raise LambertWError(f"W_j(0) is -inf on branches {jf[jf != 0]}")
-    L = log_z + 2j * np.pi * jf
-    if log_z.real >= _SWITCH:     # then |L| >= _SWITCH on every branch
-        return _log_form(jf, L, log_z.real).reshape(j.shape)[()]
-    direct = (np.abs(L) < _SWITCH) | ((jf == 0) & (log_z.real < 0.0))
+    log_z = np.array(log_z, dtype=complex)     # a copy: the phase is reduced
+    if np.count_nonzero(np.isfinite(log_z)) < log_z.size:   # or z = 0
+        bad = ~((log_z.real < np.inf) & np.isfinite(log_z.imag)) | (
+            (log_z.real == -np.inf) & (j != 0))
+        if bad.any():
+            at = complex(np.broadcast_to(log_z, bad.shape)[bad][0])
+            raise LambertWError(f"z = exp({at}) is NaN or infinite, its phase "
+                                f"is not finite, or z = 0 off W_0")
+    # set in place: re + 1j * im would lose the sign of a zero phase
+    log_z.imag.flat = [math.remainder(y, math.tau) for y in log_z.imag.flat]
+    L = log_z + 2j * np.pi * j
+    j = np.zeros(L.shape, dtype=int) + j
+    if not np.count_nonzero(log_z.real < _SWITCH):   # so |L| >= _SWITCH
+        return _log_form(j.ravel(), L.ravel()).reshape(L.shape)[()]
+    direct = (np.abs(L) < _SWITCH) | ((j == 0) & (log_z.real < 0.0))
     w = np.empty(L.shape, dtype=complex)
     if direct.any():
-        w[direct] = _direct_form(jf[direct], log_z)
+        w[direct] = _direct_form(
+            j[direct], np.broadcast_to(log_z, L.shape)[direct], L[direct])
     if not direct.all():
-        w[~direct] = _log_form(jf[~direct], L[~direct], log_z.real)
-    return w.reshape(j.shape)[()]    # a scalar for a scalar j
+        w[~direct] = _log_form(j[~direct], L[~direct])
+    return w[()]    # a scalar for scalar arguments
 
 
-def _solve(fdf, seed: np.ndarray, scale, j: np.ndarray, form: str):
+def _solve(fdf, seed: np.ndarray, scale, j, at, form: str):
     """``roots.newton`` from ``seed``; raises unless every entry stops with
     |f| <= 1e-12 * ``scale`` where it takes its last step."""
     last = np.empty_like(seed)
@@ -69,12 +73,13 @@ def _solve(fdf, seed: np.ndarray, scale, j: np.ndarray, form: str):
         return f, df
     w, stopped = newton(fdf_last, seed)
     ok = stopped & (np.abs(last) <= _RESIDUAL_TOL * scale)
-    if not ok.all():
-        raise LambertWError(f"{form} did not converge on branches {j[~ok]}")
+    if np.count_nonzero(ok) < ok.size:
+        raise LambertWError(f"{form} = {at[~ok]} did not converge on "
+                            f"branches {j[~ok]}")
     return w
 
 
-def _log_form(j: np.ndarray, L: np.ndarray, re_log_z: float) -> np.ndarray:
+def _log_form(j: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Newton on w + Log w = L from the asymptotic seed
     L - l + l/L + l(l - 2)/(2 L^2), l = Log L.
 
@@ -82,24 +87,20 @@ def _log_form(j: np.ndarray, L: np.ndarray, re_log_z: float) -> np.ndarray:
     principal logarithm. For |z| < 1 and j != 0, w lies in the left
     half-plane with sign(Im w) = sign(j) (Im w -> 0- for j = -1 as z nears
     the negative real axis from above, the standard branch's value on the
-    cut). There Log w = log(-w) + i*pi*sign(j), and solving with log(-w)
-    keeps Newton off the cut of Log along the negative real axis.
+    cut). There Log w = log(-w) + i*pi*sign(j), and Newton solves
+    w + log(-w) = L - i*pi*sign(j) (L is shifted in place), off the cut.
     """
-    if re_log_z < 0.0:
-        L = L - 1j * np.pi * np.sign(j)
-
-        def log(w):
-            return np.log(-w)
-    else:
-        log = np.log
-    l = log(L)
+    flip = L.real < 0.0
+    np.subtract(L.imag, np.copysign(np.pi, j), out=L.imag, where=flip)
+    sign = np.where(flip, -1.0, 1.0)
+    l = np.log(sign * L)
     r = 1.0 / L
     seed = L - l + l * r * (1.0 + 0.5 * (l - 2.0) * r)
-    return _solve(lambda w, i: (w + log(w) - L[i], 1.0 + 1.0 / w), seed,
-                  np.abs(L), j, f"log form at Re log z = {re_log_z}")
+    return _solve(lambda w, i: (w + np.log(sign[i] * w) - L[i], 1.0 + 1.0 / w),
+                  seed, np.abs(L), j, L.real, "log form at Re log z")
 
 
-def _direct_form(j: np.ndarray, log_z: complex) -> np.ndarray:
+def _direct_form(j, log_z, L) -> np.ndarray:
     """Halley's method on w e^w = z, as Newton on f/sqrt(f'): Newton alone,
     from L - Log L at z = -0.71 + 0.14i, lands on W_-1 for W_0. Seeds:
     within 0.3 of -1/e, Corless' branch-point series in
@@ -107,28 +108,28 @@ def _direct_form(j: np.ndarray, log_z: complex) -> np.ndarray:
     the cut (W_-1 where Im z >= 0, W_1 below); for W_0 elsewhere in the
     region where scipy seeds with a Pade approximant, the (3, 2) Pade
     approximant at 0; else L - Log L."""
-    z = cmath.exp(log_z)
-    s = math.copysign(1.0, log_z.imag)
+    z = np.exp(log_z)
+    s = np.copysign(1.0, log_z.imag)
     # d = 1 + e z from log z keeps its digits near -1/e, log z = -1 +- i pi;
     # Im d has the sign of Im z, also where it rounds to 0 on the cut
-    d = complex(-np.expm1(log_z + 1.0 - 1j * s * math.pi))
-    d = complex(d.real, math.copysign(d.imag, z.imag))
-    near = (abs(d) < 0.3 * math.e) & ((j == 0) | (j == -s))
-    p = np.where(j == 0, 1.0, -1.0) * cmath.sqrt(2.0 * d)
-    L = log_z + 2j * np.pi * j
-    with np.errstate(all="ignore"):     # Log L at z = 0 or 1
+    d = -np.expm1(log_z + 1.0 - 1j * s * math.pi)
+    d.imag = np.copysign(d.imag, z.imag)
+    near = (np.abs(d) < 0.3 * math.e) & ((j == 0) | (j == -s))
+    p = np.where(j == 0, 1.0, -1.0) * np.sqrt(2.0 * d)
+    x, y = z.real, np.abs(z.imag)
+    pade = ((j == 0) & ~near & (-1.0 < x) & (x < 1.5) & (-2.5 * y - 0.2 < x)
+            & (y < 1.0))
+    with np.errstate(all="ignore"):     # Log L at z = 0 or 1, Pade's poles
         seed = np.where(near, -1.0 + p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p),
                         L - np.log(L))
-    x, y = z.real, abs(z.imag)
-    if -1.0 < x < 1.5 and -2.5 * y - 0.2 < x and y < 1.0:
-        seed = np.where((j == 0) & ~near, z * (60.0 + z * (114.0 + 17.0 * z))
+        seed = np.where(pade, z * (60.0 + z * (114.0 + 17.0 * z))
                         / (60.0 + z * (174.0 + 101.0 * z)), seed)
 
     def fdf(w, i):
         u, e = w + 1.0, np.exp(w)
         # near -1/e, f in u = 1 + w and d, which do not cancel there
-        f = np.where(near[i], (u * np.exp(u) - np.expm1(u) - d) / math.e,
-                     w * e - z)
+        f = np.where(near[i], (u * np.exp(u) - np.expm1(u) - d[i]) / math.e,
+                     w * e - z[i])
         return f, u * e - (w + 2.0) * f / (2.0 * u)
-    return _solve(fdf, seed, max(abs(z), 1.0), j,
-                  f"w e^w = z at log z = {log_z}")
+    return _solve(fdf, seed, np.maximum(np.abs(z), 1.0), j, log_z,
+                  "w e^w = z at log z")

@@ -91,16 +91,16 @@ def newton(fdf: Callable, z: np.ndarray, cap: float = np.inf):
                     step[big] *= cap / mag[big]
             za = za - step
             done = np.abs(step) <= 1e-14 * (1.0 + np.abs(za))
-            if done.all():
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
                 flat[idx] = za
                 idx = idx[:0]
-            elif done.any():
+            elif n_done:
                 flat[idx[done]] = za[done]
-                going = ~done
-                idx, za = idx[going], za[going]
-    stopped = np.ones(z.shape, dtype=bool)
-    stopped.flat[idx] = False
-    return z, stopped
+                idx, za = idx[~done], za[~done]
+    stopped = np.ones(z.size, dtype=bool)
+    stopped[idx] = False
+    return z, stopped.reshape(z.shape)
 
 
 def find_roots_quasipoly(fdf: Callable, window: tuple, *,
@@ -249,15 +249,15 @@ def bisect_sign_changes(g: Callable, x: np.ndarray, gx: np.ndarray) -> np.ndarra
 
 def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray:
     """All real solutions Omega of Omega = beta + R*sin(k_plus - Omega*tau)
-    that the sampling finds, with |residual| <= 1e-12.
+    that the sampling finds.
 
     Solutions lie in [beta-|R|, beta+|R|]. The interval is sampled at
-    step min(pi/(4(1+|R|tau)), 0.01); every sign change is bisected, and
-    sampled local minima of |g| below |R|*1e-3 + 1e-9 are polished by
-    Newton to catch tangencies. Two roots inside one step with the same
-    sign of g at both ends can still be missed when the minimum of |g|
-    between them is not small enough to be a candidate.
-    """
+    step min(pi/(4(1+|R|tau)), 0.01); every sign change is a root, bisected
+    to adjacent doubles whatever |g| rounds to, and Newton polishes sampled
+    minima of |g| below |R|*1e-3 + 1e-9 into tangencies with |g| <= 1e-12.
+    Two roots inside one step with the same sign of g at both ends can
+    still be missed when the minimum of |g| between them is not small
+    enough to be a candidate."""
     check_delay(tau)
     R = float(R)
     if R == 0.0:
@@ -282,9 +282,8 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
     tangent = newton(g_dg, om[interior[mag[interior] < abs(R) * 1e-3 + 1e-9]])[0]
     tangent = tangent[np.abs(g(tangent)) <= KEPLER_RESIDUAL_TOL]
 
-    roots = _dedup_sorted(np.concatenate([bisect_sign_changes(g, om, val),
-                                          tangent]), 1e-9)
-    return roots[np.abs(g(roots)) <= KEPLER_RESIDUAL_TOL]
+    return _dedup_sorted(np.concatenate([bisect_sign_changes(g, om, val),
+                                         tangent]), 1e-9)
 
 
 def solve_cubic_real(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:

@@ -82,6 +82,13 @@ def _branch_range(beta: float, C: float, tau: float) -> range:
     return range(-J, J + 1)
 
 
+def _stst_log_z(params: SLParams, tau: float, R, k_plus):
+    """log z of the steady state's W_j(z), elementwise over modes with
+    R != 0: for strongly stable alpha, z exceeds the double range."""
+    return (np.log(tau * np.abs(R)) - params.alpha * tau
+            + 1j * (k_plus - params.beta * tau + np.pi * (R < 0.0)))
+
+
 def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
                         wv: WaveVector) -> RootSet:
     """Exact eigenvalues of the zero steady state for one Fourier mode.
@@ -94,16 +101,12 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     check_coupling(C)
     if tau == 0:
         raise ValueError("tau must be > 0")
-    alpha, beta = params.alpha, params.beta
-    mu = complex(alpha, beta)
+    mu = complex(params.alpha, params.beta)
     R = C * math.cos(wv.k_minus)
     if R == 0.0:
         return RootSet(roots=np.array([mu]))
-    # work with log z: for strongly stable alpha the argument of W exceeds
-    # the double-precision exponent range
-    log_z = (math.log(tau * abs(R)) - alpha * tau
-             + 1j * (wv.k_plus - beta * tau + (math.pi if R < 0 else 0.0)))
-    w = lambert_w_log(np.array(_branch_range(beta, C, tau)), log_z)
+    log_z = _stst_log_z(params, tau, R, wv.k_plus)
+    w = lambert_w_log(np.array(_branch_range(params.beta, C, tau)), log_z)
     lam = mu + w / tau
     # factor of the characteristic product for this mode
     resid = np.abs(-lam + mu + np.exp(log_z - w) / tau)
@@ -131,8 +134,9 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
                       spec: LatticeSpec) -> float:
     """The alpha at which the rightmost steady-state eigenvalue over all
     modes crosses zero, by bisection on alpha in -C +- max(2, C) to a
-    bracket width of 1e-6. Each alpha, the two ends too, asks whether
-    some mode is unstable."""
+    bracket width of 1e-6: W_0's in a coupled mode (H. Shinozaki & T. Mori,
+    Automatica 42 (2006) 1791), alpha + i*beta in a decoupled one (R = 0),
+    so each alpha, the two ends too, takes one Lambert W call."""
     check_delay(tau)
     check_coupling(C)
     if tau == 0.0:
@@ -140,36 +144,32 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
         # most unstable mode is k_plus = k_minus = 0
         return -C
     lo, hi = -C - max(2.0, C), -C + max(2.0, C)
-    modes = enumerate_modes(spec)
+    R, k_plus = np.array([(C * math.cos(wv.k_minus), wv.k_plus)
+                          for wv in enumerate_modes(spec)]).T
+    decoupled = (R == 0.0).any()
+    R, k_plus = R[R != 0.0], k_plus[R != 0.0]
 
-    def unstable_mode(alpha, first):
-        # the first mode with Re(lambda) >= 0, trying `first` before the rest
-        prm = SLParams(alpha, params.beta)
-        order = [first] + [i for i in range(len(modes)) if i != first]
-        return next((i for i in order if sl_stst_eigenvalues(
-            prm, C, tau, modes[i]).max_real() >= 0), None)
+    def growth(alpha):
+        log_z = _stst_log_z(SLParams(alpha, params.beta), tau, R, k_plus)
+        lam = complex(alpha, params.beta) + lambert_w_log(0, log_z) / tau
+        return lam.real.max(initial=alpha if decoupled else -np.inf)
 
-    last = unstable_mode(hi, 0)
-    if last is None or unstable_mode(lo, 0) is not None:
-        end = f"alpha={hi} stable" if last is None else f"alpha={lo} unstable"
+    unstable = growth(hi) >= 0.0
+    if not unstable or growth(lo) >= 0.0:
+        end = f"alpha={lo} unstable" if unstable else f"alpha={hi} stable"
         raise ArithmeticError(f"no sign change of the rightmost eigenvalue "
                               f"on alpha in [{lo}, {hi}]: {end}")
-    # try the mode that was unstable last time first
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        hit = unstable_mode(mid, last)
-        if hit is None:
-            lo = mid
-        else:
-            hi, last = mid, hit
+        lo, hi = (lo, mid) if growth(mid) >= 0.0 else (mid, hi)
     return 0.5 * (lo + hi)
 
 
 def sl_enumerate_plane_waves(params: SLParams, C: float, tau: float,
                              spec: LatticeSpec) -> list[PlaneWave]:
-    """All plane waves of the lattice: one per Kepler root with positive
-    squared amplitude. Zero-amplitude solutions (the Hopf points) are
-    dropped. Output is sorted by mode index, then frequency."""
+    """All plane waves of the lattice, one per ``solve_kepler`` root (every
+    sign change on its grid) of positive squared amplitude, the Hopf points
+    of zero amplitude dropped, sorted by mode index, then frequency."""
     check_delay(tau)
     check_coupling(C)
     alpha, beta = params.alpha, params.beta

@@ -331,3 +331,63 @@ def test_matches_scipy_near_the_branch_point(j, r, theta):
 @example(j=0, re=-5.13, im=-1.4552227026088695)
 def test_matches_scipy_near_zero(j, re, im):
     _assert_matches_scipy(j, complex(re, im))
+
+
+def _assert_equals_scalar_calls(j, log_z):
+    w = lambert_w_log(j, log_z)
+    jb, zb = np.broadcast_arrays(j, log_z)
+    assert w.shape == jb.shape
+    one = [lambert_w_log(int(k), complex(v))
+           for k, v in zip(jb.ravel(), zb.ravel())]
+    assert w.tobytes() == np.array(one, dtype=complex).tobytes()
+
+
+_EDGE = st.sampled_from([-np.inf, -800.0, -1.0, -1e-12, -0.0, 0.0,
+                         SWITCH_RE, 5.0, 650.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.tuples(
+    st.integers(-MAX_BRANCH, MAX_BRANCH),
+    st.floats(-800.0, 800.0) | _EDGE,
+    st.floats(-40.0, 40.0) | st.sampled_from([-np.pi, np.pi, -0.0, 0.0]),
+), min_size=1, max_size=12))
+# mixed arrays, each entry next to ones of the other form: on the cut,
+# Im log z = +-pi, and Im log z = -0.0 (z = -0.2 - 0j has log z
+# = log 0.2 - i pi)
+@example(entries=[(0, math.log(0.2), -np.pi), (0, math.log(0.2), np.pi),
+                  (-1, math.log(0.2), -np.pi), (1, 2.0, -0.0),
+                  (0, 0.5, -0.0), (3, -800.0, np.pi)])
+# z = -1/e to rounding, and just beyond it on the cut, on W_-1, W_0, W_1
+@example(entries=[(-1, -1.0, np.pi), (0, -1.0, np.pi), (1, -1.0, np.pi),
+                  (0, -1.0 + 1e-14, -np.pi), (-1, -1.0 + 1e-14, np.pi),
+                  (2, 650.0, 1.0)])
+# z = 0 on W_0 beside the log form on other branches of other z
+@example(entries=[(0, -np.inf, 0.0), (-5, -20.0, 2.0),
+                  (0, -np.inf, -3.0), (64, 1.0, 1.0)])
+# the switches: |L| = 5 between w e^w = z and the log form, and
+# Re log z = 0 between log(-w) and Log w in the log form
+@example(entries=[(0, 5.0 - 1e-9, 0.0), (0, 5.0, 0.0),
+                  (1, SWITCH_RE - 1e-9, -np.pi), (1, SWITCH_RE, -np.pi),
+                  (2, -1e-12, 0.3), (2, 0.0, 0.3), (2, -0.0, 0.3)])
+def test_array_equals_scalar_calls_bit_for_bit(entries):
+    # each entry is its own Newton run, whatever form its neighbours take:
+    # one call over arrays of j and log z equals one call per entry
+    j, re, im = (np.array(c) for c in zip(*entries))
+    j[re == -np.inf] = 0     # z = 0 is on W_0 only
+    # set in place: re + 1j * im would lose the sign of a zero Im log z
+    log_z = np.empty(len(re), dtype=complex)
+    log_z.real, log_z.imag = re, im
+    _assert_equals_scalar_calls(j, log_z)
+    # one branch over an array of log z, and every branch of log z by
+    # every log z
+    if np.all(np.isfinite(re)):
+        _assert_equals_scalar_calls(int(j[0]), log_z)
+    _assert_equals_scalar_calls(j[:3, None], log_z[None, np.isfinite(re)])
+
+
+def test_scalar_arguments_give_a_scalar():
+    w = lambert_w_log(1, 2.0 + 1.0j)
+    assert np.ndim(w) == 0 and isinstance(w, complex)
+    assert lambert_w_log(np.array([1]), 2.0 + 1.0j).shape == (1,)
+    assert lambert_w_log(0, np.zeros((2, 3))).shape == (2, 3)

@@ -317,6 +317,20 @@ def test_kepler_count_matches_dense_sampling():
     assert np.all(np.diff(roots) > 0)
 
 
+def test_kepler_keeps_every_sign_change_at_long_delay():
+    # at tau = 5000, sin(k_plus - Omega tau) alone rounds by more than
+    # 1e-12, so an absolute residual test of 1e-12 on the bisected roots
+    # kept 5,890 of them, dropping -1.115453449216865 among others. A sign
+    # change is a root by continuity: the solver's own grid has 6,331
+    beta, R, k_plus, tau = 0.5, 2.0, 0.0, 5000.0
+    roots = solve_kepler(beta, R, k_plus, tau)
+    assert -1.115453449216865 in roots
+    assert len(roots) >= 6331
+    resid = roots - beta - R * np.sin(k_plus - roots * tau)
+    # the rounding of g at |Omega tau| up to 12,500
+    assert 1e-12 < np.max(np.abs(resid)) <= 1e-11
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known defect: solve_kepler samples g at step 0.01 and misses two roots "
     "0.0055 apart inside one step where g < 0 at both ends; both are real "

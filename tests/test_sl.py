@@ -12,8 +12,8 @@ from scipy.special import lambertw
 from delaylattice import sl
 from delaylattice.core import (LatticeSpec, Model, SLParams, WaveVector,
                               enumerate_mode_classes, enumerate_modes)
-from delaylattice.roots import (RootSet, count_roots_right,
-                                find_roots_seeded, newton)
+from delaylattice.lambertw import lambert_w_log
+from delaylattice.roots import count_roots_right, find_roots_seeded, newton
 from delaylattice.sl import (_chi_and_deriv, hessian_negative_definite,
                              plane_wave_invariant_residuals, sl_alpha0,
                              sl_enumerate_plane_waves, sl_floquet_chi,
@@ -151,8 +151,8 @@ def test_hopf_threshold_matches_asymptote():
 
 
 def _full_maximum_hopf_bisection(params, C, tau, spec):
-    """The bisection that takes the maximum over every mode at every
-    midpoint: the reference for the early stop."""
+    """The bisection that takes the rightmost eigenvalue of all branches
+    of every mode at every midpoint: the reference for the one on W_0."""
     modes = enumerate_modes(spec)
 
     def rightmost(alpha):
@@ -170,21 +170,29 @@ def _full_maximum_hopf_bisection(params, C, tau, spec):
     return 0.5 * (lo + hi)
 
 
-def test_hopf_threshold_stops_at_first_unstable_mode(monkeypatch):
+def test_hopf_threshold_reads_w0_of_every_mode(monkeypatch):
+    # the bisection on W_0 alone equals the one that takes the rightmost
+    # eigenvalue of all branches of every mode, bit for bit, at delays that
+    # take the w e^w = z form (tau = 0.5), both forms (20) and the log form
+    # (200 and 1000); it makes one Lambert W call at each alpha, the two
+    # ends and 22 midpoints, and none to sl_stst_eigenvalues
     spec = make_spec(6, 6, -2.5, 0.5, 2.0)
-    want = _full_maximum_hopf_bisection(spec.params, 2.0, 200.0, spec)
-    calls = []
+    got = {}
+    for tau in (0.5, 20.0, 200.0, 1000.0):
+        want = _full_maximum_hopf_bisection(spec.params, 2.0, tau, spec)
+        stst, lw = [], []
 
-    def count(*args):
-        calls.append(args)
-        return sl_stst_eigenvalues(*args)
-
-    monkeypatch.setattr(sl, "sl_stst_eigenvalues", count)
-    got = sl_hopf_threshold(spec.params, 2.0, 200.0, spec)
-    assert got == want == -1.9999985694885254
-    # 2 end points and the stable midpoints over all 36 modes, the
-    # unstable ones mostly at their first try
-    assert len(calls) < 300
+        def count(*args):
+            lw.append(args)
+            return lambert_w_log(*args)
+        with monkeypatch.context() as m:
+            m.setattr(sl, "sl_stst_eigenvalues",
+                      lambda *args: stst.append(args))
+            m.setattr(sl, "lambert_w_log", count)
+            got[tau] = sl_hopf_threshold(spec.params, 2.0, tau, spec)
+        assert got[tau] == want, tau
+        assert (len(stst), len(lw)) == (0, 24), tau
+    assert got[200.0] == -1.9999985694885254
 
 
 def test_hopf_threshold_at_long_delay_keeps_branch_zero():
@@ -201,8 +209,10 @@ def test_hopf_threshold_at_long_delay_keeps_branch_zero():
                                           (1.0, "alpha=-4.0 unstable")])
 def test_hopf_threshold_names_the_end_without_a_sign_change(monkeypatch,
                                                             growth, end):
-    monkeypatch.setattr(sl, "sl_stst_eigenvalues", lambda *args: RootSet(
-        roots=np.array([complex(growth, 0.5)])))
+    # W_0 = growth * 1e6 puts every mode's rightmost eigenvalue at
+    # alpha + growth * 5000 at tau 200: of one sign over the whole bracket
+    monkeypatch.setattr(sl, "lambert_w_log", lambda j, log_z: np.full(
+        np.shape(log_z), complex(growth * 1e6, 0.0)))
     spec = make_spec(2, 2, -2.5, 0.5, 2.0)
     with pytest.raises(ArithmeticError, match=r"on alpha in \[-4.0, 0.0\]: "
                        + end):
