@@ -101,18 +101,10 @@ def _config_artifacts(args, cfg: core.RunConfig, outputs):
 
 
 def _read_config(args) -> core.RunConfig:
-    """The config, with the --alpha override where the command has one."""
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None:
-        core._as_number(alpha, "--alpha")
+    """The parsed ``--config`` file."""
     with _input_of("--config"):
         text = Path(args.config).read_text()
-    cfg = core.parse_config(text)
-    if alpha is not None:
-        doc = cfg.to_dict()
-        doc["params"]["alpha"] = alpha
-        cfg = core.parse_config(json.dumps(doc))
-    return cfg
+    return core.parse_config(text)
 
 
 def _require(ok: bool, flag: str, reason: str):
@@ -392,13 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum-stst",
                         help="steady-state eigenvalues per lattice mode")
     _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
     sp.set_defaults(func=cmd_spectrum_stst)
 
     sp = sub.add_parser("dispersion",
                         help="large-delay dispersion surface gamma(omega,k-)")
     _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--omega-max", type=float, default=3.0)
     sp.add_argument("--state-index", type=int, default=0)
@@ -406,12 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("planewaves", help="enumerate SL plane waves")
     _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
     sp.set_defaults(func=cmd_planewaves)
 
     sp = sub.add_parser("floquet", help="plane-wave stability verdicts")
     _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--max-waves", type=int, default=0)
     sp.set_defaults(func=cmd_floquet)
 

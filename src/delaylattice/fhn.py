@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import FHNParams, WaveVector, check_coupling, check_delay
 from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
-                    find_roots_quasipoly)
+                    find_roots_quasipoly, newton)
 
 
 CHAR_ROOT_WINDOW = (-2.0, 1.0, -4.0, 4.0)  # Re min, Re max, Im min, Im max
@@ -243,14 +243,16 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
     """Hopf points (I, Omega) of the steady state for one Fourier mode,
     with I in [-4, 4].
 
-    Solves F(v, Omega) = f(i*Omega) = 0 by a 2D Newton iteration over
-    (v, Omega), run on all seeds at once from the grid of v in
+    Solves F(v, Omega) = f(i*Omega) = 0 by ``roots.newton`` on
+    z = v + i*Omega, run on all seeds at once from the grid of v in
     [-2.5, 2.5] by Omega in [1e-3, 3]; the current I follows from the
     rest-state equation. dF/dOmega = i f'(i*Omega) is exact, dF/dv a
-    central difference. A seed is dropped, without a report, when its
-    Jacobian is singular, when it leaves |v| <= 10, |Omega| <= 50, or when
-    it has not converged in 50 iterations. Points within 1e-7 of one kept
-    before them in (I, Omega) order are dropped."""
+    central difference, and each step solves Re and Im of
+    dF/dv s_v + dF/dOmega s_Omega = F by Cramer's rule. A seed stops where
+    it leaves |v| <= 10, |Omega| <= 50 (its determinant is NaN there). A
+    seed is dropped, without a report, when it stops outside that box,
+    does not stop, or stops where |Re F| or |Im F| exceeds 1e-10. Points
+    within 1e-7 of one kept before them in (I, Omega) order are dropped."""
     h = 1e-7
 
     def F(v, om):
@@ -261,35 +263,27 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
                                       tau, wv)[0](1j * om)
         return val, 1j * dval
 
-    v, om = (g.ravel() for g in np.meshgrid(
-        np.linspace(-2.5, 2.5, n_seeds[0]), np.linspace(1e-3, 3.0, n_seeds[1]),
-        indexing="ij"))
-    live = np.arange(v.size)            # seeds still iterating
-    converged = np.zeros(v.size, dtype=bool)
-    for _ in range(50):
-        x_v, x_om = v[live], om[live]
-        val, d_om = F(np.stack([x_v, x_v + h, x_v - h]), x_om)
+    def in_box(z):
+        return (np.abs(z.real) <= 10.0) & (np.abs(z.imag) <= 50.0)
+
+    def cramer(z, i):
+        """The numerator s_v det + i s_Omega det of the step, and det."""
+        v = z.real
+        val, d_om = F(np.stack([v, v + h, v - h]), z.imag)
         val, d_om, d_v = val[0], d_om[0], (val[1] - val[2]) / (2 * h)
-        # Cramer's rule on Re and Im of d_v * s_v + d_om * s_om = val
-        det = (d_v.conj() * d_om).imag
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_v = (val.conj() * d_om).imag / det
-            s_om = (d_v.conj() * val).imag / det
-        v[live] = x_v = x_v - s_v
-        om[live] = x_om = x_om - s_om
-        ok = ((det != 0.0) & np.isfinite(x_v) & np.isfinite(x_om)
-              & (np.abs(x_v) <= 10.0) & (np.abs(x_om) <= 50.0))
-        done = ok & (np.maximum(np.abs(s_v), np.abs(s_om))
-                     < 1e-13 * (1.0 + np.maximum(np.abs(x_v), np.abs(x_om))))
-        converged[live[done]] = True
-        live = live[ok & ~done]
-        if not live.size:
-            break
-    v, om = v[converged], om[converged]
-    val = F(v, om)[0]
-    I = stst_current(v, params, C)
+        det = np.where(in_box(z), (d_v.conj() * d_om).imag, np.nan)
+        return ((val.conj() * d_om).imag + 1j * (d_v.conj() * val).imag,
+                det)
+
+    v, om = np.meshgrid(np.linspace(-2.5, 2.5, n_seeds[0]),
+                        np.linspace(1e-3, 3.0, n_seeds[1]), indexing="ij")
+    z, stopped = newton(cramer, (v + 1j * om).ravel())
+    # F outside the box can overflow exp in gate_rate
+    z = z[stopped & in_box(z)]
+    val = F(z.real, z.imag)[0]
+    I = stst_current(z.real, params, C)
     # Omega -> 0 is a fold, not a Hopf point
-    keep = ((om > 1e-6) & (np.maximum(np.abs(val.real), np.abs(val.imag))
-                           <= 1e-10) & (I >= -4.0) & (I <= 4.0))
-    return [(z.real, z.imag)
-            for z in _dedup_sorted(I[keep] + 1j * om[keep], 1e-7).tolist()]
+    keep = ((z.imag > 1e-6) & (np.maximum(np.abs(val.real), np.abs(val.imag))
+                               <= 1e-10) & (I >= -4.0) & (I <= 4.0))
+    return [(p.real, p.imag)
+            for p in _dedup_sorted(I[keep] + 1j * z.imag[keep], 1e-7).tolist()]

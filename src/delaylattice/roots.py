@@ -1,10 +1,10 @@
 """Root-finding utilities: one Newton iteration, which runs the seeded
-sweeps for quasi-polynomials, polishes real roots and solves the log form
-of Lambert W; one residual test for a swept root, the backward error of f
-against the sum of the moduli of its terms; a root count right of a
-vertical line by the argument principle; one bracket refiner for real
-roots; the Kepler equation for plane-wave frequencies; and real cubics via
-the companion matrix."""
+sweeps for quasi-polynomials, polishes real roots, solves Lambert W and
+finds the FHN Hopf points; one residual test for a swept root, the
+backward error of f against the sum of the moduli of its terms; a root
+count right of a vertical line by the argument principle; one bracket
+refiner for real roots; the Kepler equation for plane-wave frequencies;
+and real cubics via the companion matrix."""
 
 from __future__ import annotations
 
@@ -63,13 +63,16 @@ def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray
 
 def newton(fdf: Callable, z: np.ndarray, cap: float = np.inf):
     """Newton's method on every entry of the array ``z`` at once, with
-    numpy's float warnings off. ``fdf(z, i)`` returns ``(f, f')`` at the
-    entries still iterating, whose flat indices into ``z`` are ``i``. A
-    step of non-finite f/f' counts as 0, and one longer than ``cap`` is cut
-    to that length. An entry stops once its step is at most 1e-14 (1 + |z|),
-    z after the step; none takes more than 80 steps. Returns the values (an
-    entry that never stops keeps its start) and whether each entry stopped,
-    which a step of 0/0 or f/0 does too: a stop is not yet a root."""
+    numpy's float warnings off. ``fdf(z, i)`` returns the numerator and
+    the denominator of the step at the entries still iterating, whose flat
+    indices into ``z`` are ``i``: f and f' for Newton's method, f and
+    Halley's denominator in ``lambertw._direct_form``, and Cramer's rule
+    on a real 2x2 system in ``fhn.fhn_hopf_points``. A step of non-finite
+    f/f' counts as 0, and one longer than ``cap`` is cut to that length.
+    An entry stops once its step is at most 1e-14 (1 + |z|), z after the
+    step; none takes more than 80 steps. Returns the values (an entry that
+    never stops keeps its start) and whether each entry stopped, which a
+    step of 0/0 or f/0 does too: a stop is not yet a root."""
     z = np.array(z, order="C")
     flat = z.reshape(-1)     # a view of z
     # the entries still iterating: their flat indices into z and values

@@ -95,7 +95,9 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
 
     lambda_j = alpha + i*beta + W_j(tau*R*exp(i*k_plus - (alpha+i*beta)*tau))/tau
     with R = C*cos(k_minus). When the delayed term vanishes (R = 0) the
-    single instantaneous eigenvalue alpha + i*beta is returned.
+    single instantaneous eigenvalue alpha + i*beta is returned. A branch
+    whose lambda misses the mode's equation by more than
+    1e-10 * max(1, |lambda|) raises ArithmeticError.
     """
     check_delay(tau)
     check_coupling(C)
@@ -106,12 +108,18 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     if R == 0.0:
         return RootSet(roots=np.array([mu]))
     log_z = _stst_log_z(params, tau, R, wv.k_plus)
-    w = lambert_w_log(np.array(_branch_range(params.beta, C, tau)), log_z)
+    j = np.array(_branch_range(params.beta, C, tau))
+    w = lambert_w_log(j, log_z)
     lam = mu + w / tau
     # factor of the characteristic product for this mode
     resid = np.abs(-lam + mu + np.exp(log_z - w) / tau)
-    roots = lam[resid <= 1e-10 * np.maximum(1.0, np.abs(lam))]
-    return RootSet(roots=roots)
+    bad = ~(resid <= 1e-10 * np.maximum(1.0, np.abs(lam)))
+    if bad.any():
+        raise ArithmeticError(
+            f"mode k = ({wv.k1!r}, {wv.k2!r}): branch {j[bad][0]} gives "
+            f"residual {float(resid[bad][0])!r} at "
+            f"lambda = {complex(lam[bad][0])!r}")
+    return RootSet(roots=lam)
 
 
 def sl_stst_pcs(params: SLParams, C: float, k_minus: float,

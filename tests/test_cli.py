@@ -19,13 +19,18 @@ def write_config(path, doc):
     return str(path)
 
 
-@pytest.fixture
-def sl_config(tmp_path):
-    return write_config(tmp_path / "sl.json", {
+def sl_config_at(tmp_path, alpha):
+    """The 3x3 SL config at C = 2, tau = 20, beta = 0.5 and this alpha."""
+    return write_config(tmp_path / f"sl-{alpha}.json", {
         "model": "sl", "M": 3, "N": 3,
-        "params": {"alpha": -2.5, "beta": 0.5},
+        "params": {"alpha": alpha, "beta": 0.5},
         "C": 2.0, "delay": {"homogeneous": 20.0},
     })
+
+
+@pytest.fixture
+def sl_config(tmp_path):
+    return sl_config_at(tmp_path, -2.5)
 
 
 def read_manifest(outdir):
@@ -47,14 +52,6 @@ def test_spectrum_stst_runs_and_is_reproducible(tmp_path, sl_config):
     # the echoed config round-trips through the parser
     cfg = parse_config((out1 / "resolved_config.json").read_text())
     assert cfg.spec.rows == 3 and cfg.tau == 20.0
-
-
-def test_spectrum_stst_alpha_override(tmp_path, sl_config):
-    out = tmp_path / "r"
-    assert cli.main(["spectrum-stst", "--config", sl_config,
-                     "--out", str(out), "--alpha", "-3.5"]) == 0
-    echoed = json.loads((out / "resolved_config.json").read_text())
-    assert echoed["params"]["alpha"] == -3.5
 
 
 OSCILLATING_SL = {
@@ -84,9 +81,11 @@ def _subcommand_argv(command, tmp_path, sl_config):
         write_pgm(imgp, np.array([[0, 255], [128, 64]], dtype=np.uint8))
         return ["encode", "--image", str(imgp), "--tau", "10.0",
                 "--eta-max", "0.5"]
+    if command in ("planewaves", "floquet"):
+        # alpha = 3 has plane waves
+        sl_config = sl_config_at(tmp_path, 3.0)
     extra = {"spectrum-stst": [], "dispersion": ["--grid", "6"],
-             "planewaves": ["--alpha", "3.0"],
-             "floquet": ["--alpha", "3.0", "--max-waves", "1"],
+             "planewaves": [], "floquet": ["--max-waves", "1"],
              "hopf": []}[command]
     return [command, "--config", sl_config, *extra]
 
@@ -124,10 +123,10 @@ def test_manifest_hashes_match_files(tmp_path, sl_config, command):
         assert n_numbers > 0
 
 
-def test_planewaves_count_matches_enumeration(tmp_path, sl_config):
+def test_planewaves_count_matches_enumeration(tmp_path):
     out = tmp_path / "r"
-    assert cli.main(["planewaves", "--config", sl_config, "--out", str(out),
-                     "--alpha", "3.0"]) == 0
+    assert cli.main(["planewaves", "--config", sl_config_at(tmp_path, 3.0),
+                     "--out", str(out)]) == 0
     n_lines = len((out / "planewaves.csv").read_text().splitlines()) - 1
     spec = LatticeSpec(rows=3, cols=3, model=Model.STUART_LANDAU,
                        params=SLParams(alpha=3.0, beta=0.5), coupling=2.0)
@@ -138,17 +137,17 @@ def test_planewaves_count_matches_enumeration(tmp_path, sl_config):
 def test_dispersion_outputs_finite_surface(tmp_path, sl_config):
     out = tmp_path / "r"
     assert cli.main(["dispersion", "--config", sl_config, "--out", str(out),
-                     "--grid", "8", "--alpha", "-2.5"]) == 0
+                     "--grid", "8"]) == 0
     data = np.loadtxt(out / "dispersion.csv", delimiter=",", skiprows=1)
     assert data.shape == (64, 3)
     assert np.all(np.isfinite(data))
     assert np.max(data[:, 2]) < 0.0   # alpha below threshold: stable surface
 
 
-def test_floquet_verdicts(tmp_path, sl_config):
+def test_floquet_verdicts(tmp_path):
     out = tmp_path / "r"
-    assert cli.main(["floquet", "--config", sl_config, "--out", str(out),
-                     "--alpha", "3.0", "--max-waves", "1"]) == 0
+    assert cli.main(["floquet", "--config", sl_config_at(tmp_path, 3.0),
+                     "--out", str(out), "--max-waves", "1"]) == 0
     lines = (out / "floquet.csv").read_text().splitlines()
     assert lines[0] == "k1,k2,q1,q2,re_lambda,im_lambda,class"
     assert len(lines) == 2
@@ -312,29 +311,25 @@ def test_invalid_argument_is_a_config_error(tmp_path, sl_config, fhn_config,
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, doc, extra, flag", [
+@pytest.mark.parametrize("command, doc, flag", [
     ("spectrum-stst", {"model": "fhn", "params": {"I": 0.0}, "C": math.inf,
-                       "delay": {"homogeneous": 5.0}}, [], "C"),
-    ("planewaves", {"params": {"alpha": math.nan, "beta": 0.5}}, [],
+                       "delay": {"homogeneous": 5.0}}, "C"),
+    ("planewaves", {"params": {"alpha": math.nan, "beta": 0.5}},
      "params.alpha"),
-    ("simulate", {"delay": {"homogeneous": math.nan}}, [],
+    ("simulate", {"delay": {"homogeneous": math.nan}}, "delay.homogeneous"),
+    ("spectrum-stst", {"delay": {"homogeneous": math.nan}},
      "delay.homogeneous"),
-    ("spectrum-stst", {"delay": {"homogeneous": math.nan}}, [],
-     "delay.homogeneous"),
-    ("planewaves", {}, ["--alpha", "nan"], "--alpha"),
-    ("spectrum-stst", {}, ["--alpha", "inf"], "--alpha"),
     # float() of the int overflows: once a numerical failure, exit 2
-    ("planewaves", {"C": 10 ** 400}, [], "C"),
+    ("planewaves", {"C": 10 ** 400}, "C"),
 ], ids=["fhn-C-inf", "alpha-nan", "simulate-tau-nan", "stst-tau-nan",
-        "flag-alpha-nan", "flag-alpha-inf", "C-int-too-large"])
+        "C-int-too-large"])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, doc,
-                                             extra, flag):
+                                             flag):
     # json.dumps writes NaN and Infinity, and json.loads reads them back
     cfgp = write_config(tmp_path / "cfg.json", {**OSCILLATING_SL, **doc})
     capsys.readouterr()
     out = tmp_path / "r"
-    assert cli.main([command, "--config", cfgp, "--out", str(out)]
-                    + extra) == 1
+    assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {flag}: ")
     assert err.count("\n") == 1
@@ -403,17 +398,6 @@ def test_fhn_simulate_without_rest_state_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error: params: ")
     assert err.count("\n") == 1
     assert not out.exists()
-
-
-def test_alpha_override_keeps_a_sim_section_without_dt(tmp_path):
-    doc = {**OSCILLATING_SL, "sim": {"t_end": 10.0}}
-    cfgp = write_config(tmp_path / "cfg.json", doc)
-    out = tmp_path / "r"
-    assert cli.main(["planewaves", "--config", cfgp, "--out", str(out),
-                     "--alpha", "2.0"]) == 0
-    want = parse_config(json.dumps({**doc, "params": {"alpha": 2.0,
-                                                      "beta": 1.0}}))
-    assert parse_config((out / "resolved_config.json").read_text()) == want
 
 
 def _checkerboard_image(tmp_path):

@@ -111,6 +111,17 @@ def test_stst_keeps_every_branch_where_z_underflows():
     assert np.all(resid <= 1e-10 * np.abs(lam))
 
 
+def test_stst_raises_on_a_branch_that_misses_the_mode_equation(monkeypatch):
+    # a root that fails the residual test was once dropped without a word,
+    # and the spectrum came back short
+    monkeypatch.setattr(sl, "lambert_w_log",
+                        lambda j, log_z: lambert_w_log(j, log_z) + 1e-6)
+    wv = WaveVector(2 * math.pi / 3, 4 * math.pi / 3)
+    with pytest.raises(ArithmeticError,
+                       match=r"mode k = \(2\.09\d*, 4\.18\d*\): branch -?\d+ "):
+        sl_stst_eigenvalues(SLParams(-2.0, 0.5), 2.0, 20.0, wv)
+
+
 def test_stst_pcs_zero_at_threshold():
     assert sl_stst_pcs(SLParams(-2.0, 0.5), 2.0, 0.0, 0.5) == pytest.approx(
         0.0, abs=1e-14)
