@@ -216,16 +216,12 @@ def cmd_planewaves(args) -> int:
 
 
 def cmd_floquet(args) -> int:
-    _require(args.max_waves >= 0, "--max-waves",
-             f"must be >= 0 (0 means all), got {args.max_waves}")
     cfg = _read_config(args)
     tau = _require_tau(cfg)
     if cfg.spec.model is not Model.STUART_LANDAU:
         raise ConfigError("model", "floquet requires the sl model")
     waves = sl.sl_enumerate_plane_waves(cfg.spec.params, cfg.spec.coupling,
                                         tau, cfg.spec)
-    if args.max_waves:
-        waves = waves[:args.max_waves]
     rows = []
     for w in waves:
         verdict = sl.sl_floquet_exact(w, cfg.spec.params, cfg.spec.coupling,
@@ -400,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("floquet", help="plane-wave stability verdicts")
     _add_common(sp)
-    sp.add_argument("--max-waves", type=int, default=0)
     sp.set_defaults(func=cmd_floquet)
 
     sp = sub.add_parser("hopf", help="Hopf threshold (SL) or points (FHN)")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FHNParams, WaveVector, check_coupling, check_delay
-from .roots import (RootSet, _dedup_sorted, bisect_sign_changes,
-                    find_roots_quasipoly, newton)
+from .roots import (RESIDUAL_TOL, RootSet, _dedup_sorted,
+                    bisect_sign_changes, find_roots_quasipoly, newton)
 
 
 CHAR_ROOT_WINDOW = (-2.0, 1.0, -4.0, 4.0)  # Re min, Re max, Im min, Im max
@@ -73,7 +73,7 @@ def fhn_steady_states(params: FHNParams, C: float) -> list[FhnSteadyState]:
                                 _stst_residual(v, params, C))
     return [FhnSteadyState(v=vb, w=(vb + params.a) / params.b,
                            s=float(synaptic_gate(vb)))
-            for vb in _dedup_sorted(roots, 1e-9).tolist()]
+            for vb in _dedup_sorted(roots).tolist()]
 
 
 def stst_current(v, params: FHNParams, C: float):
@@ -251,17 +251,17 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
     dF/dv s_v + dF/dOmega s_Omega = F by Cramer's rule. A seed stops where
     it leaves |v| <= 10, |Omega| <= 50 (its determinant is NaN there). A
     seed is dropped, without a report, when it stops outside that box,
-    does not stop, or stops where |Re F| or |Im F| exceeds 1e-10. Points
-    within 1e-7 of one kept before them in (I, Omega) order are dropped."""
+    does not stop, or stops where |F| exceeds ``roots.RESIDUAL_TOL`` times
+    the sum of the moduli of f's terms at i*Omega (``fhn_char_function``).
+    Points within ``roots.DEDUP_RADIUS`` of one kept before them in
+    (I, Omega) order are dropped."""
     h = 1e-7
 
-    def F(v, om):
-        """F and dF/dOmega at arrays of (v, Omega)."""
+    def char(v):
+        """``fhn_char_function`` of the rest states at the array v."""
         stst = FhnSteadyState(v=v, w=(v + params.a) / params.b,
                               s=synaptic_gate(v))
-        val, dval = fhn_char_function(fhn_linearization(stst, params, C),
-                                      tau, wv)[0](1j * om)
-        return val, 1j * dval
+        return fhn_char_function(fhn_linearization(stst, params, C), tau, wv)
 
     def in_box(z):
         return (np.abs(z.real) <= 10.0) & (np.abs(z.imag) <= 50.0)
@@ -269,8 +269,8 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
     def cramer(z, i):
         """The numerator s_v det + i s_Omega det of the step, and det."""
         v = z.real
-        val, d_om = F(np.stack([v, v + h, v - h]), z.imag)
-        val, d_om, d_v = val[0], d_om[0], (val[1] - val[2]) / (2 * h)
+        val, d_om = char(np.stack([v, v + h, v - h]))[0](1j * z.imag)
+        val, d_om, d_v = val[0], 1j * d_om[0], (val[1] - val[2]) / (2 * h)
         det = np.where(in_box(z), (d_v.conj() * d_om).imag, np.nan)
         return ((val.conj() * d_om).imag + 1j * (d_v.conj() * val).imag,
                 det)
@@ -280,10 +280,10 @@ def fhn_hopf_points(params: FHNParams, C: float, tau: float, wv: WaveVector,
     z, stopped = newton(cramer, (v + 1j * om).ravel())
     # F outside the box can overflow exp in gate_rate
     z = z[stopped & in_box(z)]
-    val = F(z.real, z.imag)[0]
-    I = stst_current(z.real, params, C)
+    fdf, terms = char(z.real)
+    lam, I = 1j * z.imag, stst_current(z.real, params, C)
     # Omega -> 0 is a fold, not a Hopf point
-    keep = ((z.imag > 1e-6) & (np.maximum(np.abs(val.real), np.abs(val.imag))
-                               <= 1e-10) & (I >= -4.0) & (I <= 4.0))
+    keep = ((z.imag > 1e-6) & (I >= -4.0) & (I <= 4.0)
+            & (np.abs(fdf(lam)[0]) <= RESIDUAL_TOL * terms(lam)))
     return [(p.real, p.imag)
-            for p in _dedup_sorted(I[keep] + 1j * z.imag[keep], 1e-7).tolist()]
+            for p in _dedup_sorted(I[keep] + 1j * z.imag[keep]).tolist()]

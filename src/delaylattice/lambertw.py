@@ -15,10 +15,9 @@ import math
 
 import numpy as np
 
-from .roots import newton
+from .roots import RESIDUAL_TOL, newton
 
 MAX_BRANCH = 64
-_RESIDUAL_TOL = 1e-12
 _SWITCH = 5.0       # |L| from which the log form is solved
 
 
@@ -63,16 +62,12 @@ def lambert_w_log(j, log_z) -> np.ndarray:
 
 
 def _solve(fdf, seed: np.ndarray, scale, j, at, form: str):
-    """``roots.newton`` from ``seed``; raises unless every entry stops with
-    |f| <= 1e-12 * ``scale`` where it takes its last step."""
-    last = np.empty_like(seed)
-
-    def fdf_last(w, i):
-        f, df = fdf(w, i)
-        last[i] = f
-        return f, df
-    w, stopped = newton(fdf_last, seed)
-    ok = stopped & (np.abs(last) <= _RESIDUAL_TOL * scale)
+    """``roots.newton`` from ``seed``; raises unless every entry stops at
+    a w with |f(w)| <= ``roots.RESIDUAL_TOL`` * ``scale``."""
+    w, stopped = newton(fdf, seed)
+    with np.errstate(all="ignore"):
+        f = fdf(w, np.arange(w.size))[0]
+    ok = stopped & (np.abs(f) <= RESIDUAL_TOL * scale)
     if np.count_nonzero(ok) < ok.size:
         raise LambertWError(f"{form} = {at[~ok]} did not converge on "
                             f"branches {j[~ok]}")

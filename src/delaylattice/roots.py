@@ -1,10 +1,10 @@
 """Root-finding utilities: one Newton iteration, which runs the seeded
 sweeps for quasi-polynomials, polishes real roots, solves Lambert W and
-finds the FHN Hopf points; one residual test for a swept root, the
-backward error of f against the sum of the moduli of its terms; a root
-count right of a vertical line by the argument principle; one bracket
-refiner for real roots; the Kepler equation for plane-wave frequencies;
-and real cubics via the companion matrix."""
+finds the FHN Hopf points; one acceptance rule for a kept root, |f| at
+most ``RESIDUAL_TOL`` times the sum of the moduli of f's terms, and one
+merge radius; a root count right of a vertical line by the argument
+principle; one bracket refiner for real roots; the Kepler equation for
+plane-wave frequencies; and real cubics via the companion matrix."""
 
 from __future__ import annotations
 
@@ -17,10 +17,8 @@ import numpy as np
 
 from .core import check_delay
 
-DEDUP_RADIUS = 1e-8
-RESIDUAL_TOL = 1e-12         # a swept root's |f| over the sum of |f's terms|
-CUBIC_RESIDUAL_TOL = 1e-10
-KEPLER_RESIDUAL_TOL = 1e-12
+DEDUP_RADIUS = 1e-8          # roots closer than this are one root
+RESIDUAL_TOL = 1e-12         # a kept root's |f| over the sum of |f's terms|
 SEED_GRID = (40, 40)         # Newton seeds along Re and Im of a sweep's window
 
 
@@ -40,24 +38,25 @@ class RootSet:
         return float(np.max(self.roots.real, initial=-np.inf))
 
 
-def _dedup_sorted(roots: np.ndarray, radius: float = DEDUP_RADIUS) -> np.ndarray:
+def _dedup_sorted(roots: np.ndarray) -> np.ndarray:
     """The roots, real or complex, in (Re, Im) order, each kept unless it
-    lies within ``radius`` of a root kept before it.
+    lies within ``DEDUP_RADIUS`` of a root kept before it.
 
     The sorted roots split into runs whose consecutive real parts are at
-    most ``radius`` apart. Roots of two runs lie farther apart than that,
-    in floating point too, since subtraction and hypot are monotone. So
+    most that far apart. Roots of two runs lie farther apart than that, in
+    floating point too, since subtraction and hypot are monotone. So
     each run's first root is kept and strikes the roots near it; the roots
     it leaves go through the strike loop, where every kept root precedes
     all the roots it strikes, so striking them at once keeps the same
     roots as testing each root against all kept ones."""
     roots = roots[np.lexsort((roots.imag, roots.real))]
-    keep = np.r_[True, np.diff(roots.real) > radius][:len(roots)]
+    keep = np.r_[True, np.diff(roots.real) > DEDUP_RADIUS][:len(roots)]
     first = roots[keep][np.cumsum(keep) - 1]
-    rest = np.flatnonzero(np.abs(roots - first) > radius)
+    rest = np.flatnonzero(np.abs(roots - first) > DEDUP_RADIUS)
     while rest.size:
         keep[rest[0]] = True
-        rest = rest[1:][np.abs(roots[rest[1:]] - roots[rest[0]]) > radius]
+        rest = rest[1:][np.abs(roots[rest[1:]] - roots[rest[0]])
+                        > DEDUP_RADIUS]
     return roots[keep]
 
 
@@ -112,8 +111,8 @@ def find_roots_quasipoly(fdf: Callable, window: tuple, *,
     seeds over the window, Re-major: ``fdf(z)`` returns ``(f(z), f'(z))``
     and ``terms(z)`` the sum of the moduli of f's terms, elementwise.
     Duplicates are merged in (Re, Im) order: a root is dropped when it lies
-    within 1e-8 of a root kept before it, so a chain of roots 0.9e-8 apart
-    keeps every other one. An empty result is not an error."""
+    within ``DEDUP_RADIUS`` of a root kept before it, so a chain of roots
+    0.9e-8 apart keeps every other one. An empty result is not an error."""
     re_min, re_max, im_min, im_max = window
     if not (re_max > re_min and im_max > im_min):
         raise ValueError(f"degenerate window {window}")
@@ -257,7 +256,8 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
     Solutions lie in [beta-|R|, beta+|R|]. The interval is sampled at
     step min(pi/(4(1+|R|tau)), 0.01); every sign change is a root, bisected
     to adjacent doubles whatever |g| rounds to, and Newton polishes sampled
-    minima of |g| below |R|*1e-3 + 1e-9 into tangencies with |g| <= 1e-12.
+    minima of |g| below |R|*1e-3 + 1e-9 into tangencies, kept by the
+    residual test on |Omega| + |beta| + |R sin(k_plus - Omega*tau)|.
     Two roots inside one step with the same sign of g at both ends can
     still be missed when the minimum of |g| between them is not small
     enough to be a candidate."""
@@ -283,27 +283,27 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
     mag = np.abs(val)
     interior = np.flatnonzero((mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
     tangent = newton(g_dg, om[interior[mag[interior] < abs(R) * 1e-3 + 1e-9]])[0]
-    tangent = tangent[np.abs(g(tangent)) <= KEPLER_RESIDUAL_TOL]
+    terms = (np.abs(tangent) + abs(beta)
+             + np.abs(R * np.sin(k_plus - tangent * tau)))
+    tangent = tangent[np.abs(g(tangent)) <= RESIDUAL_TOL * terms]
 
     return _dedup_sorted(np.concatenate([bisect_sign_changes(g, om, val),
-                                         tangent]), 1e-9)
+                                         tangent]))
 
 
 def solve_cubic_real(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
-    """Real roots of c3*x^3 + c2*x^2 + c1*x + c0 via the companion matrix.
-
-    Roots within 1e-8 of each other are reported once (multiplicity-aware).
+    """Real roots of c3*x^3 + c2*x^2 + c1*x + c0: the real eigenvalues of
+    the companion matrix, polished by Newton, that pass the residual test
+    on |c3 x^3| + |c2 x^2| + |c1 x| + |c0|, merged within ``DEDUP_RADIUS``.
     """
     if c3 == 0:
         raise ValueError("leading coefficient c3 must be nonzero")
-    coeffs = np.array([c3, c2, c1, c0], dtype=float)
-    scale = np.max(np.abs(coeffs))
-    r = np.roots(coeffs)
+    r = np.roots(np.array([c3, c2, c1, c0], dtype=float))
     x = r.real[np.abs(r.imag) <= 1e-8 * (1.0 + np.abs(r))]
 
     def p(x):
         return ((c3 * x + c2) * x + c1) * x + c0
 
     x = newton(lambda x, i: (p(x), (3 * c3 * x + 2 * c2) * x + c1), x)[0]
-    return _dedup_sorted(x[np.abs(p(x)) <= CUBIC_RESIDUAL_TOL * scale
-                           * np.maximum(1.0, np.abs(x)) ** 3], 1e-8)
+    terms = np.abs(c3 * x ** 3) + np.abs(c2 * x * x) + np.abs(c1 * x) + abs(c0)
+    return _dedup_sorted(x[np.abs(p(x)) <= RESIDUAL_TOL * terms])

@@ -331,10 +331,12 @@ def _branch_seeds(wave: PlaneWave, C: float, tau: float, q_plus, q_minus,
     (j, +-) starts at s + i (q_plus - 2 pi j)/tau for each of the
     ``BRANCH_OFFSETS`` s, over the j whose starts span Im of the window and
     3 more on either side, and takes ``BRANCH_STEPS`` fixed-point steps of
-    its map. The roots of chi's delay-free part (``strong``) seed every
-    mode too; they are all the roots of a mode whose two couplings vanish
-    (chi = p), which has no branches. Returns the seeds and their modes."""
-    _, _, im_min, im_max = window
+    its map. The roots of chi's delay-free part (``strong``) not left of
+    the window seed every mode too; they are all the roots of a mode whose
+    two couplings vanish (chi = p), which has no branches. Returns the
+    seeds and their modes."""
+    re_min, _, im_min, im_max = window
+    strong = strong[strong.real >= re_min]
     j_lo = np.floor((q_plus - im_max * tau) / TWO_PI).astype(int) - 3
     j_hi = np.ceil((q_plus - im_min * tau) / TWO_PI).astype(int) + 3
     Rp, Rm = _chi_coeffs(wave, C, q_minus)[4:]

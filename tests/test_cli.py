@@ -19,10 +19,11 @@ def write_config(path, doc):
     return str(path)
 
 
-def sl_config_at(tmp_path, alpha):
-    """The 3x3 SL config at C = 2, tau = 20, beta = 0.5 and this alpha."""
-    return write_config(tmp_path / f"sl-{alpha}.json", {
-        "model": "sl", "M": 3, "N": 3,
+def sl_config_at(tmp_path, alpha, side=3):
+    """The side x side SL config at C = 2, tau = 20, beta = 0.5 and this
+    alpha."""
+    return write_config(tmp_path / f"sl-{alpha}-{side}.json", {
+        "model": "sl", "M": side, "N": side,
         "params": {"alpha": alpha, "beta": 0.5},
         "C": 2.0, "delay": {"homogeneous": 20.0},
     })
@@ -81,12 +82,14 @@ def _subcommand_argv(command, tmp_path, sl_config):
         write_pgm(imgp, np.array([[0, 255], [128, 64]], dtype=np.uint8))
         return ["encode", "--image", str(imgp), "--tau", "10.0",
                 "--eta-max", "0.5"]
-    if command in ("planewaves", "floquet"):
+    if command == "planewaves":
         # alpha = 3 has plane waves
         sl_config = sl_config_at(tmp_path, 3.0)
+    if command == "floquet":
+        # the 27 waves of the 1x1 lattice at alpha = 3
+        sl_config = sl_config_at(tmp_path, 3.0, side=1)
     extra = {"spectrum-stst": [], "dispersion": ["--grid", "6"],
-             "planewaves": [], "floquet": ["--max-waves", "1"],
-             "hopf": []}[command]
+             "planewaves": [], "floquet": [], "hopf": []}[command]
     return [command, "--config", sl_config, *extra]
 
 
@@ -145,14 +148,16 @@ def test_dispersion_outputs_finite_surface(tmp_path, sl_config):
 
 
 def test_floquet_verdicts(tmp_path):
+    # one verdict for each of the 27 waves of the 1x1 lattice at alpha = 3
     out = tmp_path / "r"
-    assert cli.main(["floquet", "--config", sl_config_at(tmp_path, 3.0),
-                     "--out", str(out), "--max-waves", "1"]) == 0
+    assert cli.main(["floquet", "--config",
+                     sl_config_at(tmp_path, 3.0, side=1), "--out", str(out)]) == 0
     lines = (out / "floquet.csv").read_text().splitlines()
     assert lines[0] == "k1,k2,q1,q2,re_lambda,im_lambda,class"
-    assert len(lines) == 2
-    assert lines[1].rsplit(",", 1)[1] in ("stable", "strong", "uniform",
-                                          "modulational")
+    assert len(lines) == 1 + 27
+    for line in lines[1:]:
+        assert line.rsplit(",", 1)[1] in ("stable", "strong", "uniform",
+                                            "modulational")
 
 
 def test_hopf_threshold(tmp_path, sl_config):
@@ -282,7 +287,6 @@ def fhn_config(tmp_path):
     ("dispersion", "--state-index 7"),
     ("dispersion", "--state-index -1"),
     ("dispersion", "--grid 0"),
-    ("floquet", "--max-waves -1"),
     ("verify", "--period 0"),
     ("encode", "--tau -1"),
     ("encode", "--eta-min 1"),     # above --eta-max 0.5

@@ -74,6 +74,17 @@ def test_steady_state_triple_above_saddle_node():
     assert counts <= {1, 3}
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect (ROADMAP item 22): fhn_steady_states brackets sign changes "
+    "on a 1e-3 grid of v and misses the rest states 0.9155343 and 0.9156956, "
+    "which lie inside one step near a fold of I(v)"))
+def test_steady_states_find_a_close_pair_near_a_fold():
+    got = [st.v for st in fhn_steady_states(FHNParams(I=0.5525127), 3.0)]
+    assert len(got) == 3
+    assert np.allclose(got, [-0.7416028, 0.9155343, 0.9156956], rtol=0.0,
+                       atol=1e-7)
+
+
 def test_steady_state_residuals():
     for C in (0.0, 1.5, 3.0):
         params = FHNParams(I=-0.8)
