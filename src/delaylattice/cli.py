@@ -318,12 +318,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    core._as_number(args.eta_min, "--eta-min")
     core._as_number(args.eta_max, "--eta-max")
     with _input_of("--image"):
         img = pattern.read_pgm(args.image)
-    with _input_of("--eta-min"):
-        eta = pattern.eta_from_image(img, args.eta_min, args.eta_max)
+    with _input_of("--eta-max"):
+        eta = pattern.eta_from_image(img, 0.0, args.eta_max)
     # every delay is positive and finite only if tau is, and the image's
     # shifts stay below it
     with _input_of("--tau"):
@@ -345,6 +344,9 @@ def cmd_verify(args) -> int:
                              + type(header).__name__)
         frames = np.fromfile(rundir / "frames.f64", dtype="<f8").reshape(
             header["n_frames"], header["M"], header["N"], header["d"])
+        if len(header["times"]) != header["n_frames"]:
+            raise ValueError(f"frames.json: {len(header['times'])} times "
+                             f"for {header['n_frames']} frames")
         traj = dde.Trajectory(
             times=np.array(header["times"]), snapshots=frames,
             dt=header["dt"], record_every=header["record_every"])
@@ -413,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, config=False)
     sp.add_argument("--image", required=True)
     sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--eta-min", type=float, default=0.0)
     sp.add_argument("--eta-max", type=float, required=True)
     sp.set_defaults(func=cmd_encode)
 

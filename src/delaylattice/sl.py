@@ -29,7 +29,6 @@ TRIVIAL_EXCLUSION_RADIUS = 1e-6
 STABILITY_TOL = 1e-6
 WAVE_RESIDUAL_TOL = 1e-10   # of plane_wave_invariant_residuals, per relation
 LINE_GAP = 1e-6      # the certificate counts right of max_growth + LINE_GAP
-BRANCH_OFFSETS = (-1.0, -0.5, 0.0, 0.5, 1.0)   # Re of a branch's seeds
 BRANCH_STEPS = 6     # fixed-point steps of the branch map before Newton
 
 
@@ -64,10 +63,10 @@ class StabilityVerdict:
     max_growth: float
     witness: tuple  # (omega, q_minus, q_plus) of the most unstable perturbation
     # the Newton sweep's work, summed over the perturbation modes it swept
-    # (branch seeds and any refinement seeds), and the number of points of
-    # its certificate's line Re lambda = max_growth + LINE_GAP, or the
-    # window's left edge + LINE_GAP where no root but the trivial one is
-    # kept, that were sampled
+    # (a seed per branch, p's in-window roots, any refinement seeds), and
+    # the points of its certificate's line Re lambda = max_growth +
+    # LINE_GAP, or the window's left edge + LINE_GAP where no root but the
+    # trivial one is kept, that were sampled
     seeds: int = 0
     converged: int = 0
     kept: int = 0
@@ -328,30 +327,29 @@ def _branch_seeds(wave: PlaneWave, C: float, tau: float, q_plus, q_minus,
     """Newton seeds for the roots of chi in the window, for the modes
     (q_plus[k], q_minus[k]). Every root lies on a branch
     lambda = (i q_plus - Log Y+-(lambda) - 2 pi i j)/tau. Each branch
-    (j, +-) starts at s + i (q_plus - 2 pi j)/tau for each of the
-    ``BRANCH_OFFSETS`` s, over the j whose starts span Im of the window and
-    3 more on either side, and takes ``BRANCH_STEPS`` fixed-point steps of
-    its map. The roots of chi's delay-free part (``strong``) not left of
-    the window seed every mode too; they are all the roots of a mode whose
-    two couplings vanish (chi = p), which has no branches. Returns the
-    seeds and their modes."""
+    (j, +-) starts once, at i (q_plus - 2 pi j)/tau, over the j whose
+    starts span Im of the window, and takes ``BRANCH_STEPS`` fixed-point
+    steps of its map. A root these seeds miss right of the maximum is left
+    to the certificate of ``sl_floquet_exact``. The roots of chi's
+    delay-free part (``strong``) not left of the window seed every mode
+    too; they are all the roots of a mode whose two couplings vanish
+    (chi = p), which has no branches. Returns the seeds and their modes."""
     re_min, _, im_min, im_max = window
     strong = strong[strong.real >= re_min]
-    j_lo = np.floor((q_plus - im_max * tau) / TWO_PI).astype(int) - 3
-    j_hi = np.ceil((q_plus - im_min * tau) / TWO_PI).astype(int) + 3
+    j_lo = np.floor((q_plus - im_max * tau) / TWO_PI).astype(int)
+    j_hi = np.ceil((q_plus - im_min * tau) / TWO_PI).astype(int)
     Rp, Rm = _chi_coeffs(wave, C, q_minus)[4:]
     n_j = np.where((Rp == 0.0) & (Rm == 0.0), 0, j_hi - j_lo + 1)
     k = np.repeat(np.arange(q_plus.size), n_j)
     j = np.arange(k.size) - np.repeat(np.cumsum(n_j) - n_j - j_lo, n_j)
     shift = 1j * (q_plus[k] - TWO_PI * j)
-    # (multiplier +-, offset, branch)
-    lam = np.array(BRANCH_OFFSETS)[:, None] + shift / tau
-    lam = np.stack([lam, lam])
+    # (multiplier +-, branch)
+    lam = np.stack([shift, shift]) / tau
     for _ in range(BRANCH_STEPS):
         Yp, Ym = _multipliers(wave, C, lam, q_minus[k])
         lam = (shift - np.log(np.stack([Yp[0], Ym[1]]))) / tau
     return (np.concatenate([lam.ravel(), np.tile(strong, q_plus.size)]),
-            np.concatenate([np.tile(k, 2 * len(BRANCH_OFFSETS)),
+            np.concatenate([np.tile(k, 2),
                             np.repeat(np.arange(q_plus.size), strong.size)]))
 
 

@@ -289,7 +289,7 @@ def fhn_config(tmp_path):
     ("dispersion", "--grid 0"),
     ("verify", "--period 0"),
     ("encode", "--tau -1"),
-    ("encode", "--eta-min 1"),     # above --eta-max 0.5
+    ("encode", "--eta-max -1"),    # below the shift 0 of gray 0
     ("dispersion", "--omega-max nan"),
     ("dispersion", "--omega-max inf"),
     ("hopf", "--k1 nan"),
@@ -550,6 +550,24 @@ def test_malformed_frames_json_names_the_missing_key(tmp_path, capsys, edit,
     capsys.readouterr()
     assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err == f"config error: --run: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: {**doc, "times": doc["times"][:5]}, "5 times for 21 frames"),
+    (lambda doc: {**doc, "times": doc["times"] + [2.0]},
+     "22 times for 21 frames"),
+], ids=["short", "long"])
+def test_frames_json_times_must_match_n_frames(tmp_path, capsys, edit,
+                                               message):
+    # a cut list once indexed past its end in detect_spikes, and a long
+    # one was read without a word
+    argv = _verify_damaged_run(tmp_path, _rewrite_frames_json(edit))
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --run: frames.json: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc, kind", [([], "list"), (3, "int")],

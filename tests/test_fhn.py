@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from delaylattice.core import FHNParams, WaveVector
-from delaylattice.fhn import (FhnSteadyState, fhn_char_function,
+from delaylattice.core import (FHNParams, LatticeSpec, Model, WaveVector,
+                               enumerate_modes)
+from delaylattice.fhn import (CHAR_ROOT_WINDOW, FhnSteadyState,
+                              fhn_char_function,
                               fhn_char_roots, fhn_hopf_points,
                               fhn_hybrid_dispersion, fhn_linearization,
                               fhn_saddle_node_C,
@@ -201,12 +203,57 @@ def test_char_roots_satisfy_equation():
 def test_char_roots_stable_regime_all_modes():
     params = FHNParams(I=-0.8)
     st = fhn_steady_states(params, 3.0)[0]
-    from delaylattice.core import LatticeSpec, Model, enumerate_modes
     spec = LatticeSpec(rows=3, cols=3, model=Model.FITZHUGH_NAGUMO,
                        params=params, coupling=3.0)
     for wv in enumerate_modes(spec):
         rs = fhn_char_roots(st, params, 3.0, 20.0, wv)
         assert rs.max_real() < 0.0
+
+
+def _window_windings(n=20_000):
+    """Per mode of the 3x3 torus at I=0, C=3, tau=50: the roots of
+    fhn_char_function inside CHAR_ROOT_WINDOW by the argument principle,
+    from the phase of f at n points per edge of the window's boundary, the
+    largest phase step between neighbouring points and the smallest |f| on
+    the boundary."""
+    params = FHNParams(I=0.0)
+    st = fhn_steady_states(params, 3.0)[0]
+    lin = fhn_linearization(st, params, 3.0)
+    re0, re1, im0, im1 = CHAR_ROOT_WINDOW
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1),
+               complex(re0, im1)]
+    t = np.arange(n) / n
+    path = np.concatenate([a + (b - a) * t for a, b in
+                           zip(corners, corners[1:] + corners[:1])])
+    spec = LatticeSpec(rows=3, cols=3, model=Model.FITZHUGH_NAGUMO,
+                       params=params, coupling=3.0)
+    out = []
+    for wv in enumerate_modes(spec):
+        f = fhn_char_function(lin, 50.0, wv)[0](path)[0]
+        step = np.angle(np.roll(f, -1) / f)
+        out.append((round(step.sum() / (2.0 * math.pi)),
+                    float(np.abs(step).max()), float(np.abs(f).min())))
+    return st, params, enumerate_modes(spec), out
+
+
+def test_window_winding_oracle_is_resolved():
+    # the phase turns by less than pi/4 between neighbouring points and f
+    # keeps away from 0, so no turn of the phase is lost; 80,000 points per
+    # edge give the same counts
+    *_, windings = _window_windings()
+    counts, steps, f_min = zip(*windings)
+    assert list(counts) == [66, 66, 66, 66, 65, 65, 66, 65, 65]
+    assert max(steps) < math.pi / 4 and min(f_min) > 1.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect (ROADMAP item 19): the Newton grid of fhn_char_roots keeps "
+    "57-64 roots per mode of the 3x3 torus at I=0, C=3, tau=50, where the "
+    "window holds 65-66, and nothing notices"))
+def test_char_roots_find_every_root_in_the_window():
+    st, params, modes, windings = _window_windings()
+    got = [len(fhn_char_roots(st, params, 3.0, 50.0, wv)) for wv in modes]
+    assert got == [count for count, _, _ in windings]
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -5.0])

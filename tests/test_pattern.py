@@ -139,6 +139,14 @@ def test_eta_from_image_endpoints():
         eta_from_image(img, 1.0, 0.0)
 
 
+def test_eta_from_image_rejects_eta_min_above_eta_max():
+    # the shifts of an inverted range would map gray 255 below gray 0
+    img = np.array([[0, 255]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="eta_min 1.0 exceeds eta_max 0.5"):
+        eta_from_image(img, 1.0, 0.5)
+    assert eta_from_image(img, 0.5, 0.5).eta.tolist() == [[0.5, 0.5]]
+
+
 def test_image_to_delays_orientation():
     # darker pixel -> smaller eta -> the edge into that node is longer
     img = np.array([[0, 255], [255, 0]], dtype=np.uint8)

@@ -392,13 +392,13 @@ def _line_counts(wave, spec, modes, sigma):
 
 
 def test_floquet_verdict_reports_its_sweep_counts():
-    # wave 100 of the 5x5 torus: the branch seeds of its 13 classes, with
-    # no refinement seeds, and the samples of one count. The roots of chi's
-    # delay-free part left of the window seed no class, so every seed
-    # converges
+    # wave 100 of the 5x5 torus: the branch seeds of its 13 classes, one
+    # per branch, with no refinement seeds, and the samples of one count.
+    # The roots of chi's delay-free part left of the window seed no class,
+    # so every seed converges
     wave, spec = _torus_wave(5, 100)
     v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
-    assert (v.seeds, v.converged, v.kept) == (4773, 4773, 753)
+    assert (v.seeds, v.converged, v.kept) == (809, 809, 742)
     assert v.cls is sl.StabilityClass.STRONG_UNSTABLE
     assert v.seeds == _branch_seeds(wave, spec,
                                     enumerate_mode_classes(spec))[0].size
