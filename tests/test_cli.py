@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from delaylattice import cli, dde
-from delaylattice.core import (FHNParams, LatticeSpec, Model, SLParams,
-                               parse_config)
+from delaylattice.core import (ConfigError, FHNParams, LatticeSpec, Model,
+                               SLParams, parse_config)
 from delaylattice.pattern import FidelityReport, write_pgm
 from delaylattice.sl import sl_enumerate_plane_waves
 from test_fhn import HOPF_DEFAULT
@@ -400,6 +400,49 @@ def test_fhn_simulate_without_rest_state_is_a_config_error(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: params: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    (None, [], "$"),
+    (None, {"model": "lorenz"}, "model"),
+    (None, {"params": [1.0, 1.0]}, "params"),
+    (None, {"delay": 20.0}, "delay"),
+    (None, {"delay": {"homogeneous": 1.0, "files": {}}}, "delay"),
+    (None, {"delay": {"homogeneous": 0.0}}, "delay.homogeneous"),
+    (None, {"delay": {"files": {"down": "d.csv"}}}, "delay.files"),
+    (None, {"delay": {}}, "delay"),
+    (None, {"sim": {"t_end": 1.0, "steps": 10}}, "sim"),
+    (None, {"sim": {"t_end": 0.0}}, "sim.t_end"),
+    (None, {"sim": {"t_end": 1.0, "dt": -0.01}}, "sim.dt"),
+    (None, {"C": "1.0"}, "C"),
+    (None, {"M": 0}, "M"),
+    ("simulate", {"delay": None}, "delay"),
+    ("planewaves", {"model": "fhn", "params": {}}, "model"),
+    ("floquet", {"model": "fhn", "params": {}}, "model"),
+], ids=["top-level-list", "model-unknown", "params-list", "delay-number",
+        "delay-both", "delay-homogeneous-zero", "delay-files-half",
+        "delay-empty", "sim-unknown-key", "sim-t_end-zero", "sim-dt-negative",
+        "C-string", "M-zero", "simulate-no-delay", "planewaves-fhn",
+        "floquet-fhn"])
+def test_config_rule_names_its_path(tmp_path, capsys, command, doc, path):
+    # OSCILLATING_SL with the keys of `doc` replaced, a None one removed;
+    # a list stands for itself
+    if isinstance(doc, dict):
+        doc = {key: value for key, value in {**OSCILLATING_SL, **doc}.items()
+               if value is not None}
+    if command is None:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == path
+        return
+    cfgp = write_config(tmp_path / "cfg.json", doc)
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert cli.main([command, "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
     assert err.count("\n") == 1
     assert not out.exists()
 
