@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -174,9 +174,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimSettings:
-    t_end: float
-    dt: Optional[float] = None   # None -> integrator default
-    record_every: int = 1
+    """The ``sim`` section of a run config, one key per field, read as
+    ``params`` is; a ``dt`` of None takes the integrator's default step."""
+    t_end: float = field(metadata={"bound": "> 0"})
+    dt: Optional[float] = field(default=None, metadata={"bound": "> 0"})
+    record_every: int = field(default=1, metadata={"bound": ">= 1"})
 
 
 @dataclass(frozen=True)
@@ -215,22 +217,44 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:       # an int too large for a double, as 1e400 is
-        number = value = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
+def _as_number(value, path: str, bound: str = "", integer: bool = False):
+    """`value` as a finite float, or as an int if `integer`, that satisfies
+    `bound`, such as "> 0" or ">= 1"; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(
+            value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(path, f"expected {kind}, got {value!r}")
+    number = value
+    if not integer:
+        try:
+            number = float(value)
+        except OverflowError:   # an int too large for a double, as 1e400 is
+            number = value = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+    if bound:
+        op, limit = bound.split()
+        if not (number >= float(limit) if op == ">=" else number > float(limit)):
+            raise ConfigError(path, f"must be {bound}, got {number}")
     return number
 
 
-def _as_positive_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(path, f"expected a positive integer, got {value!r}")
-    return value
+def _read_fields(cls, raw, path: str):
+    """The dataclass `cls` from the JSON object `raw` at `path`: a key that
+    names no field is rejected, a field without a default is required, and
+    ``_as_number`` reads each value given by its field's type and bound."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "must be an object")
+    names = [f.name for f in fields(cls)]
+    for key in raw:
+        if key not in names:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    types = get_type_hints(cls)
+    return cls(**{
+        f.name: _as_number(_require(raw, f.name, f"{path}."),
+                           f"{path}.{f.name}", f.metadata.get("bound", ""),
+                           types[f.name] is int)
+        for f in fields(cls) if f.name in raw or f.default is MISSING})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -251,75 +275,34 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(key, "unknown key")
 
     model_str = _require(doc, "model", "")
-    if model_str not in ("sl", "fhn"):
-        raise ConfigError("model", f'must be "sl" or "fhn", got {model_str!r}')
-    model = Model.STUART_LANDAU if model_str == "sl" else Model.FITZHUGH_NAGUMO
+    try:
+        model = Model(model_str)
+    except ValueError:
+        raise ConfigError("model", f"must be sl or fhn, got {model_str!r}") from None
 
-    rows = _as_positive_int(_require(doc, "M", ""), "M")
-    cols = _as_positive_int(_require(doc, "N", ""), "N")
-    C = _as_number(_require(doc, "C", ""), "C")
-    if C < 0:
-        raise ConfigError("C", f"must be >= 0, got {C}")
+    rows = _as_number(_require(doc, "M", ""), "M", ">= 1", integer=True)
+    cols = _as_number(_require(doc, "N", ""), "N", ">= 1", integer=True)
+    C = _as_number(_require(doc, "C", ""), "C", ">= 0")
+    params: ModelParams = _read_fields(
+        SLParams if model is Model.STUART_LANDAU else FHNParams,
+        doc.get("params", {}), "params")
 
-    raw_params = doc.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise ConfigError("params", "must be an object")
-    # the parameter dataclass declares the names; a field without a
-    # default is required
-    cls = SLParams if model is Model.STUART_LANDAU else FHNParams
-    names = [f.name for f in fields(cls)]
-    for key in raw_params:
-        if key not in names:
-            raise ConfigError(f"params.{key}", "unknown key")
-    values = {}
-    for f in fields(cls):
-        if f.name in raw_params or f.default is MISSING:
-            value = _require(raw_params, f.name, "params.")
-            values[f.name] = _as_number(value, f"params.{f.name}")
-    params: ModelParams = cls(**values)
-
-    tau = None
-    delay_files = None
+    tau = delay_files = None
     if "delay" in doc:
         delay = doc["delay"]
-        if not isinstance(delay, dict) or set(delay) - {"homogeneous", "files"}:
+        if not isinstance(delay, dict) or list(delay) not in (["homogeneous"], ["files"]):
             raise ConfigError("delay", 'must be {"homogeneous": tau} or {"files": {...}}')
-        if "homogeneous" in delay and "files" in delay:
-            raise ConfigError("delay", "give either homogeneous or files, not both")
         if "homogeneous" in delay:
-            tau = _as_number(delay["homogeneous"], "delay.homogeneous")
-            if tau <= 0:
-                raise ConfigError("delay.homogeneous", f"must be > 0, got {tau}")
-        elif "files" in delay:
+            tau = _as_number(delay["homogeneous"], "delay.homogeneous", "> 0")
+        else:
             files = delay["files"]
             if (not isinstance(files, dict) or set(files) != {"down", "right"}
                     or not all(isinstance(v, str) for v in files.values())):
                 raise ConfigError("delay.files", 'must be {"down": path, "right": path}')
             delay_files = dict(files)
-        else:
-            raise ConfigError("delay", "empty delay object")
 
-    sim = None
-    if "sim" in doc:
-        raw_sim = doc["sim"]
-        if not isinstance(raw_sim, dict) or set(raw_sim) - {"t_end", "dt", "record_every"}:
-            raise ConfigError("sim", "allowed keys: t_end, dt, record_every")
-        t_end = _as_number(_require(raw_sim, "t_end", "sim."), "sim.t_end")
-        if t_end <= 0:
-            raise ConfigError("sim.t_end", f"must be > 0, got {t_end}")
-        dt = None
-        if "dt" in raw_sim:
-            dt = _as_number(raw_sim["dt"], "sim.dt")
-            if dt <= 0:
-                raise ConfigError("sim.dt", f"must be > 0, got {dt}")
-        record_every = raw_sim.get("record_every", 1)
-        record_every = _as_positive_int(record_every, "sim.record_every")
-        sim = SimSettings(t_end=t_end, dt=dt, record_every=record_every)
-
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed",
-                          f"expected a non-negative integer, got {seed!r}")
+    sim = _read_fields(SimSettings, doc["sim"], "sim") if "sim" in doc else None
+    seed = _as_number(doc.get("seed", 0), "seed", ">= 0", integer=True)
 
     spec = LatticeSpec(rows=rows, cols=cols, model=model, params=params, coupling=C)
     return RunConfig(spec=spec, tau=tau, delay_files=delay_files, sim=sim, seed=seed)

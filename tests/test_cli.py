@@ -413,7 +413,7 @@ def test_fhn_simulate_without_rest_state_is_a_config_error(tmp_path, capsys):
     (None, {"delay": {"homogeneous": 0.0}}, "delay.homogeneous"),
     (None, {"delay": {"files": {"down": "d.csv"}}}, "delay.files"),
     (None, {"delay": {}}, "delay"),
-    (None, {"sim": {"t_end": 1.0, "steps": 10}}, "sim"),
+    (None, {"sim": {"t_end": 1.0, "steps": 10}}, "sim.steps"),
     (None, {"sim": {"t_end": 0.0}}, "sim.t_end"),
     (None, {"sim": {"t_end": 1.0, "dt": -0.01}}, "sim.dt"),
     (None, {"C": "1.0"}, "C"),
