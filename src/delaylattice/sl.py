@@ -22,8 +22,9 @@ from .core import (TWO_PI, LatticeSpec, SLParams, WaveVector, check_coupling,
 from .lambertw import MAX_BRANCH, lambert_w_log
 # find_roots_quasipoly is not called here; perfbench/tracing.py looks it
 # up through this module
-from .roots import (RootSet, count_roots_right, find_roots_quasipoly,
-                    find_roots_seeded, solve_cubic_real, solve_kepler)
+from .roots import (DEDUP_RADIUS, RootSet, count_roots_right,
+                    find_roots_quasipoly, find_roots_seeded, solve_cubic_real,
+                    solve_kepler)
 
 TRIVIAL_EXCLUSION_RADIUS = 1e-6
 STABILITY_TOL = 1e-6
@@ -127,9 +128,10 @@ def sl_stst_pcs(params: SLParams, C: float, k_minus: float,
     gamma = -1/2 * log[(alpha^2 + (beta-Omega)^2) / (C^2 cos^2 k_minus)].
     """
     check_coupling(C)
-    R2 = (C * math.cos(k_minus)) ** 2
-    # cos(pi/2) rounds to ~6e-17, so compare with a tolerance
-    if R2 < 1e-24:
+    # cos(pi/2) rounds to ~6e-17: below 1e-12 it is 0, as in _chi_coeffs
+    cos_km = math.cos(k_minus)
+    R2 = 0.0 if abs(cos_km) < 1e-12 else (C * cos_km) ** 2
+    if R2 == 0.0:
         raise ValueError("C*cos(k_minus) vanishes: the mode is decoupled, "
                          "gamma = -inf")
     Omega = np.asarray(Omega, dtype=float)
@@ -375,7 +377,10 @@ def _tail_bound(wave: PlaneWave, C: float, tau: float, q_minus, sigma: float,
 def _rightmost(modes: list, sets: list) -> tuple:
     """The largest real part over the root sets of the modes, excluding the
     trivial root at (lambda=0, q=0), and (omega, q_minus, q_plus) of the
-    first root in mode-then-root order that attains it."""
+    first root in mode-then-root order that attains it. omega is 0 within
+    ``DEDUP_RADIUS`` of the real axis, and |Im lambda| in a mode q = -q,
+    whose roots come in conjugate pairs, so it reads the spectrum, not the
+    rounding that picks one member of a pair."""
     max_growth = -np.inf
     witness = (0.0, 0.0, 0.0)
     for q, rs in zip(modes, sets):
@@ -385,7 +390,12 @@ def _rightmost(modes: list, sets: list) -> tuple:
         if lam.size and lam.real.max() > max_growth:
             i = int(np.argmax(lam.real))
             max_growth = float(lam[i].real)
-            witness = (float(lam[i].imag), q.k_minus, q.k_plus)
+            omega = float(lam[i].imag)
+            # q = -q (mod 2 pi) where sin k1 = sin k2 = 0
+            if abs(math.sin(q.k1)) + abs(math.sin(q.k2)) < 1e-12:
+                omega = abs(omega)
+            witness = (omega if abs(omega) > DEDUP_RADIUS else 0.0,
+                       q.k_minus, q.k_plus)
     return max_growth, witness
 
 

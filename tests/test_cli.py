@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,29 @@ def test_hopf_points_of_fhn(tmp_path):
     assert (out / "hopf.csv").read_text().startswith("I,omega\n")
     assert got.shape == (len(HOPF_DEFAULT), 2)
     assert np.max(np.abs(got - np.array(HOPF_DEFAULT))) <= 1e-10
+
+
+def test_spectrum_stst_of_fhn(tmp_path):
+    # one rest state at I = 0, C = 3: 64 roots in (0, 0), 3 in each of the
+    # decoupled modes (0, pi) and (pi, 0), 59 in (pi, pi)
+    from delaylattice.core import enumerate_modes
+    from delaylattice.fhn import fhn_char_roots, fhn_steady_states
+    cfgp = write_config(tmp_path / "fhn.json", {
+        "model": "fhn", "M": 2, "N": 2, "C": 3.0,
+        "delay": {"homogeneous": 50.0}})
+    out = tmp_path / "r"
+    assert cli.main(["spectrum-stst", "--config", cfgp, "--out", str(out)]) == 0
+    lines = (out / "eigenvalues.csv").read_text().splitlines()
+    assert lines[0] == "k1,k2,q1,q2,re_lambda,im_lambda,class"
+    rows = [line.split(",") for line in lines[1:]]
+    assert {row[-1] for row in rows} == {"stst0"}
+    (stst,) = fhn_steady_states(FHNParams(), 3.0)
+    spec = LatticeSpec(2, 2, Model.FITZHUGH_NAGUMO, FHNParams(), 3.0)
+    counts = [sum((float(row[0]), float(row[1])) == (wv.k1, wv.k2)
+                  for row in rows) for wv in enumerate_modes(spec)]
+    assert counts == [len(fhn_char_roots(stst, FHNParams(), 3.0, 50.0, wv))
+                      for wv in enumerate_modes(spec)]
+    assert sorted(counts) == [3, 3, 59, 64] and len(rows) == 129
 
 
 def test_simulate_artifacts(tmp_path):
@@ -649,26 +673,46 @@ def test_numerical_failure_exit_code(tmp_path, sl_config, monkeypatch):
 
 
 def test_encode_and_verify_pipeline(tmp_path):
+    # the README's pipeline: encode an image, simulate on its delay maps at
+    # the default step, verify the run against its shift field
+    import hashlib
     img = np.array([[0, 255], [128, 64]], dtype=np.uint8)
     imgp = tmp_path / "pat.pgm"
     write_pgm(imgp, img)
     enc = tmp_path / "enc"
     assert cli.main(["encode", "--image", str(imgp), "--out", str(enc),
                      "--tau", "10.0", "--eta-max", "0.5"]) == 0
-    down = np.loadtxt(enc / "delays_down.csv", delimiter=",", ndmin=2)
+    files = {"down": str(enc / "delays_down.csv"),
+             "right": str(enc / "delays_right.csv")}
+    down, right = (np.loadtxt(files[key], delimiter=",", ndmin=2)
+                   for key in ("down", "right"))
     eta = np.loadtxt(enc / "eta.csv", delimiter=",", ndmin=2)
-    assert down.shape == (2, 2)
+    assert down.shape == right.shape == (2, 2)
     assert eta[0, 0] == 0.0 and eta[0, 1] == 0.5
 
-    # oscillatory SL run, then check fidelity reporting end to end
-    cfgp = write_config(tmp_path / "sim.json", OSCILLATING_SL)
+    text = json.dumps({
+        "model": "sl", "M": 2, "N": 2, "params": {"alpha": 1.0, "beta": 1.0},
+        "C": 0.5, "delay": {"files": files},
+        "sim": {"t_end": 60.0, "record_every": 5}, "seed": 3})
+    cfgp = tmp_path / "sim.json"
+    cfgp.write_text(text)
     rundir = tmp_path / "run"
-    assert cli.main(["simulate", "--config", cfgp, "--out", str(rundir)]) == 0
-    etap = tmp_path / "eta.csv"
-    np.savetxt(etap, np.zeros((2, 2)), delimiter=",")
+    assert cli.main(["simulate", "--config", str(cfgp),
+                     "--out", str(rundir)]) == 0
+    resolved = (rundir / "resolved_config.json").read_text()
+    assert parse_config(resolved) == parse_config(text)
+    inputs = read_manifest(rundir)["inputs"]
+    for path in files.values():
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert inputs[path] == digest
+    min_delay = min(down.min(), right.min())
+    header = json.loads((rundir / "frames.json").read_text())
+    assert header["dt"] == min(0.01, min_delay / 8.0)
+
     out = tmp_path / "ver"
-    assert cli.main(["verify", "--run", str(rundir), "--eta", str(etap),
-                     "--out", str(out), "--t-discard", "20.0"]) == 0
+    assert cli.main(["verify", "--run", str(rundir), "--eta",
+                     str(enc / "eta.csv"), "--out", str(out),
+                     "--t-discard", "20.0"]) == 0
     report = json.loads((out / "fidelity.json").read_text())
     assert set(report) == {"correlation", "max_dev", "missing_nodes"}
     assert report["missing_nodes"] == []

@@ -150,6 +150,18 @@ def test_stst_pcs_at_zero_coupling_says_the_coupling_vanishes():
         sl_stst_pcs(SLParams(-2.0, 0.5), 0.0, 0.3, 0.5)
 
 
+def test_stst_pcs_of_a_weakly_coupled_mode_is_finite():
+    # (C cos k_minus)^2 = 1e-26 once fell below a cut of 1e-24 and was
+    # called decoupled; only |cos k_minus| < 1e-12 decouples a mode, as in
+    # _chi_coeffs and the FHN root searches
+    params, C, omegas = SLParams(-2.0, 0.5), 1e-13, np.array([-1.0, 0.5, 2.0])
+    want = -0.5 * np.log((params.alpha ** 2 + (params.beta - omegas) ** 2)
+                         / C ** 2)
+    got = sl_stst_pcs(params, C, 0.0, omegas)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_hopf_threshold_zero_delay():
     spec = make_spec(3, 3, -2.0, 0.5, 2.0)
     assert sl_hopf_threshold(spec.params, 2.0, 0.0, spec) == -2.0
@@ -406,6 +418,20 @@ def test_floquet_verdict_reports_its_sweep_counts():
     # the grid sweep read 0.48339366557540064
     assert v.max_growth == 0.4833936655754007
     assert abs(v.max_growth - 0.48339366557540064) <= 1e-15
+
+
+def test_floquet_witness_omega_reads_the_spectrum_not_the_rounding():
+    # 4x4 torus: wave 0's top roots are a conjugate pair of the mode
+    # (pi, pi) = -(pi, pi), written as +|Im lambda|; wave 7's top root is
+    # real, where Newton once left an Im lambda of -8.2e-28
+    wave, spec = _torus_wave(4, 0)
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert v.witness[1:] == (0.0, math.pi)
+    assert abs(v.witness[0] - 0.42879889145506356) <= 1e-12
+    wave, spec = _torus_wave(4, 7)
+    v = sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec)
+    assert v.cls is sl.StabilityClass.STRONG_UNSTABLE
+    assert v.witness[0] == 0.0
 
 
 # (torus side, wave, lowest Re lambda). On the 4x4 torus some
