@@ -95,6 +95,14 @@ class WaveVector:
         return 0.5 * (self.k1 - self.k2)
 
 
+def mode_cos(k_minus):
+    """cos k_minus of a number or an array, exactly 0.0 where |cos k_minus|
+    < 1e-12 (cos(pi/2) rounds to 6e-17): the one rule of a decoupled mode."""
+    c = np.cos(k_minus)
+    c = np.where(np.abs(c) < 1e-12, 0.0, c)
+    return c if c.ndim else float(c)
+
+
 def enumerate_modes(spec: LatticeSpec) -> list[WaveVector]:
     """All M*N admissible lattice wavevectors.
 

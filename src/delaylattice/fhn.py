@@ -6,12 +6,11 @@ location of Hopf points."""
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FHNParams, WaveVector, check_coupling, check_delay
+from .core import FHNParams, WaveVector, check_coupling, check_delay, mode_cos
 from .roots import (RESIDUAL_TOL, RootSet, _dedup_sorted,
                     bisect_sign_changes, find_roots_quasipoly, newton)
 
@@ -137,9 +136,9 @@ def fhn_linearization(stst: FhnSteadyState, params: FHNParams,
 
 
 def _coupling_factor(b13, k_minus, k_plus=0.0):
-    """2 b13 cos(k_minus) e^{i k_plus}: the delayed coupling of one mode,
-    the factor of e^{-lambda tau} in its characteristic function."""
-    return 2.0 * b13 * np.cos(k_minus) * np.exp(1j * k_plus)
+    """2 b13 mode_cos(k_minus) e^{i k_plus}: the delayed coupling of one
+    mode, the factor of e^{-lambda tau} in its characteristic function."""
+    return 2.0 * b13 * mode_cos(k_minus) * np.exp(1j * k_plus)
 
 
 def _char_coeffs(A, coup, lam):
@@ -187,8 +186,7 @@ def fhn_char_roots(stst: FhnSteadyState, params: FHNParams, C: float,
     check_delay(tau)
     lin = fhn_linearization(stst, params, C)
     coup = _coupling_factor(lin.b13, wv.k_minus, wv.k_plus)
-    if lin.b13 == 0.0 or abs(math.cos(wv.k_minus)) < 1e-12:
-        # decoupled: A stays real, eigvals of its complex cast can differ
+    if coup == 0:   # decoupled: keep A real, eigvals of a complex A can differ
         coup = 0.0
     elif tau > 0.0:
         fdf, terms = fhn_char_function(lin, tau, wv)
@@ -229,11 +227,10 @@ def fhn_hybrid_dispersion(stst: FhnSteadyState, params: FHNParams, C: float,
     is the value of e^{-lambda tau} that makes f vanish at i Omega."""
     lin = fhn_linearization(stst, params, C)
     Omega = np.asarray(Omega, dtype=float)
-    k_minus = np.asarray(k_minus, dtype=float)
-    if lin.A[2, 0] * lin.b13 == 0.0 or np.any(np.abs(np.cos(k_minus)) < 1e-12):
+    coup = _coupling_factor(lin.b13, np.asarray(k_minus, dtype=float))
+    if np.any(lin.A[2, 0] * coup == 0.0):
         raise ValueError("mode decoupled: a31*b13*cos(k_minus) vanishes")
-    _, _, _, P, Q = _char_coeffs(lin.A, _coupling_factor(lin.b13, k_minus),
-                                 1j * Omega)
+    _, _, _, P, Q = _char_coeffs(lin.A, coup, 1j * Omega)
     gamma = -np.log(np.abs(P / Q))
     return gamma if gamma.ndim else float(gamma)
 

@@ -49,8 +49,6 @@ def lambert_w_log(j, log_z) -> np.ndarray:
     log_z.imag.flat = [math.remainder(y, math.tau) for y in log_z.imag.flat]
     L = log_z + 2j * np.pi * j
     j = np.zeros(L.shape, dtype=int) + j
-    if not np.count_nonzero(log_z.real < _SWITCH):   # so |L| >= _SWITCH
-        return _log_form(j.ravel(), L.ravel()).reshape(L.shape)[()]
     direct = (np.abs(L) < _SWITCH) | ((j == 0) & (log_z.real < 0.0))
     w = np.empty(L.shape, dtype=complex)
     if direct.any():

@@ -263,8 +263,6 @@ def solve_kepler(beta: float, R: float, k_plus: float, tau: float) -> np.ndarray
     enough to be a candidate."""
     check_delay(tau)
     R = float(R)
-    if R == 0.0:
-        return np.array([beta])
 
     def g(om):
         return om - beta - R * np.sin(k_plus - om * tau)

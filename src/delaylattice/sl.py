@@ -18,7 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .core import (TWO_PI, LatticeSpec, SLParams, WaveVector, check_coupling,
-                   check_delay, enumerate_mode_classes, enumerate_modes)
+                   check_delay, enumerate_mode_classes, enumerate_modes,
+                   mode_cos)
 from .lambertw import MAX_BRANCH, lambert_w_log
 # find_roots_quasipoly is not called here; perfbench/tracing.py looks it
 # up through this module
@@ -38,7 +39,7 @@ class PlaneWave:
     """Travelling-wave solution a*exp(i(Omega*t - k1*m - k2*n)).
 
     ``k_tau = k_plus - Omega*tau`` is the phase picked up over one delay,
-    ``R = C*cos(k_minus)`` the effective coupling of the mode.
+    ``R = C*mode_cos(k_minus)`` the effective coupling of the mode.
     """
     a: float
     Omega: float
@@ -94,7 +95,7 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     """Exact eigenvalues of the zero steady state for one Fourier mode.
 
     lambda_j = alpha + i*beta + W_j(tau*R*exp(i*k_plus - (alpha+i*beta)*tau))/tau
-    with R = C*cos(k_minus). When the delayed term vanishes (R = 0) the
+    with R = C*cos(k_minus), not ``core.mode_cos``; where R == 0.0 the
     single instantaneous eigenvalue alpha + i*beta is returned. A branch
     whose lambda misses the mode's equation by more than
     1e-10 * max(1, |lambda|) raises ArithmeticError.
@@ -104,7 +105,7 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     if tau == 0:
         raise ValueError("tau must be > 0")
     mu = complex(params.alpha, params.beta)
-    R = C * math.cos(wv.k_minus)
+    R = C * math.cos(wv.k_minus)    # not mode_cos: ROADMAP item 12
     if R == 0.0:
         return RootSet(roots=np.array([mu]))
     log_z = _stst_log_z(params, tau, R, wv.k_plus)
@@ -128,14 +129,13 @@ def sl_stst_pcs(params: SLParams, C: float, k_minus: float,
     gamma = -1/2 * log[(alpha^2 + (beta-Omega)^2) / (C^2 cos^2 k_minus)].
     """
     check_coupling(C)
-    # cos(pi/2) rounds to ~6e-17: below 1e-12 it is 0, as in _chi_coeffs
-    cos_km = math.cos(k_minus)
-    R2 = 0.0 if abs(cos_km) < 1e-12 else (C * cos_km) ** 2
+    R2 = (C * mode_cos(k_minus)) ** 2
     if R2 == 0.0:
         raise ValueError("C*cos(k_minus) vanishes: the mode is decoupled, "
                          "gamma = -inf")
-    Omega = np.asarray(Omega, dtype=float)
-    gamma = -0.5 * np.log((params.alpha ** 2 + (params.beta - Omega) ** 2) / R2)
+    with np.errstate(divide="ignore"):     # +inf at alpha = 0, Omega = beta
+        gamma = -0.5 * np.log((params.alpha ** 2 + (
+            params.beta - np.asarray(Omega, dtype=float)) ** 2) / R2)
     return gamma if gamma.ndim else float(gamma)
 
 
@@ -153,7 +153,7 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
         # most unstable mode is k_plus = k_minus = 0
         return -C
     lo, hi = -C - max(2.0, C), -C + max(2.0, C)
-    R, k_plus = np.array([(C * math.cos(wv.k_minus), wv.k_plus)
+    R, k_plus = np.array([(C * mode_cos(wv.k_minus), wv.k_plus)
                           for wv in enumerate_modes(spec)]).T
     decoupled = (R == 0.0).any()
     R, k_plus = R[R != 0.0], k_plus[R != 0.0]
@@ -184,7 +184,7 @@ def sl_enumerate_plane_waves(params: SLParams, C: float, tau: float,
     alpha, beta = params.alpha, params.beta
     waves = []
     for wv in enumerate_modes(spec):
-        R = C * math.cos(wv.k_minus)
+        R = C * mode_cos(wv.k_minus)
         for Om in solve_kepler(beta, R, wv.k_plus, tau):
             k_tau = wv.k_plus - Om * tau
             a2 = alpha + R * math.cos(k_tau)
@@ -210,12 +210,10 @@ def _chi_coeffs(wave: PlaneWave, C: float, q_minus):
     chi = lambda^2 + 2 P lambda + c - ((P + lambda) G - Q) e1 + Rp Rm e1^2
     with e1 = exp(-lambda tau + i q_plus)."""
     a2, R, kt = wave.a2, wave.R, wave.k_tau
-    # cos(+-pi/2) rounds to +-6e-17, with a sign that differs between q
-    # and -q; a coupling that vanishes is exactly 0, so that
-    # chi(lambda; -q) = conj chi(conj lambda; q) holds on even tori too
-    cp, cm = np.cos(wave.wv.k_minus + q_minus), np.cos(wave.wv.k_minus - q_minus)
-    Rp = np.where(np.abs(cp) < 1e-12, 0.0, C * cp)
-    Rm = np.where(np.abs(cm) < 1e-12, 0.0, C * cm)
+    # a coupling that vanishes is 0, not a 1e-16 residue whose sign differs
+    # between q and -q: chi(lambda; -q) = conj chi(conj lambda; q) holds
+    Rp = C * mode_cos(wave.wv.k_minus + q_minus)
+    Rm = C * mode_cos(wave.wv.k_minus - q_minus)
     P = a2 + R * math.cos(kt)
     G = Rp * cmath.exp(1j * kt) + Rm * cmath.exp(-1j * kt)
     Hd = Rp * cmath.exp(1j * kt) - Rm * cmath.exp(-1j * kt)

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,24 @@ def test_dispersion_outputs_finite_surface(tmp_path, sl_config):
     assert data.shape == (64, 3)
     assert np.all(np.isfinite(data))
     assert np.max(data[:, 2]) < 0.0   # alpha below threshold: stable surface
+
+
+def test_dispersion_writes_an_infinite_growth_rate_silently(tmp_path, capsys):
+    # at alpha = beta = 0 the grid's Omega = 0 gives gamma = +inf, the
+    # formula's limit; numpy's "divide by zero" warning once went to stderr
+    cfg = write_config(tmp_path / "sl.json", {
+        "model": "sl", "M": 2, "N": 2, "params": {"alpha": 0.0, "beta": 0.0},
+        "C": 1.0, "delay": {"homogeneous": 10.0}})
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["dispersion", "--config", cfg, "--out", str(out),
+                         "--grid", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    data = np.loadtxt(out / "dispersion.csv", delimiter=",", skiprows=1)
+    assert data.shape == (9, 3)
+    assert np.array_equal(np.isinf(data[:, 2]), data[:, 0] == 0.0)
+    assert np.all(data[data[:, 0] == 0.0, 2] == np.inf)
 
 
 def test_floquet_verdicts(tmp_path):

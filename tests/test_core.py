@@ -7,7 +7,7 @@ import pytest
 from delaylattice.core import (ConfigError, DelayMap, FHNParams, LatticeSpec,
                                Model, SLParams, WaveVector,
                                enumerate_mode_classes, enumerate_modes,
-                               parse_config)
+                               mode_cos, parse_config)
 
 SL33 = LatticeSpec(rows=3, cols=3, model=Model.STUART_LANDAU,
                    params=SLParams(alpha=-2.0, beta=0.5), coupling=2.0)
@@ -72,6 +72,32 @@ def test_modes_are_distinct():
     pairs = {(m.k1, m.k2) for m in enumerate_modes(SL33)}
     assert len(pairs) == 9
     assert all(0.0 <= k < 2 * math.pi for pair in pairs for k in pair)
+
+
+def test_mode_cos_is_zero_exactly_where_a_mode_decouples():
+    # cos(+-pi/2) rounds to 6e-17 and cos(3 pi/2) to -1.8e-16
+    half = [math.pi / 2, -math.pi / 2, 3 * math.pi / 2]
+    other = [0.0, math.pi, -math.pi / 3, 2 * math.pi / 3, 1.0, 1e-300,
+             math.pi / 2 + 1e-9, 100.0]
+    for k in half:
+        assert mode_cos(k) == 0.0 and type(mode_cos(k)) is float
+    for k in other:
+        assert mode_cos(k) == math.cos(k) and type(mode_cos(k)) is float
+    got = mode_cos(np.array([half + other, other + half]))
+    assert got.shape == (2, 11)
+    assert got.tolist() == [[0.0] * 3 + [math.cos(k) for k in other],
+                            [math.cos(k) for k in other] + [0.0] * 3]
+
+
+def test_lattice_spec_needs_a_node():
+    with pytest.raises(ValueError, match="lattice dimensions must be >= 1"):
+        LatticeSpec(rows=0, cols=3, model=Model.STUART_LANDAU,
+                    params=SLParams(1.0, 0.0), coupling=1.0)
+
+
+def test_delay_map_edges_of_one_shape():
+    with pytest.raises(ValueError, match="matrices of equal shape"):
+        DelayMap(down=np.ones((2, 2)), right=np.ones((2, 3)))
 
 
 def test_delay_map_positivity():

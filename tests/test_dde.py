@@ -201,6 +201,26 @@ def test_estimate_orbit_period_two_pulse():
     assert estimate_orbit_period(traj, t_discard=0.0) == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("intervals, message", [
+    ([3.0, 5.0], r"only 3 events after t=0\.0; need >= 4"),
+    ([1.0, 2.0, 4.0, 8.0, 16.0, 32.0], "shows no periodic block structure")],
+    ids=["three-events", "no-repeat"])
+def test_estimate_orbit_period_needs_a_repeating_block(intervals, message):
+    traj = Trajectory(times=np.arange(0, 100, 0.1),
+                      snapshots=np.zeros((1000, 1, 1, 1)),
+                      dt=0.1, record_every=1)
+    traj.spikes = [[np.cumsum([0.0] + intervals)]]
+    with pytest.raises(InsufficientDataError, match=message):
+        estimate_orbit_period(traj, t_discard=0.0)
+
+
+def test_simulate_rejects_a_delay_map_of_another_shape():
+    with pytest.raises(ValueError, match="delay map shape does not match"):
+        simulate(sl_spec(2, 2, 1.0, 1.0, 0.5), DelayMap.homogeneous(2, 3, 1.0),
+                 ConstantHistory(np.zeros((2, 2), complex)), t_end=1.0,
+                 dt=0.1)
+
+
 def test_orbit_period_reads_the_cached_zero_crossings_of_component_0():
     # gate events cached as traj.spikes were once read as component-0 zero
     # crossings: the orbit period came out 51.302633, the first event 1.009
@@ -321,6 +341,14 @@ def test_eval_shifted_on_a_block_equals_one_call_per_time(stored, deriv):
     times[4, 1, 1] = dense.t_end + 0.01
     with pytest.raises(SimulationError):
         dense.eval_shifted(times, deriv=deriv)
+
+
+def test_eval_shifted_rejects_times_of_another_lattice():
+    from delaylattice.dde import SimulationError
+    dense = _stored_run(2, 2)
+    with pytest.raises(SimulationError,
+                       match=r"cannot broadcast stored lattice \(2, 2\)"):
+        dense.eval_shifted(np.full((4, 2, 3), dense.t0 + 1.0))
 
 
 def _histories():

@@ -68,6 +68,13 @@ def test_steady_state_unique_below_saddle_node():
         assert len(fhn_steady_states(params, 1.0)) == 1
 
 
+def test_saddle_node_without_a_fold_point_raises():
+    # v_r = -10 makes phi'(v) = -s(v) + (v_r - v) s'(v) negative on the
+    # whole scan, so C(v) has no finite value there
+    with pytest.raises(ArithmeticError, match="no fold point found"):
+        fhn_saddle_node_C(FHNParams(v_r=-10.0))
+
+
 def test_steady_state_triple_above_saddle_node():
     # C=3 > C_SN: a fold interval in I with three rest states exists
     counts = {len(fhn_steady_states(FHNParams(I=I), 3.0))

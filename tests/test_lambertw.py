@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
+from delaylattice import lambertw
 from delaylattice.lambertw import MAX_BRANCH, LambertWError, lambert_w_log
 
 
@@ -391,3 +392,14 @@ def test_scalar_arguments_give_a_scalar():
     assert np.ndim(w) == 0 and isinstance(w, complex)
     assert lambert_w_log(np.array([1]), 2.0 + 1.0j).shape == (1,)
     assert lambert_w_log(0, np.zeros((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("log_z", [complex(10.0, 0.5), complex(0.3, 0.5)],
+                         ids=["log-form", "direct-form"])
+def test_an_entry_whose_newton_run_never_stops_raises(monkeypatch, log_z):
+    # Newton that leaves every seed where it started, unstopped
+    monkeypatch.setattr(lambertw, "newton", lambda fdf, seed: (
+        seed, np.zeros(seed.shape, dtype=bool)))
+    with pytest.raises(LambertWError,
+                       match=r"did not converge on branches \[0\]"):
+        lambert_w_log(0, log_z)

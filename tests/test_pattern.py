@@ -5,7 +5,7 @@ import pytest
 
 from delaylattice.core import DelayMap, LatticeSpec, Model, SLParams
 from delaylattice.dde import (ConstantHistory, ShiftedReplayHistory,
-                              Trajectory, simulate)
+                              Trajectory, detect_spikes, simulate)
 from delaylattice.pattern import (ShiftField, delays_from_timeshifts,
                                   eta_from_image, read_pgm, verify_pattern,
                                   write_pgm)
@@ -110,6 +110,13 @@ def test_pgm_comments_and_errors(tmp_path):
         read_pgm(p)
 
 
+def test_pgm_truncated_ascii_raster(tmp_path):
+    p = tmp_path / "t.pgm"
+    p.write_bytes(b"P2\n2 2\n255\n0 64 128\n")
+    with pytest.raises(ValueError, match="truncated P2 raster"):
+        read_pgm(p)
+
+
 def test_pgm_comment_after_every_token_and_crlf_line_ends(tmp_path):
     # raster bytes 10 and 35 are "\n" and "#": the header ends at the one
     # whitespace byte after maxval
@@ -187,6 +194,35 @@ def test_verify_pattern_rejects_a_period_that_is_not_finite(T):
     eta = np.array([[0.0, 1.0], [2.0, 0.5]])
     with pytest.raises(ValueError, match="T must be finite"):
         verify_pattern(_spike_traj(50.0 - eta), ShiftField(eta), T)
+
+
+def test_verify_pattern_rejects_a_shift_field_of_another_shape():
+    eta = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="shift field shape does not match"):
+        verify_pattern(_spike_traj(50.0 - eta), ShiftField(np.zeros((2, 3))),
+                       10.0)
+
+
+def test_verify_pattern_detects_the_spikes_a_trajectory_lacks():
+    # sinusoids whose node (m, n) runs ahead by eta[m, n]: their upward
+    # zero crossings are its spikes
+    T = 10.0
+    eta = np.array([[0.0, 1.0, 2.5], [4.0, 0.5, 7.0]])
+    times = np.arange(0.0, 40.0, 0.01)
+    snaps = np.sin(2 * np.pi / T * (times[:, None, None] + eta))[..., None]
+
+    def traj():
+        return Trajectory(times=times, snapshots=snaps, dt=0.01,
+                          record_every=1)
+    detected = traj()
+    detect_spikes(detected)
+    lacking = traj()
+    rep = verify_pattern(lacking, ShiftField(eta), T, t_discard=5.0)
+    assert rep == verify_pattern(detected, ShiftField(eta), T, t_discard=5.0)
+    assert [[ev.tolist() for ev in row] for row in lacking.spikes] == [
+        [ev.tolist() for ev in row] for row in detected.spikes]
+    assert rep.max_dev < 1e-3 and rep.missing_nodes == []
+    assert rep.correlation == pytest.approx(1.0, abs=1e-6)
 
 
 def test_verify_pattern_wraps_modulo_period():

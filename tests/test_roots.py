@@ -293,7 +293,11 @@ def test_conjugate_closure_of_real_quasipoly():
 
 
 def test_kepler_zero_coupling():
-    assert np.array_equal(solve_kepler(0.5, 0.0, 1.0, 20.0), [0.5])
+    # no branch of its own: g = Omega - beta changes sign once, at beta
+    for beta in (0.5, 0.0, 1e6):
+        for tau in (0.0, 20.0, 1000.0):
+            for k_plus in (0.0, 1.0, 1.3, math.pi):
+                assert solve_kepler(beta, 0.0, k_plus, tau).tolist() == [beta]
 
 
 @pytest.mark.parametrize("beta, R, k_plus", [(0.5, 2.0, 0.7),

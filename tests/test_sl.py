@@ -11,7 +11,8 @@ from scipy.special import lambertw
 
 from delaylattice import sl
 from delaylattice.core import (LatticeSpec, Model, SLParams, WaveVector,
-                              enumerate_mode_classes, enumerate_modes)
+                              enumerate_mode_classes, enumerate_modes,
+                              mode_cos)
 from delaylattice.lambertw import lambert_w_log
 from delaylattice.roots import count_roots_right, find_roots_seeded, newton
 from delaylattice.sl import (_chi_and_deriv, hessian_negative_definite,
@@ -162,6 +163,14 @@ def test_stst_pcs_of_a_weakly_coupled_mode_is_finite():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_stst_pcs_is_infinite_where_alpha_and_beta_minus_omega_vanish():
+    # the formula's limit: log(0) once warned "divide by zero"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sl_stst_pcs(SLParams(0.0, 0.0), 1.0, 0.0, [-1.0, 0.0, 1.0])
+    assert got.tolist() == [0.0, math.inf, 0.0]
+
+
 def test_hopf_threshold_zero_delay():
     spec = make_spec(3, 3, -2.0, 0.5, 2.0)
     assert sl_hopf_threshold(spec.params, 2.0, 0.0, spec) == -2.0
@@ -198,8 +207,12 @@ def test_hopf_threshold_reads_w0_of_every_mode(monkeypatch):
     # eigenvalue of all branches of every mode, bit for bit, at delays that
     # take the w e^w = z form (tau = 0.5), both forms (20) and the log form
     # (200 and 1000); it makes one Lambert W call at each alpha, the two
-    # ends and 22 midpoints, and none to sl_stst_eigenvalues
+    # ends and 22 midpoints, and none to sl_stst_eigenvalues. The 6 modes
+    # at k_minus = +-pi/2 are decoupled there (alpha + i beta), while
+    # sl_stst_eigenvalues runs them on R = C*6e-17 (ROADMAP item 12)
     spec = make_spec(6, 6, -2.5, 0.5, 2.0)
+    assert [mode_cos(wv.k_minus) for wv in enumerate_modes(spec)].count(
+        0.0) == 6
     got = {}
     for tau in (0.5, 20.0, 200.0, 1000.0):
         want = _full_maximum_hopf_bisection(spec.params, 2.0, tau, spec)
@@ -233,10 +246,12 @@ def test_hopf_threshold_at_long_delay_keeps_branch_zero():
 def test_hopf_threshold_names_the_end_without_a_sign_change(monkeypatch,
                                                             growth, end):
     # W_0 = growth * 1e6 puts every mode's rightmost eigenvalue at
-    # alpha + growth * 5000 at tau 200: of one sign over the whole bracket
+    # alpha + growth * 5000 at tau 200: of one sign over the whole bracket.
+    # The 3x3 torus has no decoupled mode, whose eigenvalue alpha + i beta
+    # W_0 cannot move (the 2x2 torus has two, at k_minus = +-pi/2)
     monkeypatch.setattr(sl, "lambert_w_log", lambda j, log_z: np.full(
         np.shape(log_z), complex(growth * 1e6, 0.0)))
-    spec = make_spec(2, 2, -2.5, 0.5, 2.0)
+    spec = make_spec(3, 3, -2.5, 0.5, 2.0)
     with pytest.raises(ArithmeticError, match=r"on alpha in \[-4.0, 0.0\]: "
                        + end):
         sl_hopf_threshold(spec.params, 2.0, 200.0, spec)
@@ -274,6 +289,20 @@ def test_enumeration_count_estimate_3x3():
         abs(math.cos(math.pi * (l - j) / N))
         for l in range(N) for j in range(N))
     assert abs(len(waves) / exact_sum - 1.0) < 0.02
+
+
+def test_decoupled_waves_have_zero_coupling_and_frequency_beta():
+    # the waves of the 4x4 torus at k_minus = +-pi/2 once carried
+    # R = 1.2246467991473532e-16 and Omega = 0.49999999999999989
+    spec = make_spec(4, 4, 3.0, 0.5, 2.0)
+    waves = sl_enumerate_plane_waves(spec.params, 2.0, 20.0, spec)
+    half = [i for i, w in enumerate(waves)
+            if abs(math.cos(w.wv.k_minus)) < 1e-12]
+    assert half == [46, 127, 128, 207]
+    for i in half:
+        assert (waves[i].R, waves[i].Omega, waves[i].a) == (
+            0.0, 0.5, math.sqrt(3.0))
+    assert all(w.R != 0.0 for i, w in enumerate(waves) if i not in half)
 
 
 def test_enumerated_wave_invariants():
