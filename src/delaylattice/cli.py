@@ -182,25 +182,22 @@ def cmd_dispersion(args) -> int:
     core._as_number(args.omega_max, "--omega-max")
     cfg = _read_config(args)
     omegas = np.linspace(-args.omega_max, args.omega_max, n)
-    # stay off the decoupled modes cos(k_minus) = 0
+    # stay off the decoupled modes cos(k_minus) = 0, where gamma = -inf
     kms = np.linspace(-math.pi / 2, math.pi / 2, n + 2)[1:-1]
     prm, C = cfg.spec.params, cfg.spec.coupling
-    if cfg.spec.model is not Model.STUART_LANDAU:
+    if cfg.spec.model is Model.STUART_LANDAU:
+        gamma = sl.sl_stst_pcs(prm, C, kms[:, None], omegas)
+    else:
         states = fhn.fhn_steady_states(prm, C)
         i = args.state_index
         _require(0 <= i < len(states), "--state-index",
                  f"{i} is not one of the {len(states)} rest states")
-    # C = 0 decouples every mode
-    with _input_of("C"):
-        if cfg.spec.model is Model.STUART_LANDAU:
-            surface = [sl.sl_stst_pcs(prm, C, km, omegas) for km in kms]
-        else:
-            surface = [fhn.fhn_hybrid_dispersion(states[i], prm, C, omegas,
-                                                 km) for km in kms]
+        gamma = fhn.fhn_hybrid_dispersion(states[i], prm, C, omegas,
+                                          kms[:, None])
     return _emit(args, *_config_artifacts(args, cfg, {"dispersion.csv": _csv(
         ["omega", "k_minus", "gamma"],
-        [np.column_stack([omegas, np.full(n, km), g])
-         for km, g in zip(kms, surface)])}))
+        [np.column_stack([np.tile(omegas, n), np.repeat(kms, n),
+                          gamma.ravel()])])}))
 
 
 def cmd_planewaves(args) -> int:

@@ -223,15 +223,16 @@ def fhn_strong_spectrum_present(stst: FhnSteadyState, params: FHNParams,
 def fhn_hybrid_dispersion(stst: FhnSteadyState, params: FHNParams, C: float,
                           Omega, k_minus):
     """Hybrid dispersion relation gamma(Omega, k_minus) of the steady state
-    in the large-delay limit: gamma = -log|Y|, where Y = P(i Omega)/Q(i Omega)
-    is the value of e^{-lambda tau} that makes f vanish at i Omega."""
+    in the large-delay limit, elementwise: gamma = -log|Y|, where
+    Y = P(i Omega)/Q(i Omega) is the value of e^{-lambda tau} that makes f
+    vanish at i Omega, and -inf where a31*coup = 0 (a decoupled mode)."""
     lin = fhn_linearization(stst, params, C)
     Omega = np.asarray(Omega, dtype=float)
     coup = _coupling_factor(lin.b13, np.asarray(k_minus, dtype=float))
-    if np.any(lin.A[2, 0] * coup == 0.0):
-        raise ValueError("mode decoupled: a31*b13*cos(k_minus) vanishes")
     _, _, _, P, Q = _char_coeffs(lin.A, coup, 1j * Omega)
-    gamma = -np.log(np.abs(P / Q))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.where(lin.A[2, 0] * coup == 0.0, -np.inf,
+                         -np.log(np.abs(P / Q)))
     return gamma if gamma.ndim else float(gamma)
 
 

@@ -198,32 +198,30 @@ def count_roots_right(fdf: Callable, n_sets: int, sigma: float,
     # the tails: from 0 at -i infinity to Arg g(-W), from Arg g(W) to 0
     turn = np.bincount(k[first], np.angle(g[first]), n_sets) \
         - np.bincount(k[last], np.angle(g[last]), n_sets)
-    n_samples = y.size
-    # the steps: (lower y, upper y, set, then g, |f|, |f'| at both ends)
+    # the steps: indices of their ends into the points (y, k, g, |f|, |f'|);
+    # each pass appends its midpoints, the lower halves' steps first
     lo, hi = np.flatnonzero(~last), np.flatnonzero(~first)
-    steps = (y[lo], y[hi], k[lo], g[lo], g[hi], f[lo], f[hi], df[lo], df[hi])
-    while steps[0].size:
-        a, b, ks, ga, gb, fa, fb, dfa, dfb = steps
-        d = np.angle(gb / ga)
+    while lo.size:
+        d = np.angle(g[hi] / g[lo])
         split = ((np.abs(d) > 0.25 * math.pi)
-                 | ((b - a) * np.fmax(dfa, dfb) > 0.5 * np.fmax(fa, fb)))
-        turn += np.bincount(ks[~split], d[~split], n_sets)
-        a, b, ks, ga, gb, fa, fb, dfa, dfb = (x[split] for x in steps)
-        if np.any(b - a < 2e-13):
-            i = int(np.argmin(b - a))
+                 | ((y[hi] - y[lo]) * np.fmax(df[lo], df[hi])
+                    > 0.5 * np.fmax(f[lo], f[hi])))
+        turn += np.bincount(k[lo[~split]], d[~split], n_sets)
+        lo, hi = lo[split], hi[split]
+        if np.any(y[hi] - y[lo] < 2e-13):
+            j = lo[np.argmin(y[hi] - y[lo])]
             raise ArithmeticError(
-                f"set {ks[i]} has a root on the line Re z = {sigma!r} "
-                f"near Im z = {float(a[i])!r}: its step would fall below "
+                f"set {k[j]} has a root on the line Re z = {sigma!r} "
+                f"near Im z = {float(y[j])!r}: its step would fall below "
                 f"1e-13")
-        m = 0.5 * (a + b)
-        gm, fm, dfm = sample(m, ks)
-        n_samples += m.size
-        steps = tuple(np.concatenate(pair) for pair in (
-            (a, m), (m, b), (ks, ks), (ga, gm), (gm, gb), (fa, fm),
-            (fm, fb), (dfa, dfm), (dfm, dfb)))
+        m, km = 0.5 * (y[lo] + y[hi]), k[lo]
+        new = np.arange(y.size, y.size + m.size)
+        y, k, g, f, df = (np.concatenate(pair) for pair in zip(
+            (y, k, g, f, df), (m, km, *sample(m, km))))
+        lo, hi = np.concatenate([lo, new]), np.concatenate([new, hi])
     counts = (np.count_nonzero(zeros.real > sigma)
               - np.rint(turn / (2.0 * math.pi)).astype(int))
-    return counts, n_samples, sigma + 1j * y[mid], k[mid]
+    return counts, y.size, sigma + 1j * y[mid], k[mid]
 
 
 def bisect_sign_changes(g: Callable, x: np.ndarray, gx: np.ndarray) -> np.ndarray:

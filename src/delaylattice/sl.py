@@ -123,19 +123,16 @@ def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
     return RootSet(roots=lam)
 
 
-def sl_stst_pcs(params: SLParams, C: float, k_minus: float,
-                Omega) -> np.ndarray:
-    """Asymptotic growth curve of the steady state:
-    gamma = -1/2 * log[(alpha^2 + (beta-Omega)^2) / (C^2 cos^2 k_minus)].
-    """
+def sl_stst_pcs(params: SLParams, C: float, k_minus, Omega) -> np.ndarray:
+    """Asymptotic growth curve of the steady state, elementwise over k_minus
+    and Omega: gamma = -1/2 * log[(alpha^2 + (beta-Omega)^2) / R^2] with
+    R = C*mode_cos(k_minus), -inf where R = 0 (a decoupled mode)."""
     check_coupling(C)
-    R2 = (C * mode_cos(k_minus)) ** 2
-    if R2 == 0.0:
-        raise ValueError("C*cos(k_minus) vanishes: the mode is decoupled, "
-                         "gamma = -inf")
-    with np.errstate(divide="ignore"):     # +inf at alpha = 0, Omega = beta
-        gamma = -0.5 * np.log((params.alpha ** 2 + (
-            params.beta - np.asarray(Omega, dtype=float)) ** 2) / R2)
+    # pow elementwise, as a float's ** 2 (an array's ** 2 rounds otherwise)
+    R2 = np.float_power(C * mode_cos(k_minus), 2)
+    num = params.alpha ** 2 + (params.beta - np.asarray(Omega, float)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.where(R2 == 0.0, -np.inf, -0.5 * np.log(num / R2))
     return gamma if gamma.ndim else float(gamma)
 
 
@@ -301,11 +298,9 @@ def _multipliers(wave: PlaneWave, C: float, lam, q_minus):
 
 def sl_floquet_pcs_Y(wave: PlaneWave, C: float, omega, q_minus):
     """The two multiplier branches Y+-(omega, q_minus) of the asymptotic
-    Floquet spectrum: the roots of chi(i omega) in e1 (``_multipliers``
-    at lambda = i omega)."""
+    Floquet spectrum, the roots of chi(i omega) in e1 (``_multipliers``);
+    both inf (gamma = -inf) where both couplings vanish, as at C = 0."""
     check_coupling(C)
-    if C == 0.0:
-        raise ValueError("C = 0: every mode is decoupled, gamma = -inf")
     return _multipliers(wave, C, 1j * np.asarray(omega, dtype=float),
                         np.asarray(q_minus, dtype=float))
 
@@ -423,12 +418,12 @@ def sl_floquet_exact(wave: PlaneWave, params: SLParams, C: float, tau: float,
     over the modes swept, and the points of the line sampled. A wave that
     is not a plane wave of (params, C) raises ValueError: one whose
     invariant residuals exceed ``WAVE_RESIDUAL_TOL`` or whose R is not
-    C cos k_minus to rounding."""
+    C*mode_cos(k_minus) to rounding."""
     check_delay(tau)
     check_coupling(C)
     residuals = plane_wave_invariant_residuals(wave, params)
     if not (max(map(abs, residuals)) <= WAVE_RESIDUAL_TOL and abs(
-            wave.R - C * math.cos(wave.wv.k_minus)) <= 1e-12 * C):
+            wave.R - C * mode_cos(wave.wv.k_minus)) <= 1e-12 * C):
         raise ValueError(f"not a plane wave of {params} at C={C!r}: {wave}, "
                          f"invariant residuals {residuals}")
     if tau == 0.0:
@@ -489,7 +484,7 @@ def sl_neutral_amplitude(alpha: float, C: float, k_minus: float) -> np.ndarray:
     """Real roots a^2 of the neutral-stability cubic for waves with spatial
     mode k_minus. The largest root is the sideband (Eckhaus-type) threshold."""
     check_coupling(C)
-    R = C * math.cos(k_minus)
+    R = C * mode_cos(k_minus)
     s2 = math.sin(k_minus) ** 2
     c2 = -2.5 * alpha
     c1 = 2.0 * alpha * alpha - 0.5 * R * R * (1.0 + 2.0 * s2)
@@ -500,22 +495,24 @@ def sl_neutral_amplitude(alpha: float, C: float, k_minus: float) -> np.ndarray:
 def sl_alpha0(k_minus: float, k_tau: float, C: float) -> float:
     """Minimal alpha at which a wave with given (k_minus, k_tau) stabilizes."""
     check_coupling(C)
-    R = C * math.cos(k_minus)
-    denom = math.cos(k_minus) ** 2 - math.sin(k_tau) ** 2
+    c = mode_cos(k_minus)
+    denom = c ** 2 - math.sin(k_tau) ** 2
     if denom == 0.0:
         raise ZeroDivisionError(
             f"pole: cos^2(k_minus) = sin^2(k_tau) at k_minus={k_minus}, "
             f"k_tau={k_tau}")
-    return R * math.cos(k_tau) * (1.0 - 2.0 * denom) / denom
+    return C * c * math.cos(k_tau) * (1.0 - 2.0 * denom) / denom
 
 
 def sl_hessian_at_trivial(wave: PlaneWave) -> np.ndarray:
     """Closed-form Hessian of the trivial-branch growth surface at
-    (omega, q_minus) = (0, 0). Only valid for cos(k_tau) > 0; the regime
-    cos(k_tau) <= 0 is uniformly unstable and rejected."""
+    (omega, q_minus) = (0, 0). Only valid for R != 0 and cos(k_tau) > 0: a
+    decoupled wave and the uniformly unstable regime are rejected."""
     a2, R, kt = wave.a2, wave.R, wave.k_tau
     km = wave.wv.k_minus
     ck = math.cos(kt)
+    if R == 0.0:
+        raise ValueError("decoupled wave: R = C*mode_cos(k_minus) = 0")
     if ck <= 0.0:
         raise ValueError("uniform-instability regime: cos(k_tau) <= 0")
     sk = math.sin(kt)

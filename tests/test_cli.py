@@ -167,6 +167,26 @@ def test_dispersion_writes_an_infinite_growth_rate_silently(tmp_path, capsys):
     assert np.all(data[data[:, 0] == 0.0, 2] == np.inf)
 
 
+@pytest.mark.parametrize("model", ["sl", "fhn"])
+def test_dispersion_at_zero_coupling_is_minus_inf(tmp_path, capsys, model):
+    # C = 0 decouples every mode: gamma = -inf on the whole default grid,
+    # silently; this once exited 1 with "config error: C: ..."
+    doc = {**OSCILLATING_SL, "C": 0.0}
+    if model == "fhn":
+        doc.update(model="fhn", params={"I": 0.0})
+    cfg = write_config(tmp_path / "c0.json", doc)
+    out = tmp_path / "r"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["dispersion", "--config", cfg,
+                         "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    data = np.loadtxt(out / "dispersion.csv", delimiter=",", skiprows=1)
+    assert data.shape == (4096, 3)
+    assert np.all(data[:, 2] == -np.inf)
+
+
 def test_floquet_verdicts(tmp_path):
     # one verdict for each of the 27 waves of the 1x1 lattice at alpha = 3
     out = tmp_path / "r"
@@ -555,14 +575,6 @@ def _without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
-def _dispersion_at_zero_coupling(tmp_path, model):
-    doc = {**OSCILLATING_SL, "C": 0.0}
-    if model == "fhn":
-        doc.update(model="fhn", params={"I": 0.0})
-    return ["dispersion", "--config", write_config(tmp_path / "c0.json", doc),
-            "--grid", "4"]
-
-
 @pytest.mark.parametrize("flag, argv", [
     # shifts 0 and 2.5 side by side need delays 1 - 2.5 on some edges
     ("--tau", lambda tmp: ["encode", "--image", str(_checkerboard_image(tmp)),
@@ -601,9 +613,6 @@ def _dispersion_at_zero_coupling(tmp_path, model):
         tmp, _rewrite_frames_json(lambda doc: []))),
     ("--run", lambda tmp: _verify_damaged_run(
         tmp, _rewrite_frames_json(_without("times")))),
-    # C = 0 is a valid config, but it decouples every mode
-    ("C", lambda tmp: _dispersion_at_zero_coupling(tmp, "sl")),
-    ("C", lambda tmp: _dispersion_at_zero_coupling(tmp, "fhn")),
 ], ids=["encode-shifts-exceed-tau", "encode-p6", "encode-p2-sample-300",
         "encode-p2-sample-negative", "encode-pgm-zero-width",
         "verify-eta-shape",
@@ -612,8 +621,7 @@ def _dispersion_at_zero_coupling(tmp_path, model):
         "simulate-negative-seed", "simulate-dt-above-quarter-delay",
         "verify-frames-json-missing", "verify-frames-f64-truncated",
         "verify-frames-json-empty", "verify-frames-json-list",
-        "verify-frames-json-without-times", "dispersion-sl-C-zero",
-        "dispersion-fhn-C-zero"])
+        "verify-frames-json-without-times"])
 def test_input_the_library_rejects_is_a_config_error(tmp_path, capsys, flag,
                                                      argv):
     argv = argv(tmp_path)

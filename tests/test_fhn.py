@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,12 +302,10 @@ def test_fhn_entry_points_reject_bad_coupling(call):
         with pytest.raises(ValueError,
                            match="coupling C must be finite and >= 0"):
             _fhn_coupling_calls(C)[call]()
+    got = _fhn_coupling_calls(0.0)[call]()
     if call == "hybrid":
-        # at C = 0 the delayed coupling vanishes, where it raises on purpose
-        with pytest.raises(ValueError, match="decoupled"):
-            _fhn_coupling_calls(0.0)[call]()
-    else:
-        _fhn_coupling_calls(0.0)[call]()
+        # at C = 0 the delayed coupling vanishes: gamma = -inf
+        assert got == -np.inf
 
 
 def test_strong_spectrum_formulas():
@@ -387,10 +386,24 @@ def test_hybrid_dispersion_stable_regime_max():
 
 
 def test_hybrid_dispersion_decoupled_mode():
+    # k_minus = pi/2 decouples the mode: gamma = -inf in that entry alone,
+    # silently; one such entry once made the whole call raise ValueError
     params = FHNParams(I=-0.8)
     st = fhn_steady_states(params, 3.0)[0]
-    with pytest.raises(ValueError):
-        fhn_hybrid_dispersion(st, params, 3.0, 0.5, math.pi / 2)
+    omegas = np.array([-1.0, 0.0, 0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fhn_hybrid_dispersion(st, params, 3.0, 0.5,
+                                     math.pi / 2) == -np.inf
+        pair = fhn_hybrid_dispersion(st, params, 3.0, 0.5,
+                                     np.array([0.0, math.pi / 2]))
+        got = fhn_hybrid_dispersion(st, params, 3.0, omegas,
+                                    np.array([[0.0], [math.pi / 2]]))
+    assert math.isfinite(pair[0]) and pair[1] == -np.inf
+    assert got.shape == (2, 4)
+    assert np.array_equal(got[0], fhn_hybrid_dispersion(st, params, 3.0,
+                                                        omegas, 0.0))
+    assert np.all(np.isfinite(got[0])) and np.all(got[1] == -np.inf)
 
 
 def test_hybrid_dispersion_matches_hand_expansion():

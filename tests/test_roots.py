@@ -386,6 +386,18 @@ def test_cubic_eckhaus_value():
     assert roots[-1] == pytest.approx((3.0 + math.sqrt(33.0)) / 4.0, abs=1e-10)
 
 
+def test_cubic_keeps_the_roots_newton_does_not_stop_on():
+    # (x - 1)(x - 1.01)(x - 3) from np.roots' values: on the close pair
+    # 1, 1.01 the rounding of p (4.4e-16) over p' (0.02) keeps Newton's
+    # step at 2.2e-14, above 1e-14 (1 + |x|), so those entries cycle for
+    # all 80 steps (numpy 2.4, x86-64), and only 3 stops. All three pass
+    # the backward-error test, which solve_cubic_real applies to each
+    # returned value whether it stopped or not, unlike find_roots_seeded
+    roots = solve_cubic_real(*np.poly([1.0, 1.01, 3.0]))
+    assert roots.size == 3
+    assert np.max(np.abs(roots - [1.0, 1.01, 3.0])) <= 1e-12
+
+
 def test_cubic_degree_error():
     with pytest.raises(ValueError):
         solve_cubic_real(0, 1, 1, 1)

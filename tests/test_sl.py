@@ -142,13 +142,39 @@ def test_stst_pcs_maximal_at_beta():
 
 
 def test_stst_pcs_decoupled_mode():
-    with pytest.raises(ValueError):
-        sl_stst_pcs(SLParams(-2.0, 0.5), 2.0, math.pi / 2, 0.5)
+    # the mode at k_minus = pi/2 is decoupled: gamma = -inf, once a
+    # ValueError, and silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sl_stst_pcs(SLParams(-2.0, 0.5), 2.0, math.pi / 2,
+                           0.5) == -np.inf
+        got = sl_stst_pcs(SLParams(0.0, 0.5), 2.0, math.pi / 2, [0.5, 1.0])
+    assert np.array_equal(got, [-np.inf, -np.inf])
 
 
-def test_stst_pcs_at_zero_coupling_says_the_coupling_vanishes():
-    with pytest.raises(ValueError, match=r"C\*cos\(k_minus\) vanishes"):
-        sl_stst_pcs(SLParams(-2.0, 0.5), 0.0, 0.3, 0.5)
+def test_stst_pcs_at_zero_coupling_is_minus_inf():
+    # C = 0 decouples every mode; gamma = -inf, once a ValueError
+    got = sl_stst_pcs(SLParams(-2.0, 0.5), 0.0, 0.3, [-1.0, 0.5])
+    assert np.array_equal(got, [-np.inf, -np.inf])
+    assert sl_stst_pcs(SLParams(-2.0, 0.5), 0.0, 0.3, 0.5) == -np.inf
+
+
+def test_stst_pcs_broadcasts_as_the_scalar_calls_bit_for_bit():
+    # k_minus of shape (n, 1) against Omega of shape (m,): once numpy's
+    # "truth value of an array ... is ambiguous"
+    params = SLParams(-2.0, 0.5)
+    rng = np.random.default_rng(35)
+    kms = np.r_[rng.uniform(-4.0, 4.0, 200), math.pi / 2, -math.pi / 2,
+                1.5 * math.pi]
+    omegas = rng.uniform(-3.0, 3.0, 7)
+    for C in (2.0, rng.uniform(0.1, 4.0), 0.0):
+        got = sl_stst_pcs(params, C, kms[:, None], omegas)
+        assert got.shape == (kms.size, omegas.size)
+        want = np.array([[sl_stst_pcs(params, C, float(km), float(om))
+                          for om in omegas] for km in kms])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.isneginf(got[:, 0]),
+                              C * mode_cos(kms) == 0.0)
 
 
 def test_stst_pcs_of_a_weakly_coupled_mode_is_finite():
@@ -751,8 +777,9 @@ def _sl_coupling_calls(C):
     }
 
 
-# at C = 0 every mode is decoupled, where these raise on purpose
-SL_DECOUPLED_AT_ZERO = {"stst_pcs", "pcs_Y", "pcs"}
+# at C = 0 every mode is decoupled: gamma = -inf, and Y = inf
+SL_DECOUPLED_AT_ZERO = {"stst_pcs": -np.inf, "pcs_Y": (np.inf, np.inf),
+                        "pcs": (-np.inf, -np.inf)}
 
 
 @pytest.mark.parametrize("call", sorted(_sl_coupling_calls(0.0)))
@@ -763,11 +790,9 @@ def test_sl_entry_points_reject_bad_coupling(call):
         with pytest.raises(ValueError,
                            match="coupling C must be finite and >= 0"):
             _sl_coupling_calls(C)[call]()
+    got = _sl_coupling_calls(0.0)[call]()
     if call in SL_DECOUPLED_AT_ZERO:
-        with pytest.raises(ValueError, match="decoupled"):
-            _sl_coupling_calls(0.0)[call]()
-    else:
-        _sl_coupling_calls(0.0)[call]()
+        assert got == SL_DECOUPLED_AT_ZERO[call]
 
 
 def test_floquet_rejects_a_wave_of_other_params_or_coupling():
@@ -784,6 +809,15 @@ def test_floquet_rejects_a_wave_of_other_params_or_coupling():
         sl_floquet_exact(wave, SLParams(2.5, 0.5), 2.0, 20.0, spec)
     assert sl_floquet_exact(wave, spec.params, 2.0, 20.0, spec).cls is \
         sl.StabilityClass.MODULATIONAL_UNSTABLE
+    # 4x4 wave 128, at k_minus = pi/2: R = 1e-11 passes the invariant
+    # residuals, but R must be C*mode_cos(k_minus) = 0 to rounding
+    from dataclasses import replace
+    wave, spec = _torus_wave(4, 128)
+    bad = replace(wave, R=1e-11)
+    assert max(map(abs, plane_wave_invariant_residuals(bad, spec.params))) \
+        <= sl.WAVE_RESIDUAL_TOL
+    with pytest.raises(ValueError, match="not a plane wave"):
+        sl_floquet_exact(bad, spec.params, 2.0, 20.0, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -949,9 +983,16 @@ def test_pcs_small_root_keeps_its_digits_where_a_coupling_vanishes():
 
 
 def test_pcs_at_zero_coupling_is_decoupled():
+    # C = 0: both multipliers are inf and both growth rates -inf, as in a
+    # mode whose couplings vanish; once a ValueError
     waves, _ = _sample_waves(1, seed=3)
-    with pytest.raises(ValueError, match="decoupled"):
-        sl_floquet_pcs_Y(waves[0], 0.0, 0.5, 0.3)
+    omega, q_minus = np.array([0.0, 0.5, -1.0]), np.array([0.3, 0.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Yp, Ym = sl_floquet_pcs_Y(waves[0], 0.0, omega, q_minus)
+        gp, gm = sl_floquet_pcs(waves[0], 0.0, omega, q_minus)
+    assert np.all(Yp == np.inf) and np.all(Ym == np.inf)
+    assert np.all(gp == -np.inf) and np.all(gm == -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,8 +1080,25 @@ def test_alpha0_even_in_ktau():
 
 
 def test_alpha0_pole_reported():
-    with pytest.raises(ZeroDivisionError):
-        sl_alpha0(0.0, math.pi / 2, 2.0)
+    # at (k_minus, k_tau) = (pi/2, 0) cos^2(pi/2) = 3.7e-33 once divided
+    # C*6e-17 into 3.266247870639074e+16; core.mode_cos makes it 0
+    for k_minus, k_tau in ((0.0, math.pi / 2), (math.pi / 2, 0.0)):
+        with pytest.raises(ZeroDivisionError, match="pole"):
+            sl_alpha0(k_minus, k_tau, 2.0)
+
+
+def test_alpha0_of_a_decoupled_mode_is_zero():
+    # R = C*mode_cos(pi/2) = 0; the raw cos gave -1.57e-15
+    assert sl_alpha0(math.pi / 2, 0.3, 2.0) == 0.0
+    assert sl_alpha0(-math.pi / 2, 0.3, 2.0) == 0.0
+
+
+def test_neutral_amplitude_reads_the_decoupling_rule():
+    # R = C*mode_cos(k_minus) = 0 at k_minus = pi/2: the cubic of C = 0
+    # with sin^2 k_minus = 1, bit for bit
+    for alpha in (-1.0, 0.0, 0.7, 3.0):
+        assert np.array_equal(sl_neutral_amplitude(alpha, 2.0, math.pi / 2),
+                              sl_neutral_amplitude(alpha, 0.0, math.pi / 2))
 
 
 def test_hessian_offdiagonal_vanishes_at_km_zero():
@@ -1090,6 +1148,16 @@ def test_hessian_regime_error():
         bad = replace(waves[0], k_tau=math.pi)
     with pytest.raises(ValueError):
         sl_hessian_at_trivial(bad)
+
+
+@pytest.mark.parametrize("wave_index", [46, 127, 128, 207])
+def test_hessian_of_a_decoupled_wave_names_it(wave_index):
+    # 4x4 torus, the waves at k_minus = +-pi/2 (R = 0): waves 127 and 207,
+    # with cos k_tau = 0.839, once ended in a bare "float division by zero"
+    wave, _ = _torus_wave(4, wave_index)
+    assert wave.R == 0.0
+    with pytest.raises(ValueError, match="decoupled wave"):
+        sl_hessian_at_trivial(wave)
 
 
 def test_hessian_negative_definite_helper():
