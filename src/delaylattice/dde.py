@@ -275,22 +275,6 @@ def _one_node_rhs(spec: LatticeSpec):
     return rhs
 
 
-def _to_snapshot(y: np.ndarray, model: Model) -> np.ndarray:
-    """(M, N, d) state with a complex z stored as (re, im) components."""
-    if model is Model.STUART_LANDAU:
-        return np.concatenate([y.real, y.imag], axis=-1)
-    return y
-
-
-def _from_snapshot(arr, model: Model) -> np.ndarray:
-    """A history sample as an (..., d) array: complex z for Stuart-Landau,
-    where a real sample is a complex one with zero imaginary part, and
-    (v, w, s) for FHN."""
-    if model is Model.STUART_LANDAU:
-        return np.asarray(arr, dtype=complex)[..., None]
-    return np.asarray(arr)
-
-
 # ---------------------------------------------------------------------------
 # the integrator
 
@@ -372,10 +356,11 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     """Integrate the lattice DDE from the given history up to t_end.
 
     ``init`` is a history on [-max_delay, 0] whose samples are (M, N)
-    complex arrays for Stuart-Landau or (M, N, 3) arrays for
-    FitzHugh-Nagumo. Snapshots are recorded every ``record_every`` steps;
-    with ``store_full`` the trajectory carries a dense interpolant over the
-    whole run including the history interval.
+    complex arrays for Stuart-Landau (a real one has Im z = 0) or (M, N, 3)
+    arrays for FitzHugh-Nagumo. Snapshots are recorded every
+    ``record_every`` steps, z as its (re, im) pair; with ``store_full`` the
+    trajectory carries a dense interpolant over the whole run including
+    the history interval.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end={t_end} invalid: need a finite t_end > 0")
@@ -414,7 +399,8 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     for i, (hist, end) in enumerate(((init.state, 1), (init.deriv, 0))):
         for lo in range(-H, end, block):
             hi = min(lo + block, end)
-            sample = _from_snapshot(hist(np.arange(lo, hi) * dt), model)
+            sample = np.asarray(hist(np.arange(lo, hi) * dt),
+                                dtype=dtype).reshape(hi - lo, M, N, d)
             store[lo + H:hi + H, i] = np.moveaxis(sample[..., chans], -1, 1)
         if end:   # the state block ends with the t = 0 sample
             y_lat[...] = sample[-1]
@@ -424,8 +410,8 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
     slots[H, 1] = k1[chans]
 
     rec_times = np.append(np.arange(0, n_steps, record_every), n_steps) * dt
-    rec_snaps = np.empty((len(rec_times), M, N, spec.state_dim))
-    rec_snaps[0] = _to_snapshot(y_lat, model)
+    rec_snaps = np.empty((len(rec_times), M, N, d), dtype=dtype)
+    rec_snaps[0] = y_lat
 
     def settle(n1: int, state) -> None:
         """Check and record the (M, N, d) state at t = n1*dt when due."""
@@ -435,7 +421,7 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
                 raise SimulationError(f"non-finite state at t={n1 * dt:.6g}, "
                                       f"node {tuple(bad[0].tolist())}")
         if n1 % record_every == 0 or n1 == n_steps:
-            rec_snaps[-(-n1 // record_every)] = _to_snapshot(state, model)
+            rec_snaps[-(-n1 // record_every)] = state
 
     if MN == 1 and model is Model.FITZHUGH_NAGUMO:
         _step_one_node(_one_node_rhs(spec), store, idx, wts,
@@ -461,7 +447,7 @@ def simulate(spec: LatticeSpec, delays: DelayMap, init, t_end: float,
             settle(n + 1, y_lat)
 
     dense = DenseOutput(-H * dt, dt, store) if store_full else None
-    return Trajectory(times=rec_times, snapshots=rec_snaps,
+    return Trajectory(times=rec_times, snapshots=rec_snaps.view(float),
                       dt=dt, record_every=record_every, dense=dense)
 
 

@@ -64,10 +64,18 @@ def _stst_residual(v, params: FHNParams, C: float):
 
 def fhn_steady_states(params: FHNParams, C: float) -> list[FhnSteadyState]:
     """All homogeneous steady states with v in [-5, 5]: real roots of the
-    scalar rest-state equation, bracketed on a grid of step 1e-3 and
-    bisected."""
+    rest-state residual r, bisected between neighbouring points of a grid
+    of step 1e-3 joined with the sign changes of r' = 1 - v^2 - 1/b +
+    C phi'(v), themselves bisected on that grid. r is monotone between
+    neighbouring points, so two states inside one step, near a fold, are
+    both found."""
     check_coupling(C)
+
+    def dr(x):
+        return 1.0 - x * x - 1.0 / params.b + C * _phi_prime(x, params)
+
     v = np.linspace(-5.0, 5.0, 10001)
+    v = np.union1d(v, bisect_sign_changes(dr, v, dr(v)))
     roots = bisect_sign_changes(lambda x: _stst_residual(x, params, C), v,
                                 _stst_residual(v, params, C))
     return [FhnSteadyState(v=vb, w=(vb + params.a) / params.b,
@@ -82,21 +90,23 @@ def stst_current(v, params: FHNParams, C: float):
     return params.I - _stst_residual(v, params, C)
 
 
+def _phi_prime(v: np.ndarray, params: FHNParams):
+    """phi'(v) = -s(v) + (v_r - v) s'(v) of the rest-state residual's
+    coupling term phi(v) = (v_r - v) s(v), s' = 0.6 alpha' / (alpha+0.6)^2,
+    evaluated as ``synaptic_gate`` and ``gate_rate_deriv`` do."""
+    al = gate_rate(v)
+    return -(al / (al + 0.6)) + (params.v_r - v) * (
+        0.6 * (5.0 * al * (1.0 - 2.0 * al)) / (al + 0.6) ** 2)
+
+
 def _fold_coupling(v, params: FHNParams):
     """C at which the rest-state equation has vanishing v-derivative at v
     (the current I drops out of the derivative)."""
     v = np.asarray(v, dtype=float)
-    phi_prime = (-synaptic_gate(v)
-                 + (params.v_r - v) * _gate_deriv_of_s(v))
+    phi_prime = _phi_prime(v, params)
     num = v * v - 1.0 + 1.0 / params.b
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(phi_prime > 0, num / phi_prime, np.inf)
-
-
-def _gate_deriv_of_s(v):
-    # d/dv [alpha/(alpha+0.6)] = 0.6 alpha' / (alpha+0.6)^2
-    al = gate_rate(v)
-    return 0.6 * gate_rate_deriv(v) / (al + 0.6) ** 2
 
 
 def fhn_saddle_node_C(params: FHNParams = FHNParams()) -> float:

@@ -25,11 +25,13 @@ SEED_GRID = (40, 40)         # Newton seeds along Re and Im of a sweep's window
 @dataclass
 class RootSet:
     """Deduplicated characteristic roots. A Newton sweep also reports its
-    number of seeds and how many of them converged; both are 0 where no
-    sweep ran."""
+    number of seeds, how many of them converged, and how many never
+    stopped but lie in the window and pass the residual test; all are 0
+    where no sweep ran."""
     roots: np.ndarray
     seeds: int = 0
     converged: int = 0
+    unstopped: int = 0
 
     def __len__(self):
         return len(self.roots)
@@ -93,11 +95,7 @@ def newton(fdf: Callable, z: np.ndarray, cap: float = np.inf):
                     step[big] *= cap / mag[big]
             za = za - step
             done = np.abs(step) <= 1e-14 * (1.0 + np.abs(za))
-            n_done = np.count_nonzero(done)
-            if n_done == done.size:
-                flat[idx] = za
-                idx = idx[:0]
-            elif n_done:
+            if done.any():
                 flat[idx[done]] = za[done]
                 idx, za = idx[~done], za[~done]
     stopped = np.ones(z.size, dtype=bool)
@@ -134,23 +132,25 @@ def find_roots_seeded(fdf: Callable, seeds: np.ndarray, k: np.ndarray,
     |f_k| <= ``RESIDUAL_TOL`` * ``terms(z, k)``, the sum of the moduli of
     f_k's terms (|z|^2 + 1 for z^2 + 1; 0 <= 0 keeps a root where all
     vanish, and an infinite |f_k| fails). The roots kept for each set go
-    through ``_dedup_sorted``; set j reports its seeds and converged ones."""
+    through ``_dedup_sorted``; set j reports its seeds, converged ones and
+    the entries that would be kept but never stopped."""
     re_min, re_max, im_min, im_max = window
     cap = 0.5 * max(re_max - re_min, im_max - im_min)
     z, converged = newton(lambda z, i: fdf(z, k[i]), seeds, cap)
-    zc, kc = z[converged], k[converged]
     # residual alone is not enough: quasi-polynomials are exponentially
     # flat along dense spectrum curves, so demand Newton convergence too;
     # the window test also drops any root with a NaN or infinite part
     with np.errstate(all="ignore"):
-        res = np.abs(fdf(zc, kc)[0])
-        ok = (res <= RESIDUAL_TOL * terms(zc, kc)) & (res < np.inf)
-    ok &= (zc.real >= re_min - 1e-9) & (zc.real <= re_max + 1e-9)
-    ok &= (zc.imag >= im_min - 1e-9) & (zc.imag <= im_max + 1e-9)
+        res = np.abs(fdf(z, k)[0])
+        ok = (res <= RESIDUAL_TOL * terms(z, k)) & (res < np.inf)
+    ok &= (z.real >= re_min - 1e-9) & (z.real <= re_max + 1e-9)
+    ok &= (z.imag >= im_min - 1e-9) & (z.imag <= im_max + 1e-9)
     n_seeds = np.bincount(k, minlength=n_sets)
-    n_conv = np.bincount(kc, minlength=n_sets)
-    return [RootSet(roots=_dedup_sorted(zc[ok & (kc == j)]),
-                    seeds=int(n_seeds[j]), converged=int(n_conv[j]))
+    n_conv = np.bincount(k[converged], minlength=n_sets)
+    n_unst = np.bincount(k[ok & ~converged], minlength=n_sets)
+    return [RootSet(roots=_dedup_sorted(z[ok & converged & (k == j)]),
+                    seeds=int(n_seeds[j]), converged=int(n_conv[j]),
+                    unstopped=int(n_unst[j]))
             for j in range(n_sets)]
 
 

@@ -84,10 +84,12 @@ def _branch_range(beta: float, C: float, tau: float) -> range:
 
 
 def _stst_log_z(params: SLParams, tau: float, R, k_plus):
-    """log z of the steady state's W_j(z), elementwise over modes with
-    R != 0: for strongly stable alpha, z exceeds the double range."""
-    return (np.log(tau * np.abs(R)) - params.alpha * tau
-            + 1j * (k_plus - params.beta * tau + np.pi * (R < 0.0)))
+    """log z of the steady state's W_j(z), elementwise over modes: for
+    strongly stable alpha, z exceeds the double range, and a decoupled
+    mode (R = 0) has z = 0, log z = -inf."""
+    with np.errstate(divide="ignore"):
+        return (np.log(tau * np.abs(R)) - params.alpha * tau
+                + 1j * (k_plus - params.beta * tau + np.pi * (R < 0.0)))
 
 
 def sl_stst_eigenvalues(params: SLParams, C: float, tau: float,
@@ -140,9 +142,10 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
                       spec: LatticeSpec) -> float:
     """The alpha at which the rightmost steady-state eigenvalue over all
     modes crosses zero, by bisection on alpha in -C +- max(2, C) to a
-    bracket width of 1e-6: W_0's in a coupled mode (H. Shinozaki & T. Mori,
-    Automatica 42 (2006) 1791), alpha + i*beta in a decoupled one (R = 0),
-    so each alpha, the two ends too, takes one Lambert W call."""
+    bracket width of 1e-6: W_0's of every mode (H. Shinozaki & T. Mori,
+    Automatica 42 (2006) 1791), alpha + i*beta in a decoupled one (R = 0)
+    as W_0(0) = 0, so each alpha, the two ends too, takes one Lambert W
+    call."""
     check_delay(tau)
     check_coupling(C)
     if tau == 0.0:
@@ -152,13 +155,11 @@ def sl_hopf_threshold(params: SLParams, C: float, tau: float,
     lo, hi = -C - max(2.0, C), -C + max(2.0, C)
     R, k_plus = np.array([(C * mode_cos(wv.k_minus), wv.k_plus)
                           for wv in enumerate_modes(spec)]).T
-    decoupled = (R == 0.0).any()
-    R, k_plus = R[R != 0.0], k_plus[R != 0.0]
 
     def growth(alpha):
         log_z = _stst_log_z(SLParams(alpha, params.beta), tau, R, k_plus)
         lam = complex(alpha, params.beta) + lambert_w_log(0, log_z) / tau
-        return lam.real.max(initial=alpha if decoupled else -np.inf)
+        return lam.real.max()
 
     unstable = growth(hi) >= 0.0
     if not unstable or growth(lo) >= 0.0:

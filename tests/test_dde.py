@@ -620,6 +620,23 @@ def test_grid_aligned_dense_reads_are_the_stored_samples(case):
         assert np.array_equal(got, snap), t
 
 
+def test_sl_snapshots_are_the_float_view_of_the_stored_z():
+    # a Stuart-Landau run records complex z and returns its float view,
+    # (re, im) per node: the stored samples of the record steps, bit for bit
+    traj = PINNED["sl"][0](store_full=True)
+    H = round(-traj.dense.t0 / traj.dt)
+    z = traj.dense.samples[H + np.rint(traj.times / traj.dt).astype(int), 0, 0]
+    assert traj.snapshots.dtype == float
+    assert traj.snapshots.shape == z.shape + (2,)
+    assert np.array_equal(traj.snapshots, z[..., None].view(float))
+    assert np.array_equal(traj.snapshots[..., 0], z.real)
+    assert np.array_equal(traj.snapshots[..., 1], z.imag)
+    # a real history sample is a complex one with Im z = 0
+    real = simulate(sl_spec(2, 2, 1.0, 0.5, 0.8), DelayMap.homogeneous(2, 2, 1.0),
+                    ConstantHistory(np.full((2, 2), 0.3)), t_end=1.0, dt=0.05)
+    assert real.snapshots[0].tolist() == [[[0.3, 0.0]] * 2] * 2
+
+
 def test_grid_aligned_reads_of_a_one_node_store_broadcast_exactly():
     traj = simulate(fhn_spec(1, 1, 0.5, 1.0), DelayMap.homogeneous(1, 1, 2.0),
                     ConstantHistory(np.array([[[1.5, 0.5, 0.3]]])),

@@ -84,15 +84,23 @@ def test_steady_state_triple_above_saddle_node():
     assert counts <= {1, 3}
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect (ROADMAP item 22): fhn_steady_states brackets sign changes "
-    "on a 1e-3 grid of v and misses the rest states 0.9155343 and 0.9156956, "
-    "which lie inside one step near a fold of I(v)"))
 def test_steady_states_find_a_close_pair_near_a_fold():
+    # 0.9155343 and 0.9156956 lie inside one step of the 1e-3 grid, on
+    # either side of a fold of I(v); the extremum of the residual between
+    # them, a sign change of r', splits their step in two
     got = [st.v for st in fhn_steady_states(FHNParams(I=0.5525127), 3.0)]
     assert len(got) == 3
     assert np.allclose(got, [-0.7416028, 0.9155343, 0.9156956], rtol=0.0,
                        atol=1e-7)
+
+
+@pytest.mark.parametrize("I, C, want", [(0.0, 3.0, -1.199328655998617),
+                                        (0.5, 1.0, -0.804533666702693)])
+def test_benchmark_rest_states_are_pinned(I, C, want):
+    # the one rest state of stability-sweep and fhn-pattern (I 0, C 3) and
+    # of lattice-dump (I 0.5, C 1), where simulate starts: perfbench's
+    # stored references hold these values, bit for bit
+    assert [st.v for st in fhn_steady_states(FHNParams(I=I), C)] == [want]
 
 
 def test_steady_state_residuals():
@@ -216,6 +224,20 @@ def test_char_roots_stable_regime_all_modes():
     for wv in enumerate_modes(spec):
         rs = fhn_char_roots(st, params, 3.0, 20.0, wv)
         assert rs.max_real() < 0.0
+
+
+def test_char_roots_of_the_benchmark_torus_leave_no_entry_unstopped():
+    # the 9 sweeps of stability-sweep (3x3 torus, I 0, C 3, tau 50): no
+    # entry lies in the window and passes the residual test without having
+    # stopped, so the stop rule drops no root there
+    params = FHNParams(I=0.0)
+    st = fhn_steady_states(params, 3.0)[0]
+    spec = LatticeSpec(rows=3, cols=3, model=Model.FITZHUGH_NAGUMO,
+                       params=params, coupling=3.0)
+    got = [fhn_char_roots(st, params, 3.0, 50.0, wv)
+           for wv in enumerate_modes(spec)]
+    assert [rs.unstopped for rs in got] == [0] * 9
+    assert sum(len(rs) for rs in got) == 532
 
 
 def _window_windings(n=20_000):

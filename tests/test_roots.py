@@ -398,6 +398,23 @@ def test_cubic_keeps_the_roots_newton_does_not_stop_on():
     assert np.max(np.abs(roots - [1.0, 1.01, 3.0])) <= 1e-12
 
 
+def test_sweep_counts_the_entries_that_pass_but_never_stop():
+    # seeded at np.roots of (z - 1)(z - 1.01)(z - 3), the close pair
+    # cycles unstopped for all 80 steps while passing the residual test
+    # (see above): the sweep keeps only the stopped root 3, and counts
+    # the other two entries as unstopped
+    c = np.poly([1.0, 1.01, 3.0])
+    rs = find_roots_seeded(
+        lambda z, k: (((c[0] * z + c[1]) * z + c[2]) * z + c[3],
+                      (3.0 * c[0] * z + 2.0 * c[1]) * z + c[2]),
+        np.roots(c).astype(complex), np.zeros(3, dtype=int), 1,
+        (0.0, 4.0, -1.0, 1.0),
+        lambda z, k: (np.abs(c[0] * z ** 3) + np.abs(c[1] * z * z)
+                      + np.abs(c[2] * z) + abs(c[3])))[0]
+    assert (rs.seeds, rs.converged, rs.unstopped) == (3, 1, 2)
+    assert len(rs) == 1 and abs(rs.roots[0] - 3.0) <= 1e-12
+
+
 def test_cubic_degree_error():
     with pytest.raises(ValueError):
         solve_cubic_real(0, 1, 1, 1)
@@ -461,6 +478,22 @@ def test_newton_entry_does_not_depend_on_its_batch():
     for i, z0 in enumerate(starts):
         alone = newton(lambda z, _: fdf(z, i), z0)[0]
         assert alone.tobytes() == batch[i].tobytes()
+
+
+def test_newton_where_every_entry_stops_in_the_same_step():
+    # z^3 - 1 from the three cube roots of unity scaled by 1.2: each
+    # call sees every entry, and all three stop in the sixth step, at
+    # values pinned bit for bit
+    seen = []
+
+    def fdf(z, i):
+        seen.append(i.tolist())
+        return z ** 3 - 1.0, 3.0 * z * z
+
+    got, stopped = newton(fdf, 1.2 * np.exp(2j * np.pi * np.arange(3) / 3))
+    assert seen == [[0, 1, 2]] * 6 and stopped.all()
+    assert got.tolist() == [1 + 0j, -0.5 + 0.8660254037844386j,
+                            -0.5 - 0.8660254037844386j]
 
 
 def test_newton_cuts_a_long_step_to_the_cap():

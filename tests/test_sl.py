@@ -234,7 +234,8 @@ def test_hopf_threshold_reads_w0_of_every_mode(monkeypatch):
     # take the w e^w = z form (tau = 0.5), both forms (20) and the log form
     # (200 and 1000); it makes one Lambert W call at each alpha, the two
     # ends and 22 midpoints, and none to sl_stst_eigenvalues. The 6 modes
-    # at k_minus = +-pi/2 are decoupled there (alpha + i beta), while
+    # at k_minus = +-pi/2 are decoupled there: W_0 of their log z = -inf
+    # is W_0(0) = 0, which gives them alpha + i beta, while
     # sl_stst_eigenvalues runs them on R = C*6e-17 (ROADMAP item 12)
     spec = make_spec(6, 6, -2.5, 0.5, 2.0)
     assert [mode_cos(wv.k_minus) for wv in enumerate_modes(spec)].count(
@@ -273,14 +274,27 @@ def test_hopf_threshold_names_the_end_without_a_sign_change(monkeypatch,
                                                             growth, end):
     # W_0 = growth * 1e6 puts every mode's rightmost eigenvalue at
     # alpha + growth * 5000 at tau 200: of one sign over the whole bracket.
-    # The 3x3 torus has no decoupled mode, whose eigenvalue alpha + i beta
-    # W_0 cannot move (the 2x2 torus has two, at k_minus = +-pi/2)
+    # A decoupled mode's alpha + i beta is W_0's too, so a torus with one
+    # (the 2x2 torus has two, at k_minus = +-pi/2) would move with the rest
     monkeypatch.setattr(sl, "lambert_w_log", lambda j, log_z: np.full(
         np.shape(log_z), complex(growth * 1e6, 0.0)))
     spec = make_spec(3, 3, -2.5, 0.5, 2.0)
     with pytest.raises(ArithmeticError, match=r"on alpha in \[-4.0, 0.0\]: "
                        + end):
         sl_hopf_threshold(spec.params, 2.0, 200.0, spec)
+
+
+@pytest.mark.parametrize("M, C, tau, want", [
+    (4, 2.0, 5.0, -1.996595859527588),
+    (2, 2.0, 1000.0, -1.9999995231628418),
+    (3, 0.0, 20.0, -4.76837158203125e-07),
+    (4, 0.0, 20.0, -4.76837158203125e-07)])
+def test_hopf_threshold_of_tori_with_decoupled_modes(M, C, tau, want):
+    # tori with decoupled modes (k_minus = +-pi/2 on the 4x4 and 2x2 tori,
+    # every mode at C = 0), pinned bit for bit: W_0(0) = 0 gives such a
+    # mode alpha + i beta, so at C = 0 the rightmost root is alpha itself
+    spec = make_spec(M, M, -2.5, 0.5, C)
+    assert sl_hopf_threshold(spec.params, C, tau, spec) == want
 
 
 def test_large_delay_roots_approach_pcs_curve():
